@@ -12,9 +12,13 @@ Three backends share one interface:
   file, one denoise call per recorded step.
 
 A predictor is deterministic given its construction arguments, the sequence
-state, and the evaluation scope.  Synthetic and n-gram predictors are
-immutable and safe to share across decode sessions; a replay predictor holds
-a cursor and belongs to exactly one session.
+state, and the evaluation scope.  Synthetic and n-gram predictors are pure:
+each memoises values that depend only on its construction arguments and a
+position or context, per instance.  A memo entry is computed from those alone,
+so two sessions filling one entry at once store equal values; the fills are
+idempotent and the predictor is safe to share across concurrent decode
+sessions.  Its memory grows with the distinct positions and contexts it has
+served.  A replay predictor holds a cursor and belongs to exactly one session.
 """
 
 from __future__ import annotations
@@ -55,8 +59,9 @@ class MaskPredictor:
     ) -> PredictionFrame:
         """Evaluate ``eval_positions`` and carry everything else from ``prior``."""
         positions = sorted(set(eval_positions))
+        length = state.length
         for pos in positions:
-            if not 0 <= pos < state.length:
+            if not 0 <= pos < length:
                 raise PredictorError(f"evaluation position {pos} out of range")
         values = self.predict(state, positions)
         mask_id = self.vocabulary.mask_id
@@ -120,13 +125,21 @@ _FILLER_COUNT = 8
 
 
 class SyntheticPredictor(MaskPredictor):
-    """Generates the three-regime confidence landscape by construction."""
+    """Generates the three-regime confidence landscape by construction.
+
+    Plateau and floor confidences depend only on (noise seed, position), so
+    each is drawn once per instance and memoised; band draws stay keyed by
+    (position, frontier) and are drawn afresh.
+    """
 
     def __init__(self, params: SyntheticFieldParams):
         self.params = params
         fillers = [f"w{i}" for i in range(_FILLER_COUNT)]
         self._vocab = Vocabulary.build(fillers + ["\n"])
         self._delimiter_id = self._vocab.id_of("\n")
+        self._filler_ids = tuple(self._vocab.id_of(f) for f in fillers)
+        self._plateau: dict[int, float] = {}
+        self._floor: dict[int, float] = {}
 
     @property
     def vocabulary(self) -> Vocabulary:
@@ -154,23 +167,25 @@ class SyntheticPredictor(MaskPredictor):
         return max(1, p.vb_width_mean + offset)
 
     def regime_of(self, gen_pos: int, frontier: int) -> str:
-        if gen_pos < frontier:
-            return PLATEAU
-        if gen_pos < frontier + self.band_width(frontier):
-            return BAND
-        return FLOOR
+        return _regime(gen_pos, frontier, frontier + self.band_width(frontier))
 
     # -- field values ---------------------------------------------------------
 
     def _plateau_conf(self, gen_pos: int) -> float:
-        p = self.params
-        u = unit_draw(p.noise_seed, "plateau", gen_pos)
-        return p.plateau_level + u * (1.0 - p.plateau_level)
+        conf = self._plateau.get(gen_pos)
+        if conf is None:
+            p = self.params
+            u = unit_draw(p.noise_seed, "plateau", gen_pos)
+            conf = self._plateau[gen_pos] = p.plateau_level + u * (1.0 - p.plateau_level)
+        return conf
 
     def _floor_conf(self, gen_pos: int) -> float:
-        p = self.params
-        u = unit_draw(p.noise_seed, "floor", gen_pos)
-        return p.floor_level * (0.5 + 0.5 * u)
+        conf = self._floor.get(gen_pos)
+        if conf is None:
+            p = self.params
+            u = unit_draw(p.noise_seed, "floor", gen_pos)
+            conf = self._floor[gen_pos] = p.floor_level * (0.5 + 0.5 * u)
+        return conf
 
     def _band_conf(self, gen_pos: int, frontier: int) -> float:
         # fresh draw per (position, frontier): the frontier advances every
@@ -179,36 +194,53 @@ class SyntheticPredictor(MaskPredictor):
         u = unit_draw(p.noise_seed, "band", gen_pos, frontier)
         return p.vb_low + u * (p.vb_high - p.vb_low)
 
-    def confidence_at(self, gen_pos: int, frontier: int) -> float:
-        regime = self.regime_of(gen_pos, frontier)
+    def _confidence(self, gen_pos: int, frontier: int, regime: str) -> float:
         if regime == PLATEAU:
             return self._plateau_conf(gen_pos)
         if regime == BAND:
             return self._band_conf(gen_pos, frontier)
         return self._floor_conf(gen_pos)
 
-    def token_at(self, gen_pos: int, frontier: int) -> int:
-        p = self.params
-        if p.delimiter_period > 0 and gen_pos % p.delimiter_period == p.delimiter_period - 1:
+    def _token(self, gen_pos: int, regime: str) -> int:
+        period = self.params.delimiter_period
+        if period > 0 and gen_pos % period == period - 1:
             return self._delimiter_id
-        if self.regime_of(gen_pos, frontier) == FLOOR:
+        if regime == FLOOR:
             return self._vocab.eos_id
-        return self._vocab.id_of(f"w{gen_pos % _FILLER_COUNT}")
+        return self._filler_ids[gen_pos % _FILLER_COUNT]
+
+    def confidence_at(self, gen_pos: int, frontier: int) -> float:
+        return self._confidence(gen_pos, frontier, self.regime_of(gen_pos, frontier))
+
+    def token_at(self, gen_pos: int, frontier: int) -> int:
+        return self._token(gen_pos, self.regime_of(gen_pos, frontier))
 
     def predict(
         self, state: SequenceState, positions: Sequence[int]
     ) -> list[tuple[int, float]]:
         lp = state.prompt_len
+        tokens, mask = state.tokens, state.mask_id
         frontier = self.frontier(state.unmasked_gen_count(), state.gen_budget)
+        band_end = frontier + self.band_width(frontier)
         out: list[tuple[int, float]] = []
         for pos in positions:
             gen = pos - lp
-            if state.tokens[pos] != state.mask_id:
+            if tokens[pos] != mask:
                 # committed tokens keep reading as themselves, scored high
-                out.append((state.tokens[pos], self._plateau_conf(gen)))
+                out.append((tokens[pos], self._plateau_conf(gen)))
             else:
-                out.append((self.token_at(gen, frontier), self.confidence_at(gen, frontier)))
+                regime = _regime(gen, frontier, band_end)
+                out.append((self._token(gen, regime),
+                            self._confidence(gen, frontier, regime)))
         return out
+
+
+def _regime(gen_pos: int, frontier: int, band_end: int) -> str:
+    if gen_pos < frontier:
+        return PLATEAU
+    if gen_pos < band_end:
+        return BAND
+    return FLOOR
 
 
 def build_synthetic(params: SyntheticFieldParams) -> SyntheticPredictor:
@@ -225,49 +257,61 @@ def tokenize(corpus: str, char_mode: bool = False) -> list[str]:
     return corpus.split()
 
 
+#: Counts of the tokens filling a slot after one context, and their add-k
+#: denominator ``total + k * candidates``.
+ContextCounts = tuple[Counter, float]
+
+
 @dataclass
 class NGramModel:
     """Add-k smoothed count tables over left and right contexts of length < n.
 
     ``left[k]`` maps a k-token context immediately preceding a slot to the
-    counts of the token filling it; ``right[k]`` does the same for the k
-    tokens immediately following the slot, stored in sentence order.
+    counts of the token filling it and their add-k denominator; ``right[k]``
+    does the same for the k tokens immediately following the slot, stored in
+    sentence order.  The tables never change after construction, so
+    :meth:`best_token` memoises its answer per context pair.
     """
 
     order: int
     smoothing_k: float
     vocab: Vocabulary
-    left: list[dict[tuple[int, ...], Counter]]
-    right: list[dict[tuple[int, ...], Counter]]
+    left: list[dict[tuple[int, ...], ContextCounts]]
+    right: list[dict[tuple[int, ...], ContextCounts]]
     corpus_ids: tuple[int, ...] = ()
 
-    def _context_prob(
-        self, table: dict[tuple[int, ...], Counter], ctx: tuple[int, ...], token: int
-    ) -> float:
-        candidates = self.vocab.size - 1  # every token except the mask
-        counts = table.get(ctx)
-        total = sum(counts.values()) if counts else 0
-        hit = counts.get(token, 0) if counts else 0
-        denom = total + self.smoothing_k * candidates
-        if denom == 0.0:
-            return 1.0 / candidates
-        return (hit + self.smoothing_k) / denom
+    def __post_init__(self) -> None:
+        self._candidates = self.vocab.size - 1  # every token except the mask
+        self._unseen: ContextCounts = (Counter(), self.smoothing_k * self._candidates)
+        self._best: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, float]] = {}
+
+    def _prob(self, side: ContextCounts, token: int) -> float:
+        counts, denom = side
+        if denom == 0.0:  # k == 0 over an unseen context: uniform
+            return 1.0 / self._candidates
+        return (counts.get(token, 0) + self.smoothing_k) / denom
+
+    def _sides(
+        self, left_ctx: tuple[int, ...], right_ctx: tuple[int, ...]
+    ) -> tuple[ContextCounts, ContextCounts]:
+        return (self.left[len(left_ctx)].get(left_ctx, self._unseen),
+                self.right[len(right_ctx)].get(right_ctx, self._unseen))
+
+    def _blend(self, sides: tuple[ContextCounts, ContextCounts], token: int) -> float:
+        return 0.5 * self._prob(sides[0], token) + 0.5 * self._prob(sides[1], token)
 
     def blended(
         self, left_ctx: tuple[int, ...], right_ctx: tuple[int, ...], token: int
     ) -> float:
-        pl = self._context_prob(self.left[len(left_ctx)], left_ctx, token)
-        pr = self._context_prob(self.right[len(right_ctx)], right_ctx, token)
-        return 0.5 * pl + 0.5 * pr
+        return self._blend(self._sides(left_ctx, right_ctx), token)
 
     def distribution(
         self, left_ctx: tuple[int, ...], right_ctx: tuple[int, ...]
     ) -> dict[int, float]:
+        sides = self._sides(left_ctx, right_ctx)
         mask = self.vocab.mask_id
         return {
-            tok: self.blended(left_ctx, right_ctx, tok)
-            for tok in range(self.vocab.size)
-            if tok != mask
+            tok: self._blend(sides, tok) for tok in range(self.vocab.size) if tok != mask
         }
 
     def best_token(
@@ -275,46 +319,51 @@ class NGramModel:
     ) -> tuple[int, float]:
         """Argmax of the blended distribution, lowest token id on ties.
 
-        Only tokens observed in either context table can beat the shared
-        smoothing baseline, so the scan stays proportional to the counts.
+        Memoised per ``(left_ctx, right_ctx)``.  Concurrent callers may both
+        fill one entry; they store equal values, so the fill is idempotent.
         """
-        candidates = self.vocab.size - 1
-        k = self.smoothing_k
+        key = (left_ctx, right_ctx)
+        best = self._best.get(key)
+        if best is None:
+            best = self._best[key] = self._argmax(left_ctx, right_ctx)
+        return best
+
+    def _argmax(
+        self, left_ctx: tuple[int, ...], right_ctx: tuple[int, ...]
+    ) -> tuple[int, float]:
+        # Only tokens observed in either context table can beat the shared
+        # smoothing baseline, so the scan stays proportional to the counts.
+        sides = self._sides(left_ctx, right_ctx)
+        (counts_l, _), (counts_r, _) = sides
         mask = self.vocab.mask_id
-
-        def side(table, ctx):
-            counts = table.get(ctx)
-            total = sum(counts.values()) if counts else 0
-            denom = total + k * candidates
-            if denom == 0.0:  # k == 0 over an unseen context: uniform
-                return {}, None
-            return counts or {}, denom
-
-        counts_l, denom_l = side(self.left[len(left_ctx)], left_ctx)
-        counts_r, denom_r = side(self.right[len(right_ctx)], right_ctx)
-        base_l = 1.0 / candidates if denom_l is None else k / denom_l
-        base_r = 1.0 / candidates if denom_r is None else k / denom_r
-
-        seen = (set(counts_l) | set(counts_r)) - {mask}
+        seen = (counts_l.keys() | counts_r.keys()) - {mask}
 
         best_tok, best_p = None, -1.0
         for tok in sorted(seen):
-            pl = base_l if denom_l is None else (counts_l.get(tok, 0) + k) / denom_l
-            pr = base_r if denom_r is None else (counts_r.get(tok, 0) + k) / denom_r
-            p = 0.5 * pl + 0.5 * pr
+            p = self._blend(sides, tok)
             if p > best_p:
                 best_tok, best_p = tok, p
 
-        baseline = 0.5 * base_l + 0.5 * base_r
-        if len(seen) < candidates:  # some token sits at the shared baseline
+        if len(seen) < self._candidates:  # some token sits at the shared baseline
             unseen = next(
                 t for t in range(self.vocab.size) if t != mask and t not in seen
             )
+            baseline = self._blend(sides, unseen)
             if best_tok is None or baseline > best_p or (
                 baseline == best_p and unseen < best_tok
             ):
                 return unseen, baseline
         return best_tok, best_p
+
+
+def _committed(window: tuple[int, ...], mask_id: int) -> tuple[int, ...]:
+    """The committed tokens of a window slice, in order."""
+    masks = window.count(mask_id)
+    if not masks:
+        return window
+    if masks == len(window):
+        return ()
+    return tuple(filter(mask_id.__ne__, window))
 
 
 class NGramPredictor(MaskPredictor):
@@ -334,30 +383,21 @@ class NGramPredictor(MaskPredictor):
     def vocabulary(self) -> Vocabulary:
         return self.model.vocab
 
-    def _gather_left(self, state: SequenceState, pos: int) -> tuple[int, ...]:
-        window = range(max(0, pos - (self.model.order - 1)), pos)
-        return tuple(
-            state.tokens[i] for i in window if state.tokens[i] != state.mask_id
-        )
-
-    def _gather_right(self, state: SequenceState, pos: int) -> tuple[int, ...]:
-        window = range(pos + 1, min(state.length, pos + self.model.order))
-        return tuple(
-            state.tokens[i] for i in window if state.tokens[i] != state.mask_id
-        )
-
     def predict(
         self, state: SequenceState, positions: Sequence[int]
     ) -> list[tuple[int, float]]:
+        model = self.model
+        tokens, mask = state.tokens, state.mask_id
+        reach = model.order - 1
         out: list[tuple[int, float]] = []
         for pos in positions:
-            left = self._gather_left(state, pos)
-            right = self._gather_right(state, pos)
-            if state.tokens[pos] != state.mask_id:
-                tok = state.tokens[pos]
-                out.append((tok, self.model.blended(left, right, tok)))
+            left = _committed(tokens[max(0, pos - reach) : pos], mask)
+            right = _committed(tokens[pos + 1 : pos + 1 + reach], mask)
+            tok = tokens[pos]
+            if tok != mask:
+                out.append((tok, model.blended(left, right, tok)))
             else:
-                out.append(self.model.best_token(left, right))
+                out.append(model.best_token(left, right))
         return out
 
 
@@ -375,6 +415,11 @@ def build_ngram(
 
     vocab = Vocabulary.build(sorted(set(tokens)))
     seq = [vocab.id_of(t) for t in tokens]
+    if vocab.mask_id in seq:
+        raise ValueError(
+            f"corpus contains the mask token {vocab.token_of(vocab.mask_id)!r} "
+            f"at token index {seq.index(vocab.mask_id)}"
+        )
 
     left: list[dict[tuple[int, ...], Counter]] = [dict() for _ in range(order)]
     right: list[dict[tuple[int, ...], Counter]] = [dict() for _ in range(order)]
@@ -387,8 +432,15 @@ def build_ngram(
                 ctx = tuple(seq[p + 1 : p + 1 + k])
                 right[k].setdefault(ctx, Counter())[tok] += 1
 
+    extra = smoothing_k * (vocab.size - 1)
+
+    def with_denoms(tables):
+        return [{ctx: (counts, sum(counts.values()) + extra)
+                 for ctx, counts in table.items()} for table in tables]
+
     model = NGramModel(order=order, smoothing_k=smoothing_k, vocab=vocab,
-                       left=left, right=right, corpus_ids=tuple(seq))
+                       left=with_denoms(left), right=with_denoms(right),
+                       corpus_ids=tuple(seq))
     return NGramPredictor(model)
 
 

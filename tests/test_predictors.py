@@ -167,6 +167,10 @@ class TestNGram:
         with pytest.raises(ValueError):
             build_ngram("a b", order=0, smoothing_k=0.01)
 
+    def test_corpus_containing_the_mask_string_is_rejected(self):
+        with pytest.raises(ValueError, match=r"'\[MASK\]' at token index 2"):
+            build_ngram("a b [MASK] c [MASK] d", order=2, smoothing_k=0.01)
+
     def test_repeated_sentence_recovers_the_gap(self):
         corpus = " ".join(["a b c d"] * 10)
         pred = build_ngram(corpus, order=3, smoothing_k=0.01)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 #: Confidence stored for positions that no denoise call has touched yet.
 SENTINEL_CONFIDENCE = -1.0
@@ -90,9 +90,6 @@ class SequenceState:
     @property
     def length(self) -> int:
         return len(self.tokens)
-
-    def is_masked(self, pos: int) -> bool:
-        return self.tokens[pos] == self.mask_id
 
     def masked_positions(self) -> tuple[int, ...]:
         """Absolute indices currently holding the mask token."""
@@ -250,29 +247,46 @@ class DecodeConfig:
         return self.linear_steps if self.linear_steps is not None else self.max_steps
 
 
-# Plain-text config files: one `key = value` per line, '#' comments.
-_CONFIG_FIELDS = {f.name for f in fields(DecodeConfig)}
+# The one DecodeConfig codec: field types drive the text and the JSON forms.
+_FIELD_TYPES = get_type_hints(DecodeConfig)
 
 
-def _parse_config_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in ("tau", "tau_d", "window_fraction"):
-        return float(raw)
-    if key in ("gen_budget", "max_steps", "b0", "seed"):
-        return int(raw)
-    if key == "linear_steps":
-        return None if raw.lower() in ("", "none") else int(raw)
-    if key == "delimiters":
-        if not raw:
-            return frozenset()
-        return frozenset(int(tok) for tok in raw.replace(",", " ").split())
-    if key in ("sampler", "scheduler", "cache"):
-        return raw
-    raise KeyError(key)
+def _parse(tp: Any, raw: str) -> Any:
+    args = get_args(tp)
+    if type(None) in args:  # X | None: "none" or an empty value means None
+        if raw.lower() in ("", "none"):
+            return None
+        (inner,) = (a for a in args if a is not type(None))
+        return _parse(inner, raw)
+    if get_origin(tp) is frozenset:
+        return frozenset(_parse(args[0], tok) for tok in raw.replace(",", " ").split())
+    return tp(raw)
+
+
+def parse_config_value(key: str, raw: str) -> Any:
+    """Parse the text form of the :class:`DecodeConfig` field ``key``.
+
+    Raises ``KeyError`` for a name that is not a field and ``ValueError``
+    naming the key for a malformed value.
+    """
+    tp = _FIELD_TYPES[key]
+    try:
+        return _parse(tp, raw.strip())
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def _format(value: Any) -> str:
+    """Text form of one field value; :func:`parse_config_value` inverts it."""
+    if value is None:
+        return "none"
+    if isinstance(value, frozenset):
+        return ",".join(str(v) for v in sorted(value))
+    return str(value)
 
 
 def config_from_text(text: str) -> DecodeConfig:
-    """Parse a key=value config document into a :class:`DecodeConfig`."""
+    """Parse a key=value config document (``#`` comments) into a :class:`DecodeConfig`."""
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -281,9 +295,12 @@ def config_from_text(text: str) -> DecodeConfig:
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected key = value")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _CONFIG_FIELDS:
+        if key not in _FIELD_TYPES:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = _parse_config_value(key, raw)
+        try:
+            values[key] = parse_config_value(key, raw)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     missing = {"gen_budget", "max_steps"} - values.keys()
     if missing:
         raise ValueError(f"missing required config keys: {sorted(missing)}")
@@ -295,36 +312,54 @@ def load_config(path: str | Path) -> DecodeConfig:
 
 
 def config_to_text(config: DecodeConfig) -> str:
-    lines = []
+    return "".join(
+        f"{f.name} = {_format(getattr(config, f.name))}\n"
+        for f in fields(DecodeConfig)
+    )
+
+
+def config_to_dict(config: DecodeConfig) -> dict[str, Any]:
+    """JSON-ready form: sets become sorted lists, other values stay as they are."""
+    out: dict[str, Any] = {}
     for f in fields(DecodeConfig):
         value = getattr(config, f.name)
-        if f.name == "delimiters":
-            value = ",".join(str(d) for d in sorted(value))
-        elif f.name == "linear_steps":
-            value = "none" if value is None else value
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
+        out[f.name] = sorted(value) if isinstance(value, frozenset) else value
+    return out
+
+
+def config_from_dict(data: dict[str, Any]) -> DecodeConfig:
+    """Inverse of :func:`config_to_dict`; rejects keys that are not fields."""
+    unknown = sorted(data.keys() - _FIELD_TYPES.keys())
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
+    return DecodeConfig(**{
+        key: frozenset(value) if get_origin(_FIELD_TYPES[key]) is frozenset else value
+        for key, value in data.items()
+    })
 
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One denoise-sample cycle as recorded in a trace.
+    """One denoise-sample cycle, as the decoder records it or a trace file holds it.
 
     ``block_size`` is set only on block-opening records; ``block_start`` and
     ``block_end`` describe the block in effect on every record so each record
     is self-contained for analysis.  All positions are generation-relative.
+    ``predicted``/``confidence`` are the accumulated snapshot after this
+    step's evaluations.  ``block_end``, ``sampled``, ``masked_before`` and
+    ``cache`` are None only for records read from a minimal-schema file.
     """
 
     step: int
     block_start: int
-    block_end: int
+    block_end: int | None
     block_size: int | None
     evaluated: tuple[int, ...]
     predicted: tuple[int, ...]
     confidence: tuple[float, ...]
-    sampled: tuple[int, ...]
-    masked_before: tuple[int, ...]
-    cache: str
+    sampled: tuple[int, ...] | None
+    masked_before: tuple[int, ...] | None
+    cache: str | None
 
     @property
     def is_block_open(self) -> bool:

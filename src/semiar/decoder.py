@@ -84,14 +84,24 @@ class DecodeResult:
     final_tokens: tuple[int, ...]
     trace: DecodeTrace
     blocks: tuple[BlockDecision, ...]
-    denoise_calls: int
-    position_evaluations: int
-    steps_used: int
     remaining_masks: int
 
     @property
     def completed(self) -> bool:
         return self.status == "completed"
+
+    @property
+    def steps_used(self) -> int:
+        return len(self.trace)
+
+    @property
+    def denoise_calls(self) -> int:
+        """One denoise call per denoise-sample cycle, so equal to ``steps_used``."""
+        return len(self.trace)
+
+    @property
+    def position_evaluations(self) -> int:
+        return sum(len(r.evaluated) for r in self.trace.steps)
 
     def generated_tokens(self) -> tuple[int, ...]:
         return self.final_tokens[self.trace.prompt_len :]
@@ -192,9 +202,6 @@ def decode(
         final_tokens=state.tokens,
         trace=DecodeTrace(prompt_len=lp, gen_budget=L, steps=tuple(records)),
         blocks=tuple(blocks),
-        denoise_calls=len(records),
-        position_evaluations=sum(len(r.evaluated) for r in records),
-        steps_used=len(records),
         remaining_masks=remaining,
     )
 

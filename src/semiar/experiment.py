@@ -5,7 +5,8 @@ settings, ``[predictor]`` describes the denoiser backend, and every
 ``[cell NAME]`` section describes one family of decode configurations.  Cell
 keys mirror :class:`~semiar.core.DecodeConfig` fields; a comma-separated
 value sweeps that key, and the section expands to the cross-product of all
-swept keys.  Example::
+swept keys.  ``seed`` is set only in ``[experiment]``, and delimiters only
+through ``delimiter_tokens``.  Example::
 
     [experiment]
     seed = 7
@@ -41,10 +42,10 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any
 
 from . import metrics, tracefile
-from .core import DecodeConfig, Vocabulary
+from .core import DecodeConfig, Vocabulary, parse_config_value
 from .decoder import DecodeResult, decode, write_summary
 from .predictors import (
     MaskPredictor,
@@ -113,61 +114,51 @@ class ExperimentSpec:
             raise ValueError("an experiment needs at least one cell")
 
 
-_SWEEPABLE = {
-    "gen_budget": int,
-    "max_steps": int,
-    "b0": int,
-    "seed": int,
-    "linear_steps": int,
-    "tau": float,
-    "tau_d": float,
-    "window_fraction": float,
-    "sampler": str,
-    "scheduler": str,
-    "cache": str,
+# DecodeConfig fields a cell may not set, and where to set them instead
+_RESERVED_CELL_KEYS = {
+    "seed": "runs derive it from [experiment] seed",
+    "delimiters": "name them through delimiter_tokens",
 }
 
 
 def _parse_cell_section(
-    name: str, section: configparser.SectionProxy
-) -> list[tuple[str, dict[str, Any]]]:
-    """Expand one [cell] section into (cell_id, config kwargs) combos."""
+    name: str, section: configparser.SectionProxy, vocab: Vocabulary
+) -> list[tuple[str, DecodeConfig]]:
+    """Expand one [cell] section into (cell_id, config) combos.
+
+    A key is any :class:`DecodeConfig` field but the reserved ones: the comma
+    separates swept values, so delimiters come from whitespace-separated
+    ``delimiter_tokens``, and each run derives its own seed.
+    """
     fixed: dict[str, Any] = {}
     swept: dict[str, list[Any]] = {}
-    delimiter_tokens: list[str] = []
     for key, raw in section.items():
         if key == "delimiter_tokens":
-            delimiter_tokens = raw.split()
+            fixed["delimiters"] = frozenset(
+                vocab.id_of(tok.replace("\\n", "\n")) for tok in raw.split()
+            )
             continue
-        if key not in _SWEEPABLE:
-            raise ValueError(f"cell {name!r}: unknown key {key!r}")
-        convert = _SWEEPABLE[key]
-        values = [convert(v.strip()) for v in raw.split(",")]
+        if key in _RESERVED_CELL_KEYS:
+            raise ValueError(f"cell {name!r}: key {key!r}: {_RESERVED_CELL_KEYS[key]}")
+        try:
+            values = [parse_config_value(key, v) for v in raw.split(",")]
+        except KeyError:
+            raise ValueError(f"cell {name!r}: unknown key {key!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"cell {name!r}: {exc}") from None
         if len(values) == 1:
             fixed[key] = values[0]
         else:
             swept[key] = values
 
-    combos: list[tuple[str, dict[str, Any]]] = []
+    combos: list[tuple[str, DecodeConfig]] = []
     swept_keys = sorted(swept)
     for combo in itertools.product(*(swept[k] for k in swept_keys)):
-        kwargs = dict(fixed)
-        kwargs.update(zip(swept_keys, combo))
         suffix = "-".join(f"{k}={v}" for k, v in zip(swept_keys, combo))
-        cell_id = f"{name}.{suffix}" if suffix else name
-        kwargs["_delimiter_tokens"] = delimiter_tokens
-        combos.append((cell_id, kwargs))
+        config = DecodeConfig(**fixed, **dict(zip(swept_keys, combo)))
+        config.validate_against(vocab)
+        combos.append((f"{name}.{suffix}" if suffix else name, config))
     return combos
-
-
-def _resolve_delimiters(
-    tokens: Sequence[str], vocab: Vocabulary
-) -> frozenset[int]:
-    ids = set()
-    for tok in tokens:
-        tok = tok.replace("\\n", "\n")
-        ids.add(vocab.id_of(tok))
-    return frozenset(ids)
 
 
 def build_predictor(spec: PredictorSpec, seed: int) -> MaskPredictor:
@@ -236,13 +227,9 @@ def parse_spec(text: str, out_dir: Path | None = None) -> ExperimentSpec:
         if not section_name.startswith("cell"):
             continue
         name = section_name[4:].strip() or "cell"
-        for cell_id, kwargs in _parse_cell_section(name, parser[section_name]):
-            delim_tokens = kwargs.pop("_delimiter_tokens")
-            config = DecodeConfig(
-                delimiters=_resolve_delimiters(delim_tokens, probe.vocabulary),
-                **kwargs,
-            )
-            config.validate_against(probe.vocabulary)
+        for cell_id, config in _parse_cell_section(
+            name, parser[section_name], probe.vocabulary
+        ):
             cells.append(Cell(cell_id, config, section_index))
         section_index += 1
     if not cells:
@@ -394,14 +381,12 @@ def analyze(
         except Exception as exc:
             log.warning("skipping %s: %s", path, exc)
             continue
+        widths = metrics.vb_width_series(labels)
         rel = path.relative_to(trace_dir)
         stem = out / str(rel).replace("/", "__").replace(".trace.jsonl", "")
-        metrics.write_step_report(
-            f"{stem}.steps.csv", trace, tau, tau_hi, tau_lo, persistence_k
-        )
+        metrics.write_step_report(f"{stem}.steps.csv", trace, report, widths)
         metrics.write_heatmap(f"{stem}.heatmap.csv", trace)
         metrics.write_regime_labels(f"{stem}.regimes.csv", labels)
-        widths = metrics.vb_width_series(labels)
         cfg = data.config
         rows.append(
             [

@@ -16,7 +16,6 @@ volatility band, or floor from the confidence snapshots alone.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -189,14 +188,16 @@ def vb_width_series(labels: list[list[Regime]]) -> list[int]:
 def write_step_report(
     path: str | Path,
     trace: DecodeTrace,
-    tau: float,
-    tau_hi: float = 0.9,
-    tau_lo: float = 0.1,
-    persistence_k: int = 3,
+    report: FailureReport,
+    widths: list[int],
 ) -> None:
-    """Per-step CSV: step, g, B, both event flags, band width."""
-    labels = segment_regimes(trace, tau_hi, tau_lo, persistence_k)
-    widths = vb_width_series(labels)
+    """Per-step CSV: step, g, B, both event flags, band width.
+
+    ``report`` and ``widths`` come from :func:`failure_rates` and
+    :func:`vb_width_series` of ``trace``; events match records by step number.
+    """
+    late = {ev.step for ev in report.late_overhead}
+    premature = {ev.step for ev in report.premature}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "g", "B", "late_overhead", "premature", "vb_width"])
@@ -206,8 +207,8 @@ def write_step_report(
                     rec.step,
                     rec.block_start,
                     rec.block_end - rec.block_start,
-                    int(detect_late_overhead(rec, tau) is not None),
-                    int(detect_premature(rec, tau) is not None),
+                    int(rec.step in late),
+                    int(rec.step in premature),
                     width,
                 ]
             )
@@ -228,19 +229,3 @@ def write_regime_labels(path: str | Path, labels: list[list[Regime]]) -> None:
         writer.writerow(["step"] + [f"p{i}" for i in range(len(labels[0]))])
         for step, row in enumerate(labels):
             writer.writerow([step] + [lab.value for lab in row])
-
-
-def failure_summary(report: FailureReport) -> dict:
-    return {
-        "total_steps": report.total_steps,
-        "late_overhead_steps": report.late_overhead_steps,
-        "late_overhead_rate": report.late_overhead_rate,
-        "premature_steps": report.premature_steps,
-        "premature_rate": report.premature_rate,
-    }
-
-
-def write_failure_summary(path: str | Path, report: FailureReport) -> None:
-    Path(path).write_text(
-        json.dumps(failure_summary(report), indent=2) + "\n", encoding="utf-8"
-    )

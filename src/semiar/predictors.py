@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import PredictionFrame, SequenceState, Vocabulary
+from .core import SENTINEL_CONFIDENCE, PredictionFrame, SequenceState, Vocabulary
 from .seeding import unit_draw
 from . import tracefile
 
@@ -455,8 +455,8 @@ class ReplayExhausted(PredictorError):
 class TraceReplayPredictor(MaskPredictor):
     """Replays recorded prediction frames, one per denoise call, in order.
 
-    Later frames only carry the positions evaluated at that step; earlier
-    values accumulate, matching the carry-forward semantics of live frames.
+    Each denoise call is served from the accumulated snapshot of the record
+    at the cursor, matching the carry-forward semantics of live frames.
     Each instance owns a cursor, so concurrent sessions need separate
     instances (see :meth:`fork`).
     """
@@ -469,7 +469,6 @@ class TraceReplayPredictor(MaskPredictor):
             eos_id=data.eos_id,
         )
         self._cursor = 0
-        self._served: dict[int, tuple[int, float]] = {}
 
     @property
     def vocabulary(self) -> Vocabulary:
@@ -505,19 +504,18 @@ class TraceReplayPredictor(MaskPredictor):
             )
         rec = self._data.records[self._cursor]
         self._cursor += 1
-        for g, tok, conf in zip(rec.positions, rec.pred, rec.conf):
-            self._served[g] = (tok, conf)
 
-        lp = self._data.prompt_len
+        lp, L = self._data.prompt_len, self._data.gen_budget
         out: list[tuple[int, float]] = []
         for pos in positions:
             gen = pos - lp
-            if gen not in self._served:
+            # a snapshot still holds the sentinel where no record evaluated yet
+            if not 0 <= gen < L or rec.confidence[gen] == SENTINEL_CONFIDENCE:
                 raise PredictorError(
                     f"replay step {self._cursor - 1}: position {gen} absent "
                     f"from the recorded frames"
                 )
-            out.append(self._served[gen])
+            out.append((rec.predicted[gen], rec.confidence[gen]))
         return out
 
 

@@ -14,11 +14,12 @@ the file alone; readers that only need the required keys can ignore them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from .core import DecodeConfig, DecodeTrace, PredictionFrame, StepRecord, Vocabulary
+from .core import config_from_dict, config_to_dict  # the header's config codec
 
 
 class TraceFormatError(ValueError):
@@ -27,24 +28,8 @@ class TraceFormatError(ValueError):
 
 _HEADER_REQUIRED = ("vocab", "mask_id", "prompt_len", "gen_budget")
 _RECORD_REQUIRED = ("step", "g", "positions", "pred", "conf")
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    step: int
-    g: int
-    positions: tuple[int, ...]
-    pred: tuple[int, ...]
-    conf: tuple[float, ...]
-    block_size: int | None = None
-    block_end: int | None = None
-    sampled: tuple[int, ...] | None = None
-    masked: tuple[int, ...] | None = None
-    cache: str | None = None
-
-    @property
-    def extended(self) -> bool:
-        return self.sampled is not None and self.masked is not None
+_INT = frozenset({int})
+_NUMBER = frozenset({int, float})
 
 
 @dataclass(frozen=True)
@@ -54,25 +39,9 @@ class TraceFileData:
     eos_id: int
     prompt_len: int
     gen_budget: int
-    records: tuple[TraceRecord, ...]
+    records: tuple[StepRecord, ...]
     prompt: tuple[int, ...] | None = None
     config: DecodeConfig | None = None
-
-
-def config_to_dict(config: DecodeConfig) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for f in fields(DecodeConfig):
-        value = getattr(config, f.name)
-        if f.name == "delimiters":
-            value = sorted(value)
-        out[f.name] = value
-    return out
-
-
-def config_from_dict(data: dict[str, Any]) -> DecodeConfig:
-    kwargs = dict(data)
-    kwargs["delimiters"] = frozenset(kwargs.get("delimiters", ()))
-    return DecodeConfig(**kwargs)
 
 
 def _fallback_eos(vocab: list[str], mask_id: int) -> int:
@@ -81,8 +50,22 @@ def _fallback_eos(vocab: list[str], mask_id: int) -> int:
     return next(i for i in range(len(vocab)) if i != mask_id)
 
 
+def _invalid(values: list, lo: float, hi: float, types: frozenset[type]) -> list:
+    """The values whose type is not in ``types`` or that lie outside
+    ``[lo, hi]``, NaN included."""
+    if types is _INT and set(map(type, values)) <= _INT and (
+        not values or lo <= min(values) and max(values) <= hi
+    ):
+        return []  # the common case, checked at C speed
+    return [v for v in values if type(v) not in types or not lo <= v <= hi]
+
+
 def read_trace_file(path: str | Path) -> TraceFileData:
-    """Parse a trace file eagerly, reporting the first malformed line."""
+    """Parse a trace file eagerly, reporting the first malformed line.
+
+    Each step line becomes a :class:`StepRecord` holding the snapshot
+    accumulated over it and every earlier line, as the decoder recorded it.
+    """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -105,9 +88,14 @@ def read_trace_file(path: str | Path) -> TraceFileData:
     mask_id = int(header["mask_id"])
     eos_id = int(header["eos_id"]) if "eos_id" in header else _fallback_eos(vocab, mask_id)
     prompt = tuple(header["prompt"]) if header.get("prompt") is not None else None
-    config = config_from_dict(header["config"]) if header.get("config") else None
+    try:
+        config = config_from_dict(header["config"]) if header.get("config") else None
+    except (TypeError, ValueError) as exc:
+        raise bad(1, f"invalid config ({exc})") from exc
+    L = int(header["gen_budget"])
 
-    records: list[TraceRecord] = []
+    frame = PredictionFrame.sentinel(L, mask_id)
+    records: list[StepRecord] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -120,22 +108,35 @@ def read_trace_file(path: str | Path) -> TraceFileData:
         for key in _RECORD_REQUIRED:
             if key not in obj:
                 raise bad(lineno, f"record missing key {key!r}")
+        for key in ("positions", "pred", "conf", "sampled", "masked"):
+            if key in obj and not isinstance(obj[key], list):
+                raise bad(lineno, f"{key!r} must be a JSON array")
         positions = obj["positions"]
         pred = obj["pred"]
         conf = obj["conf"]
         if not (len(positions) == len(pred) == len(conf)):
             raise bad(lineno, "positions/pred/conf arrays are not index-aligned")
+        if not (type(obj["step"]) is int and type(obj["g"]) is int):
+            raise bad(lineno, "step and g must be integers")
+        for key in ("positions", "sampled", "masked"):
+            if wrong := _invalid(obj.get(key, []), 0, L - 1, _INT):
+                raise bad(lineno, f"position {wrong[0]!r} is not an integer in [0, {L})")
+        if wrong := _invalid(pred, 0, len(vocab) - 1, _INT):
+            raise bad(lineno, f"token {wrong[0]!r} is not an integer in [0, {len(vocab)})")
+        if wrong := _invalid(conf, 0.0, 1.0, _NUMBER):
+            raise bad(lineno, f"confidence {wrong[0]!r} is not a number in [0, 1]")
+        frame = frame.merge(positions, zip(pred, map(float, conf)))
         records.append(
-            TraceRecord(
-                step=int(obj["step"]),
-                g=int(obj["g"]),
-                positions=tuple(int(p) for p in positions),
-                pred=tuple(int(t) for t in pred),
-                conf=tuple(float(c) for c in conf),
-                block_size=obj.get("B"),
+            StepRecord(
+                step=obj["step"],
+                block_start=obj["g"],
                 block_end=obj.get("block_end"),
+                block_size=obj.get("B"),
+                evaluated=tuple(positions),
+                predicted=frame.predicted,
+                confidence=frame.confidence,
                 sampled=tuple(obj["sampled"]) if "sampled" in obj else None,
-                masked=tuple(obj["masked"]) if "masked" in obj else None,
+                masked_before=tuple(obj["masked"]) if "masked" in obj else None,
                 cache=obj.get("cache"),
             )
         )
@@ -145,7 +146,7 @@ def read_trace_file(path: str | Path) -> TraceFileData:
         mask_id=mask_id,
         eos_id=eos_id,
         prompt_len=int(header["prompt_len"]),
-        gen_budget=int(header["gen_budget"]),
+        gen_budget=L,
         records=tuple(records),
         prompt=prompt,
         config=config,
@@ -192,32 +193,15 @@ def write_trace(
 
 
 def trace_from_file(data: TraceFileData) -> DecodeTrace:
-    """Rebuild the full trace (accumulated snapshots included) from file data.
+    """The decode trace held by a file, accumulated snapshots included.
 
     Requires the extended per-step fields; files holding only the required
     schema keys carry too little to reconstruct sampling decisions.
     """
-    L = data.gen_budget
-    frame = PredictionFrame.sentinel(L, data.mask_id)
-    steps: list[StepRecord] = []
     for rec in data.records:
-        if not rec.extended or rec.block_end is None or rec.cache is None:
+        if None in (rec.block_end, rec.sampled, rec.masked_before, rec.cache):
             raise TraceFormatError(
                 "trace lacks the extended per-step fields needed for analysis"
             )
-        frame = frame.merge(rec.positions, zip(rec.pred, rec.conf))
-        steps.append(
-            StepRecord(
-                step=rec.step,
-                block_start=rec.g,
-                block_end=rec.block_end,
-                block_size=rec.block_size,
-                evaluated=rec.positions,
-                predicted=frame.predicted,
-                confidence=frame.confidence,
-                sampled=rec.sampled,
-                masked_before=rec.masked,
-                cache=rec.cache,
-            )
-        )
-    return DecodeTrace(prompt_len=data.prompt_len, gen_budget=L, steps=tuple(steps))
+    return DecodeTrace(prompt_len=data.prompt_len, gen_budget=data.gen_budget,
+                       steps=data.records)

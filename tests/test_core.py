@@ -1,18 +1,27 @@
 """State construction, the sample update rule, and config plumbing."""
 
+import json
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from semiar.core import (
+    CACHES,
+    SAMPLERS,
+    SCHEDULERS,
     DecodeConfig,
     PredictionFrame,
     SENTINEL_CONFIDENCE,
     Vocabulary,
     apply_sample,
+    config_from_dict,
     config_from_text,
+    config_to_dict,
     config_to_text,
     init_state,
 )
+from semiar.experiment import parse_spec
 
 MASK = 9
 
@@ -178,3 +187,43 @@ class TestDecodeConfig:
         cfg = config_from_text("# hello\n\ngen_budget = 4\nmax_steps = 6 # inline\n")
         assert cfg.gen_budget == 4
         assert cfg.max_steps == 6
+
+
+unit_interval = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+configs = st.builds(
+    DecodeConfig,
+    gen_budget=st.integers(1, 10_000),
+    max_steps=st.integers(1, 10_000),
+    tau=unit_interval,
+    b0=st.integers(1, 10_000),
+    tau_d=unit_interval,
+    delimiters=st.frozensets(st.integers(0, 10_000), max_size=5),
+    window_fraction=unit_interval,
+    sampler=st.sampled_from(SAMPLERS),
+    scheduler=st.sampled_from(SCHEDULERS),
+    cache=st.sampled_from(CACHES),
+    linear_steps=st.none() | st.integers(1, 10_000),
+    seed=st.integers(-(2**63), 2**64),
+)
+
+
+class TestConfigCodec:
+    @given(configs)
+    def test_text_round_trip(self, cfg):
+        assert config_from_text(config_to_text(cfg)) == cfg
+
+    @given(configs)
+    def test_dict_json_round_trip(self, cfg):
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    @given(configs)
+    def test_cell_values_parse_like_text(self, cfg):
+        # a cell takes every field's config-file text, bar the two it reserves
+        cell = "".join(
+            line + "\n"
+            for line in config_to_text(cfg).splitlines()
+            if line.split(" = ")[0] not in ("delimiters", "seed")
+        )
+        spec = parse_spec("[experiment]\n[predictor]\nkind = synthetic\n[cell c]\n" + cell)
+        (parsed,) = spec.cells
+        assert parsed.config == replace(cfg, delimiters=frozenset(), seed=0)

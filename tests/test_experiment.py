@@ -67,6 +67,28 @@ class TestSpecParsing:
             experiment.load_spec(write_spec(tmp_path, text))
 
 
+    @pytest.mark.parametrize(
+        "key, match",
+        [("seed", r"'seed'.*\[experiment\] seed"), ("delimiters", "delimiter_tokens")],
+        ids=["seed", "delimiters"],
+    )
+    def test_reserved_cell_key_rejected(self, key, match, tmp_path):
+        text = SPEC_TEMPLATE + f"{key} = 1,2\n"
+        with pytest.raises(ValueError, match=match):
+            experiment.load_spec(write_spec(tmp_path, text))
+
+    def test_cell_values_parse_through_config_codec(self, tmp_path):
+        text = SPEC_TEMPLATE.replace("b0 = 4,8", "b0 = 4") + "linear_steps = none,4\n"
+        spec = experiment.load_spec(write_spec(tmp_path, text), tmp_path / "out")
+        by_id = {c.cell_id: c.config.linear_steps for c in spec.cells}
+        assert by_id == {
+            "sweep.linear_steps=None-scheduler=adaptive": None,
+            "sweep.linear_steps=None-scheduler=fixed": None,
+            "sweep.linear_steps=4-scheduler=adaptive": 4,
+            "sweep.linear_steps=4-scheduler=fixed": 4,
+        }
+
+
 class TestRun:
     def test_sweep_produces_per_run_files_and_aggregate(self, tmp_path):
         spec = experiment.load_spec(write_spec(tmp_path), tmp_path / "out")

@@ -1,5 +1,6 @@
 """Predictor backends: synthetic field geometry, n-gram scoring, trace replay."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -289,6 +290,23 @@ class TestTraceReplay:
         state = init_state(prompt, cfg.gen_budget, cfg.max_steps, pred.vocabulary.mask_id)
         with pytest.raises(PredictorError, match="absent"):
             replayer.predict(state, [len(prompt) + cfg.gen_budget + 5])
+
+    def test_unevaluated_position_reports(self, tmp_path):
+        pred, cfg, prompt, result = self.small_decode()
+        path = tmp_path / "run.trace.jsonl"
+        write_trace(path, result.trace, pred.vocabulary, prompt=prompt, config=cfg)
+        lines = path.read_text().splitlines()
+        first = json.loads(lines[1])
+        drop = first["positions"].index(3)
+        for key in ("positions", "pred", "conf"):
+            del first[key][drop]
+        lines[1] = json.dumps(first)
+        path.write_text("\n".join(lines) + "\n")
+        replayer = load_trace_predictor(path)
+        state = init_state(prompt, cfg.gen_budget, cfg.max_steps, pred.vocabulary.mask_id)
+        assert len(replayer.fork().predict(state, [len(prompt) + 2])) == 1
+        with pytest.raises(PredictorError, match="position 3 absent"):
+            replayer.predict(state, [len(prompt) + 3])
 
     def test_malformed_line_names_line_number(self, tmp_path):
         pred, cfg, prompt, result = self.small_decode()

@@ -57,23 +57,66 @@ class TestRoundTrip:
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+def _set(key, index, value):
+    def edit(obj):
+        obj[key][index] = value
+    return edit
+
+
+def _put(key, value):
+    def edit(obj):
+        obj[key] = value
+    return edit
+
+
 class TestValidation:
-    def test_missing_header_key(self, tmp_path):
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            pytest.param({"vocab": ["a", "[MASK]", "<EOS>"]}, "missing key", id="missing-key"),
+            pytest.param(
+                {"vocab": ["a", "[MASK]", "<EOS>"], "mask_id": 1, "prompt_len": 1,
+                 "gen_budget": 4, "config": {"gen_budget": 4, "max_steps": 4, "block": 2}},
+                "unknown config key 'block'",
+                id="unknown-config-key",
+            ),
+        ],
+    )
+    def test_malformed_header_names_line_1(self, header, match, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps({"vocab": ["a", "[MASK]", "<EOS>"]}) + "\n")
-        with pytest.raises(TraceFormatError, match="line 1"):
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(TraceFormatError, match=f"line 1: .*{match}"):
             read_trace_file(path)
 
-    def test_misaligned_arrays_rejected(self, small_run, tmp_path):
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            pytest.param(lambda obj: obj["conf"].pop(), "index-aligned", id="misaligned"),
+            pytest.param(_set("positions", 0, 99), "position 99", id="position-beyond-budget"),
+            pytest.param(_set("positions", 0, -1), "position -1", id="position-negative"),
+            pytest.param(_set("positions", 0, "3"), "position '3'", id="position-string"),
+            pytest.param(_set("positions", 0, None), "position None", id="position-null"),
+            pytest.param(_set("masked", 0, 10), "position 10", id="masked-beyond-budget"),
+            pytest.param(_put("step", 1.5), "step and g", id="step-float"),
+            pytest.param(_put("step", "x"), "step and g", id="step-string"),
+            pytest.param(_set("pred", 0, 2.0), "token 2.0", id="token-float"),
+            pytest.param(_set("pred", 0, True), "token True", id="token-bool"),
+            pytest.param(_set("conf", 0, "high"), "confidence 'high'", id="conf-string"),
+            pytest.param(_set("conf", 0, 1.5), "confidence 1.5", id="conf-above-one"),
+            pytest.param(_set("conf", 0, -0.1), "confidence -0.1", id="conf-negative"),
+            pytest.param(_set("conf", 0, float("nan")), "confidence nan", id="conf-nan"),
+        ],
+    )
+    def test_malformed_step_line_names_line(self, edit, match, small_run, tmp_path):
         pred, cfg, prompt, result = small_run
         path = tmp_path / "run.jsonl"
         write_trace(path, result.trace, pred.vocabulary)
         lines = path.read_text().splitlines()
         obj = json.loads(lines[1])
-        obj["conf"] = obj["conf"][:-1]
+        edit(obj)
         lines[1] = json.dumps(obj)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TraceFormatError, match="line 2"):
+        with pytest.raises(TraceFormatError, match=f"line 2: .*{match}"):
             read_trace_file(path)
 
     def test_minimal_schema_readable_but_not_analyzable(self, small_run, tmp_path):

@@ -11,7 +11,7 @@ Position conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable, Sequence, get_args, get_origin, get_type_hints
 
@@ -73,6 +73,9 @@ class SequenceState:
     """The evolving token sequence: committed prompt, generation region, mask occupancy.
 
     ``step`` counts remaining denoise-sample iterations and only decreases.
+    ``masked`` holds the masked generation positions.  It is derived from
+    ``tokens`` on construction (so ``dataclasses.replace`` rescans) and
+    carried forward by :func:`apply_sample`, which never rescans.
     """
 
     tokens: tuple[int, ...]
@@ -80,12 +83,17 @@ class SequenceState:
     gen_budget: int
     step: int
     mask_id: int
+    masked: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.tokens) != self.prompt_len + self.gen_budget:
             raise ValueError("token vector length must equal prompt_len + gen_budget")
         if self.step < 0:
             raise ValueError("step counter cannot be negative")
+        lp, mask = self.prompt_len, self.mask_id
+        object.__setattr__(self, "masked", frozenset(
+            i for i, t in enumerate(self.tokens[lp:]) if t == mask
+        ))
 
     @property
     def length(self) -> int:
@@ -97,14 +105,13 @@ class SequenceState:
 
     def gen_masked(self) -> frozenset[int]:
         """Masked positions in generation-region coordinates."""
-        lp = self.prompt_len
-        return frozenset(
-            i - lp for i in range(lp, self.length) if self.tokens[i] == self.mask_id
-        )
+        return self.masked
 
     def unmasked_gen_count(self) -> int:
-        lp = self.prompt_len
-        return sum(1 for i in range(lp, self.length) if self.tokens[i] != self.mask_id)
+        return self.gen_budget - len(self.masked)
+
+
+_STATE_FIELDS = tuple(f.name for f in fields(SequenceState))
 
 
 @dataclass(frozen=True)
@@ -132,17 +139,15 @@ class PredictionFrame:
         )
 
     def merge(
-        self, positions: Iterable[int], values: Iterable[tuple[int, float]]
+        self, positions: Sequence[int], values: Iterable[tuple[int, float]]
     ) -> "PredictionFrame":
         """New frame with ``positions`` overwritten and marked evaluated."""
         pred = list(self.predicted)
         conf = list(self.confidence)
-        pos_set = set()
         for p, (tok, c) in zip(positions, values, strict=True):
             pred[p] = tok
             conf[p] = c
-            pos_set.add(p)
-        return PredictionFrame(tuple(pred), tuple(conf), frozenset(pos_set))
+        return PredictionFrame(tuple(pred), tuple(conf), frozenset(positions))
 
 
 def init_state(
@@ -173,7 +178,8 @@ def apply_sample(
 
     Every selected position must currently be masked; all other positions are
     untouched and the step counter decreases by one.  The empty selection is a
-    legal no-op step.
+    legal no-op step.  The successor's masked set is the current one minus the
+    committed positions, so the step costs O(selected), not a rescan.
     """
     if state.step < 1:
         raise ValueError("step budget exhausted; cannot advance")
@@ -188,7 +194,19 @@ def apply_sample(
         if new_tok == state.mask_id:
             raise ValueError(f"frame predicts the mask token at position {pos}")
         tokens[pos] = new_tok
-    return replace(state, tokens=tuple(tokens), step=state.step - 1)
+    lp = state.prompt_len
+    changed = {
+        "tokens": tuple(tokens),
+        "step": state.step - 1,
+        "masked": state.masked.difference([pos - lp for pos in sel]),
+    }
+    # Built field by field: not through __init__, so the masked set is not
+    # rescanned (the checks above keep __post_init__'s invariants), and not
+    # through __dict__, which would slow every attribute read of the state.
+    successor = object.__new__(SequenceState)
+    for name in _STATE_FIELDS:
+        object.__setattr__(successor, name, changed.get(name, getattr(state, name)))
+    return successor
 
 
 @dataclass(frozen=True)

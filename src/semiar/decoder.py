@@ -72,7 +72,7 @@ def evaluation_scope(
             return frozenset(range(gen_budget))
         if block_size is None:
             raise ValueError("dual-cache in-block scope needs the block size")
-        return frozenset(m for m in masked if g <= m < g + block_size)
+        return frozenset(masked).intersection(range(g, g + block_size))
     raise ValueError(f"unknown cache policy {policy!r}")
 
 
@@ -143,7 +143,7 @@ def decode(
     g = 0
 
     def record_step(
-        scope: frozenset[int],
+        evaluated: list[int],
         sampled: frozenset[int],
         masked: frozenset[int],
         block_size: int | None,
@@ -155,7 +155,7 @@ def decode(
                 block_start=g,
                 block_end=block_end,
                 block_size=block_size,
-                evaluated=tuple(sorted(scope)),
+                evaluated=tuple(evaluated),
                 predicted=frame.predicted[lp : lp + L],
                 confidence=frame.confidence[lp : lp + L],
                 sampled=tuple(sorted(sampled)),
@@ -166,8 +166,8 @@ def decode(
 
     while g < L and state.step >= 1:
         masked = state.gen_masked()
-        scope = evaluation_scope(config.cache, g, None, "open", masked, L)
-        frame = _denoise(predictor, state, [lp + p for p in sorted(scope)], frame, step_idx)
+        evaluated = sorted(evaluation_scope(config.cache, g, None, "open", masked, L))
+        frame = _denoise(predictor, state, [lp + p for p in evaluated], frame, step_idx)
 
         decision = decide_block(state, frame, config, g)
         B = decision.block_size
@@ -175,24 +175,24 @@ def decode(
         block = range(g, g + B)
 
         sampled = sample_step(state, frame, config, block)
-        record_step(scope, sampled, masked, B, g + B)
+        record_step(evaluated, sampled, masked, B, g + B)
         state = apply_sample(state, frame, [lp + p for p in sampled])
         step_idx += 1
 
         while state.step >= 1:
             masked = state.gen_masked()
-            if not any(g <= m < g + B for m in masked):
+            if masked.isdisjoint(block):
                 break
-            scope = evaluation_scope(config.cache, g, B, "in_block", masked, L)
+            evaluated = sorted(evaluation_scope(config.cache, g, B, "in_block", masked, L))
             frame = _denoise(
-                predictor, state, [lp + p for p in sorted(scope)], frame, step_idx
+                predictor, state, [lp + p for p in evaluated], frame, step_idx
             )
             sampled = sample_step(state, frame, config, block)
-            record_step(scope, sampled, masked, None, g + B)
+            record_step(evaluated, sampled, masked, None, g + B)
             state = apply_sample(state, frame, [lp + p for p in sampled])
             step_idx += 1
 
-        if any(g <= m < g + B for m in state.gen_masked()):
+        if not state.gen_masked().isdisjoint(block):
             break  # step budget died inside this block
         g += B
 

@@ -156,29 +156,33 @@ def segment_regimes(
     if len(trace) < persistence_k:
         raise ValueError("trace shorter than the persistence window")
 
+    # Per position, the run of consecutive snapshots ending at this step that
+    # reach tau_hi, and the run that stays at or below tau_lo.  The last
+    # min(k, r + 1) snapshots all qualify exactly when the run is that long.
+    L = trace.gen_budget
+    hi_run = [0] * L
+    lo_run = [0] * L
     labels: list[list[Regime]] = []
     for r, rec in enumerate(trace.steps):
-        masked = set(rec.masked_before)
-        window = trace.steps[max(0, r - persistence_k + 1) : r + 1]
-        row: list[Regime] = []
-        for i in range(trace.gen_budget):
-            if i not in masked:
-                row.append(Regime.DECODED)
-                continue
-            history = [w.confidence[i] for w in window]
-            if all(c >= tau_hi for c in history):
-                row.append(Regime.PLATEAU)
-            elif all(c <= tau_lo for c in history):
-                row.append(Regime.FLOOR)
+        conf = rec.confidence
+        hi_run = [n + 1 if c >= tau_hi else 0 for n, c in zip(hi_run, conf)]
+        lo_run = [n + 1 if c <= tau_lo else 0 for n, c in zip(lo_run, conf)]
+        need = min(persistence_k, r + 1)
+        row = [Regime.DECODED] * L
+        for i in rec.masked_before:
+            if hi_run[i] >= need:
+                row[i] = Regime.PLATEAU
+            elif lo_run[i] >= need:
+                row[i] = Regime.FLOOR
             else:
-                row.append(Regime.VOLATILITY_BAND)
+                row[i] = Regime.VOLATILITY_BAND
         labels.append(row)
     return labels
 
 
 def vb_width_series(labels: list[list[Regime]]) -> list[int]:
     """Volatility-band position count per step, for band-width plots."""
-    return [sum(1 for lab in row if lab is Regime.VOLATILITY_BAND) for row in labels]
+    return [row.count(Regime.VOLATILITY_BAND) for row in labels]
 
 
 # ---------------------------------------------------------------------------

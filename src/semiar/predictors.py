@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -57,22 +58,56 @@ class MaskPredictor:
         eval_positions: Iterable[int],
         prior: PredictionFrame | None = None,
     ) -> PredictionFrame:
-        """Evaluate ``eval_positions`` and carry everything else from ``prior``."""
+        """Evaluate ``eval_positions`` and carry everything else from ``prior``.
+
+        Subclasses implement :meth:`predict`; this validation and merge is
+        shared and not overridden.
+        """
         positions = sorted(set(eval_positions))
         length = state.length
-        for pos in positions:
-            if not 0 <= pos < length:
-                raise PredictorError(f"evaluation position {pos} out of range")
+        if positions and not (0 <= positions[0] and positions[-1] < length):
+            bad = next(pos for pos in positions if not 0 <= pos < length)
+            raise PredictorError(f"evaluation position {bad} out of range")
         values = self.predict(state, positions)
         mask_id = self.vocabulary.mask_id
-        for pos, (tok, conf) in zip(positions, values):
-            if state.tokens[pos] == mask_id:
-                if tok == mask_id:
-                    raise PredictorError(f"predicted the mask token at {pos}")
-                if not 0.0 < conf <= 1.0:
-                    raise PredictorError(f"confidence {conf} at {pos} outside (0, 1]")
+        # Only masked positions must hold a valid prediction.  The common case
+        # is checked over all values at C speed; the exact per-position pass
+        # runs only when that check fails.
+        if values and (mask_id in map(_TOKEN, values)
+                       or not _unit_confidences(list(map(_CONFIDENCE, values)))):
+            _raise_first_invalid(state, positions, values, mask_id)
         base = prior or PredictionFrame.sentinel(state.length, mask_id)
         return base.merge(positions, values)
+
+
+_TOKEN, _CONFIDENCE = itemgetter(0), itemgetter(1)
+
+
+def _unit_confidences(confs: list) -> bool:
+    """True when every confidence is a number in ``(0, 1]``.
+
+    A NaN can hide from ``min``/``max`` but not from the sum.  Values that do
+    not compare or add as numbers are left to the exact per-position pass.
+    """
+    try:
+        return 0.0 < min(confs) and max(confs) <= 1.0 and not math.isnan(sum(confs))
+    except TypeError:
+        return False
+
+
+def _raise_first_invalid(
+    state: SequenceState,
+    positions: Sequence[int],
+    values: Sequence[tuple[int, float]],
+    mask_id: int,
+) -> None:
+    """Raise for the first masked position whose prediction is invalid, if any."""
+    for pos, (tok, conf) in zip(positions, values):
+        if state.tokens[pos] == mask_id:
+            if tok == mask_id:
+                raise PredictorError(f"predicted the mask token at {pos}")
+            if not 0.0 < conf <= 1.0:
+                raise PredictorError(f"confidence {conf} at {pos} outside (0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +162,10 @@ _FILLER_COUNT = 8
 class SyntheticPredictor(MaskPredictor):
     """Generates the three-regime confidence landscape by construction.
 
-    Plateau and floor confidences depend only on (noise seed, position), so
-    each is drawn once per instance and memoised; band draws stay keyed by
-    (position, frontier) and are drawn afresh.
+    Plateau confidences and whole floor predictions (token and confidence)
+    depend only on (noise seed, position), so each is computed once per
+    instance and memoised; band draws stay keyed by (position, frontier) and
+    are drawn afresh.
     """
 
     def __init__(self, params: SyntheticFieldParams):
@@ -139,7 +175,7 @@ class SyntheticPredictor(MaskPredictor):
         self._delimiter_id = self._vocab.id_of("\n")
         self._filler_ids = tuple(self._vocab.id_of(f) for f in fillers)
         self._plateau: dict[int, float] = {}
-        self._floor: dict[int, float] = {}
+        self._floor: dict[int, tuple[int, float]] = {}
 
     @property
     def vocabulary(self) -> Vocabulary:
@@ -179,13 +215,14 @@ class SyntheticPredictor(MaskPredictor):
             conf = self._plateau[gen_pos] = p.plateau_level + u * (1.0 - p.plateau_level)
         return conf
 
-    def _floor_conf(self, gen_pos: int) -> float:
-        conf = self._floor.get(gen_pos)
-        if conf is None:
+    def _floor_prediction(self, gen_pos: int) -> tuple[int, float]:
+        out = self._floor.get(gen_pos)
+        if out is None:
             p = self.params
             u = unit_draw(p.noise_seed, "floor", gen_pos)
-            conf = self._floor[gen_pos] = p.floor_level * (0.5 + 0.5 * u)
-        return conf
+            out = self._floor[gen_pos] = (self._token(gen_pos, FLOOR),
+                                          p.floor_level * (0.5 + 0.5 * u))
+        return out
 
     def _band_conf(self, gen_pos: int, frontier: int) -> float:
         # fresh draw per (position, frontier): the frontier advances every
@@ -199,7 +236,7 @@ class SyntheticPredictor(MaskPredictor):
             return self._plateau_conf(gen_pos)
         if regime == BAND:
             return self._band_conf(gen_pos, frontier)
-        return self._floor_conf(gen_pos)
+        return self._floor_prediction(gen_pos)[1]
 
     def _token(self, gen_pos: int, regime: str) -> int:
         period = self.params.delimiter_period
@@ -222,12 +259,15 @@ class SyntheticPredictor(MaskPredictor):
         tokens, mask = state.tokens, state.mask_id
         frontier = self.frontier(state.unmasked_gen_count(), state.gen_budget)
         band_end = frontier + self.band_width(frontier)
+        floor = self._floor.get
         out: list[tuple[int, float]] = []
         for pos in positions:
             gen = pos - lp
             if tokens[pos] != mask:
                 # committed tokens keep reading as themselves, scored high
                 out.append((tokens[pos], self._plateau_conf(gen)))
+            elif gen >= band_end:
+                out.append(floor(gen) or self._floor_prediction(gen))
             else:
                 regime = _regime(gen, frontier, band_end)
                 out.append((self._token(gen, regime),

@@ -105,17 +105,11 @@ def scheduler_view(
     confidence 1.0: a token already on the page is maximal evidence of a
     boundary, and the delimiter search should see it.
     """
-    lp = state.prompt_len
-    pred: list[int] = []
-    conf: list[float] = []
-    for i in range(state.gen_budget):
-        tok = state.tokens[lp + i]
-        if tok != state.mask_id:
-            pred.append(tok)
-            conf.append(1.0)
-        else:
-            pred.append(frame.predicted[lp + i])
-            conf.append(frame.confidence[lp + i])
+    lp, mask = state.prompt_len, state.mask_id
+    end = lp + state.gen_budget
+    tokens = state.tokens[lp:end]
+    pred = [t if t != mask else p for t, p in zip(tokens, frame.predicted[lp:end])]
+    conf = [1.0 if t != mask else c for t, c in zip(tokens, frame.confidence[lp:end])]
     return pred, conf
 
 

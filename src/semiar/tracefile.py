@@ -50,6 +50,31 @@ def _fallback_eos(vocab: list[str], mask_id: int) -> int:
     return next(i for i in range(len(vocab)) if i != mask_id)
 
 
+def _header_error(header: dict) -> str | None:
+    """Why the header's values are malformed, or None when they are sound."""
+    vocab = header["vocab"]
+    if not isinstance(vocab, list) or any(type(t) is not str for t in vocab):
+        return "vocab must be a JSON array of strings"
+    for key in ("mask_id", "eos_id", "prompt_len", "gen_budget"):
+        if key in header and type(header[key]) is not int:
+            return f"{key} {header[key]!r} is not an integer"
+    for key in ("mask_id", "eos_id"):
+        if key in header and not 0 <= header[key] < len(vocab):
+            return f"{key} {header[key]} outside the vocabulary [0, {len(vocab)})"
+    if header.get("eos_id") == header["mask_id"] or len(vocab) < 2:
+        return "the vocabulary needs distinct mask and end-of-sequence tokens"
+    if header["prompt_len"] < 0:
+        return f"prompt_len {header['prompt_len']} is negative"
+    if header["gen_budget"] < 1:
+        return f"gen_budget {header['gen_budget']} is below 1"
+    prompt = header.get("prompt")
+    if prompt is not None and (
+        not isinstance(prompt, list) or any(type(t) is not int for t in prompt)
+    ):
+        return "prompt must be a JSON array of integers"
+    return None
+
+
 def _invalid(values: list, lo: float, hi: float, types: frozenset[type]) -> list:
     """The values whose type is not in ``types`` or that lie outside
     ``[lo, hi]``, NaN included."""
@@ -83,16 +108,18 @@ def read_trace_file(path: str | Path) -> TraceFileData:
     for key in _HEADER_REQUIRED:
         if key not in header:
             raise bad(1, f"header missing key {key!r}")
+    if why := _header_error(header):
+        raise bad(1, why)
 
-    vocab = list(header["vocab"])
-    mask_id = int(header["mask_id"])
-    eos_id = int(header["eos_id"]) if "eos_id" in header else _fallback_eos(vocab, mask_id)
+    vocab = header["vocab"]
+    mask_id = header["mask_id"]
+    eos_id = header["eos_id"] if "eos_id" in header else _fallback_eos(vocab, mask_id)
     prompt = tuple(header["prompt"]) if header.get("prompt") is not None else None
     try:
         config = config_from_dict(header["config"]) if header.get("config") else None
     except (TypeError, ValueError) as exc:
         raise bad(1, f"invalid config ({exc})") from exc
-    L = int(header["gen_budget"])
+    L = header["gen_budget"]
 
     frame = PredictionFrame.sentinel(L, mask_id)
     records: list[StepRecord] = []
@@ -145,7 +172,7 @@ def read_trace_file(path: str | Path) -> TraceFileData:
         vocab=tuple(vocab),
         mask_id=mask_id,
         eos_id=eos_id,
-        prompt_len=int(header["prompt_len"]),
+        prompt_len=header["prompt_len"],
         gen_budget=L,
         records=tuple(records),
         prompt=prompt,

@@ -1,10 +1,14 @@
 """Decode-loop behaviour: scopes, invariants, counters, cache semantics."""
 
+import dataclasses
 import itertools
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from semiar.core import DecodeConfig
+from semiar import decoder as decoder_module
+from semiar.core import CACHES, SAMPLERS, SCHEDULERS, DecodeConfig, apply_sample
 from semiar.decoder import DecodeError, decode, evaluation_scope, result_summary
 from semiar.predictors import (
     MaskPredictor,
@@ -231,3 +235,59 @@ class TestSummary:
         assert summary["nfe"] == result.denoise_calls
         assert [b["B"] for b in summary["blocks"]] == [d.block_size for d in result.blocks]
         assert isinstance(summary["text"], str) and summary["text"]
+
+
+def _scan(state):
+    """Masked generation positions, by a fresh scan of the token vector."""
+    return {g for g in range(state.gen_budget)
+            if state.tokens[state.prompt_len + g] == state.mask_id}
+
+
+class TestCarriedMaskedSet:
+    """``apply_sample`` carries the masked set forward; it must equal a rescan."""
+
+    PREDICTORS = {
+        "synthetic": lambda: synthetic(delimiter_period=4),
+        "ngram": lambda: build_ngram(CORPUS, order=3, smoothing_k=0.01),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(PREDICTORS)),
+        sampler=st.sampled_from(SAMPLERS),
+        scheduler=st.sampled_from(SCHEDULERS),
+        cache=st.sampled_from(CACHES),
+        L=st.integers(1, 16),
+        b0=st.integers(1, 8),
+        tau=st.floats(0.3, 1.0),
+        slack=st.integers(0, 4),
+        prompt=st.lists(st.integers(0, 7), min_size=1, max_size=3),
+    )
+    def test_carried_set_matches_scan_at_every_step(
+        self, kind, sampler, scheduler, cache, L, b0, tau, slack, prompt
+    ):
+        pred = self.PREDICTORS[kind]()
+        delims = frozenset({pred.delimiter_id}) if kind == "synthetic" else frozenset()
+        config = DecodeConfig(gen_budget=L, max_steps=max(1, L - slack), b0=b0, tau=tau,
+                              sampler=sampler, scheduler=scheduler, cache=cache,
+                              delimiters=delims, linear_steps=max(1, L // 2))
+        steps = []
+
+        def checked_apply_sample(state, frame, selected):
+            successor = apply_sample(state, frame, selected)
+            for s in (state, successor):
+                assert s.gen_masked() == _scan(s)
+                assert s.unmasked_gen_count() == L - len(_scan(s))
+                flipped = list(s.tokens)
+                last = s.prompt_len + L - 1
+                flipped[last] = 0 if flipped[last] == s.mask_id else s.mask_id
+                rebuilt = dataclasses.replace(s, tokens=tuple(flipped))
+                assert rebuilt.gen_masked() == _scan(rebuilt) != s.gen_masked()
+                assert rebuilt.unmasked_gen_count() == L - len(_scan(rebuilt))
+            steps.append(successor)
+            return successor
+
+        with mock.patch.object(decoder_module, "apply_sample", checked_apply_sample):
+            result = decode(pred, config, tuple(prompt))
+        assert len(steps) == result.steps_used
+        assert result.remaining_masks == len(_scan(steps[-1]))

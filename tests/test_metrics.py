@@ -1,6 +1,7 @@
 """Failure-event detectors and regime segmentation on constructed and live traces."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semiar.core import DecodeConfig, DecodeTrace, StepRecord
 from semiar.decoder import decode
@@ -208,6 +209,52 @@ class TestSegmentation:
         for row in labels:
             assert len(row) == 24
             assert all(isinstance(lab, Regime) for lab in row)
+
+
+def _window_labels(trace, tau_hi, tau_lo, k):
+    """Regime labels straight from the definition: the last k snapshots."""
+    labels = []
+    for r, rec in enumerate(trace.steps):
+        window = trace.steps[max(0, r - k + 1) : r + 1]
+        row = []
+        for i in range(trace.gen_budget):
+            history = [w.confidence[i] for w in window]
+            if i not in rec.masked_before:
+                row.append(Regime.DECODED)
+            elif all(c >= tau_hi for c in history):
+                row.append(Regime.PLATEAU)
+            elif all(c <= tau_lo for c in history):
+                row.append(Regime.FLOOR)
+            else:
+                row.append(Regime.VOLATILITY_BAND)
+        labels.append(row)
+    return labels
+
+
+# thresholds themselves and the never-evaluated sentinel are the edge cases
+_CONFIDENCES = st.sampled_from([-1.0, 0.0, 0.05, 0.1, 0.5, 0.9, 0.95, 1.0])
+
+
+class TestSegmentationMatchesDefinition:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        L=st.integers(1, 6),
+        steps=st.integers(1, 8),
+        k=st.integers(1, 4),
+    )
+    def test_streak_counts_equal_window_scan(self, data, L, steps, k):
+        recs = tuple(
+            record(data.draw(st.lists(_CONFIDENCES, min_size=L, max_size=L)),
+                   masked=data.draw(st.sets(st.integers(0, L - 1))), block=(0, L), step=r)
+            for r in range(steps)
+        )
+        trace = DecodeTrace(prompt_len=0, gen_budget=L, steps=recs)
+        if steps < k:
+            with pytest.raises(ValueError):
+                segment_regimes(trace, 0.9, 0.1, k)
+            return
+        assert segment_regimes(trace, 0.9, 0.1, k) == _window_labels(trace, 0.9, 0.1, k)
 
 
 class TestWidthSeries:

@@ -5,9 +5,10 @@ from collections import Counter
 
 import pytest
 
-from semiar.core import DecodeConfig, PredictionFrame, init_state
+from semiar.core import DecodeConfig, PredictionFrame, Vocabulary, apply_sample, init_state
 from semiar.decoder import decode
 from semiar.predictors import (
+    MaskPredictor,
     PredictorError,
     ReplayExhausted,
     SyntheticFieldParams,
@@ -352,3 +353,76 @@ class TestTraceReplay:
         first = decode(replayer, cfg, prompt)
         second = decode(replayer.fork(), cfg, prompt)
         assert first.trace == second.trace
+
+
+class _StubPredictor(MaskPredictor):
+    """Serves token 0 at confidence 0.5 everywhere, except the given overrides."""
+
+    def __init__(self, overrides=None):
+        self._vocab = Vocabulary(("a", "[MASK]", "<EOS>"), mask_id=1, eos_id=2)
+        self.overrides = overrides or {}
+
+    @property
+    def vocabulary(self):
+        return self._vocab
+
+    def predict(self, state, positions):
+        return [self.overrides.get(pos, (0, 0.5)) for pos in positions]
+
+
+class TestDenoiseValidation:
+    """The exact ``PredictorError`` text for each invalid request or prediction."""
+
+    def state(self):
+        # prompt (0,), generation slots 1..6; slots 2 and 4 already committed
+        state = init_state((0,), 6, 6, mask_id=1)
+        return apply_sample(state, PredictionFrame((0,) * 7, (0.9,) * 7, frozenset()),
+                            [2, 4])
+
+    def check(self, overrides, positions, message):
+        with pytest.raises(PredictorError) as info:
+            _StubPredictor(overrides).denoise(self.state(), positions)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "prediction, message",
+        [
+            pytest.param((1, 0.9), "predicted the mask token at 3", id="mask-token"),
+            pytest.param((0, 0.0), "confidence 0.0 at 3 outside (0, 1]", id="zero"),
+            pytest.param((0, 1.5), "confidence 1.5 at 3 outside (0, 1]", id="above-one"),
+            pytest.param((0, float("nan")), "confidence nan at 3 outside (0, 1]", id="nan"),
+            pytest.param((0, float("-inf")), "confidence -inf at 3 outside (0, 1]",
+                         id="minus-inf"),
+            pytest.param((0, float("inf")), "confidence inf at 3 outside (0, 1]", id="inf"),
+        ],
+    )
+    def test_invalid_prediction_at_masked_position(self, prediction, message):
+        self.check({3: prediction}, range(7), message)
+
+    def test_first_offender_in_position_order_is_named(self):
+        self.check({6: (1, 0.9), 5: (0, 2.0), 3: (0, float("nan"))}, [6, 5, 3, 1],
+                   "confidence nan at 3 outside (0, 1]")
+        self.check({5: (1, 0.9), 6: (0, 0.0)}, [6, 5], "predicted the mask token at 5")
+
+    def test_nan_hidden_among_valid_confidences(self):
+        overrides = {p: (0, 0.2 * p) for p in (1, 3, 5)}
+        overrides[6] = (0, float("nan"))
+        self.check(overrides, range(7), "confidence nan at 6 outside (0, 1]")
+
+    def test_committed_positions_are_not_checked(self):
+        overrides = {0: (1, 0.0), 2: (0, float("nan")), 4: (0, 7.0), 5: (0, 1)}
+        frame = _StubPredictor(overrides).denoise(self.state(), range(7))
+        assert frame.predicted[:3] == (1, 0, 0)
+        assert frame.confidence[4:6] == (7.0, 1)
+        assert frame.evaluated == frozenset(range(7))
+
+    @pytest.mark.parametrize(
+        "positions, message",
+        [
+            pytest.param([3, -2, -1], "evaluation position -2 out of range", id="below"),
+            pytest.param([9, 7, 3], "evaluation position 7 out of range", id="beyond"),
+            pytest.param([8, -1, 7, 3], "evaluation position -1 out of range", id="both"),
+        ],
+    )
+    def test_out_of_range_positions(self, positions, message):
+        self.check({}, positions, message)

@@ -69,6 +69,14 @@ def _put(key, value):
     return edit
 
 
+def _header(**changes):
+    """A sound header with ``changes`` applied."""
+    header = {"vocab": ["a", "[MASK]", "<EOS>"], "mask_id": 1, "eos_id": 2,
+              "prompt_len": 1, "gen_budget": 4, "prompt": [0]}
+    header.update(changes)
+    return header
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "header, match",
@@ -80,6 +88,37 @@ class TestValidation:
                 "unknown config key 'block'",
                 id="unknown-config-key",
             ),
+            pytest.param(_header(gen_budget="four"), "gen_budget 'four' is not an integer",
+                         id="gen-budget-string"),
+            pytest.param(_header(mask_id="x"), "mask_id 'x' is not an integer",
+                         id="mask-id-string"),
+            pytest.param(_header(eos_id=2.0), "eos_id 2.0 is not an integer",
+                         id="eos-id-float"),
+            pytest.param(_header(prompt_len=True), "prompt_len True is not an integer",
+                         id="prompt-len-bool"),
+            pytest.param(_header(gen_budget=-3), "gen_budget -3 is below 1",
+                         id="gen-budget-negative"),
+            pytest.param(_header(gen_budget=0), "gen_budget 0 is below 1",
+                         id="gen-budget-zero"),
+            pytest.param(_header(prompt_len=-1), "prompt_len -1 is negative",
+                         id="prompt-len-negative"),
+            pytest.param(_header(mask_id=3), r"mask_id 3 outside the vocabulary \[0, 3\)",
+                         id="mask-id-beyond-vocab"),
+            pytest.param(_header(eos_id=-1), r"eos_id -1 outside the vocabulary \[0, 3\)",
+                         id="eos-id-negative"),
+            pytest.param(_header(eos_id=1), "distinct mask and end-of-sequence",
+                         id="eos-is-mask"),
+            pytest.param({"vocab": ["[MASK]"], "mask_id": 0, "prompt_len": 1,
+                          "gen_budget": 4}, "distinct mask and end-of-sequence",
+                         id="vocab-holds-only-mask"),
+            pytest.param(_header(vocab=5), "vocab must be a JSON array of strings",
+                         id="vocab-number"),
+            pytest.param(_header(vocab=["a", 1, "<EOS>"]),
+                         "vocab must be a JSON array of strings", id="vocab-holds-int"),
+            pytest.param(_header(prompt=7), "prompt must be a JSON array of integers",
+                         id="prompt-number"),
+            pytest.param(_header(prompt=[0, "a"]), "prompt must be a JSON array of integers",
+                         id="prompt-holds-string"),
         ],
     )
     def test_malformed_header_names_line_1(self, header, match, tmp_path):

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -70,44 +69,14 @@ class MaskPredictor:
             raise PredictorError(f"evaluation position {bad} out of range")
         values = self.predict(state, positions)
         mask_id = self.vocabulary.mask_id
-        # Only masked positions must hold a valid prediction.  The common case
-        # is checked over all values at C speed; the exact per-position pass
-        # runs only when that check fails.
-        if values and (mask_id in map(_TOKEN, values)
-                       or not _unit_confidences(list(map(_CONFIDENCE, values)))):
-            _raise_first_invalid(state, positions, values, mask_id)
+        for pos, (tok, conf) in zip(positions, values):
+            if state.tokens[pos] == mask_id:
+                if tok == mask_id:
+                    raise PredictorError(f"predicted the mask token at {pos}")
+                if not 0.0 < conf <= 1.0:
+                    raise PredictorError(f"confidence {conf} at {pos} outside (0, 1]")
         base = prior or PredictionFrame.sentinel(state.length, mask_id)
         return base.merge(positions, values)
-
-
-_TOKEN, _CONFIDENCE = itemgetter(0), itemgetter(1)
-
-
-def _unit_confidences(confs: list) -> bool:
-    """True when every confidence is a number in ``(0, 1]``.
-
-    A NaN can hide from ``min``/``max`` but not from the sum.  Values that do
-    not compare or add as numbers are left to the exact per-position pass.
-    """
-    try:
-        return 0.0 < min(confs) and max(confs) <= 1.0 and not math.isnan(sum(confs))
-    except TypeError:
-        return False
-
-
-def _raise_first_invalid(
-    state: SequenceState,
-    positions: Sequence[int],
-    values: Sequence[tuple[int, float]],
-    mask_id: int,
-) -> None:
-    """Raise for the first masked position whose prediction is invalid, if any."""
-    for pos, (tok, conf) in zip(positions, values):
-        if state.tokens[pos] == mask_id:
-            if tok == mask_id:
-                raise PredictorError(f"predicted the mask token at {pos}")
-            if not 0.0 < conf <= 1.0:
-                raise PredictorError(f"confidence {conf} at {pos} outside (0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +236,8 @@ class SyntheticPredictor(MaskPredictor):
                 # committed tokens keep reading as themselves, scored high
                 out.append((tokens[pos], self._plateau_conf(gen)))
             elif gen >= band_end:
+                # _regime's FLOOR case, inlined and served from the memo:
+                # floor positions are nearly every evaluation of a long decode
                 out.append(floor(gen) or self._floor_prediction(gen))
             else:
                 regime = _regime(gen, frontier, band_end)

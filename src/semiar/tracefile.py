@@ -44,10 +44,15 @@ class TraceFileData:
     config: DecodeConfig | None = None
 
 
-def _fallback_eos(vocab: list[str], mask_id: int) -> int:
+def _eos_id(header: dict) -> int:
+    """The header's ``eos_id``, else "<EOS>", else the first id that is not
+    the mask (the mask itself when the vocabulary holds nothing else)."""
+    vocab, mask_id = header["vocab"], header["mask_id"]
+    if "eos_id" in header:
+        return header["eos_id"]
     if "<EOS>" in vocab:
         return vocab.index("<EOS>")
-    return next(i for i in range(len(vocab)) if i != mask_id)
+    return next((i for i in range(len(vocab)) if i != mask_id), mask_id)
 
 
 def _header_error(header: dict) -> str | None:
@@ -61,7 +66,7 @@ def _header_error(header: dict) -> str | None:
     for key in ("mask_id", "eos_id"):
         if key in header and not 0 <= header[key] < len(vocab):
             return f"{key} {header[key]} outside the vocabulary [0, {len(vocab)})"
-    if header.get("eos_id") == header["mask_id"] or len(vocab) < 2:
+    if _eos_id(header) == header["mask_id"]:
         return "the vocabulary needs distinct mask and end-of-sequence tokens"
     if header["prompt_len"] < 0:
         return f"prompt_len {header['prompt_len']} is negative"
@@ -113,7 +118,7 @@ def read_trace_file(path: str | Path) -> TraceFileData:
 
     vocab = header["vocab"]
     mask_id = header["mask_id"]
-    eos_id = header["eos_id"] if "eos_id" in header else _fallback_eos(vocab, mask_id)
+    eos_id = _eos_id(header)
     prompt = tuple(header["prompt"]) if header.get("prompt") is not None else None
     try:
         config = config_from_dict(header["config"]) if header.get("config") else None

@@ -111,6 +111,9 @@ class TestValidation:
             pytest.param({"vocab": ["[MASK]"], "mask_id": 0, "prompt_len": 1,
                           "gen_budget": 4}, "distinct mask and end-of-sequence",
                          id="vocab-holds-only-mask"),
+            pytest.param({"vocab": ["<EOS>", "a"], "mask_id": 0, "prompt_len": 0,
+                          "gen_budget": 1}, "distinct mask and end-of-sequence",
+                         id="fallback-eos-is-mask"),
             pytest.param(_header(vocab=5), "vocab must be a JSON array of strings",
                          id="vocab-number"),
             pytest.param(_header(vocab=["a", 1, "<EOS>"]),

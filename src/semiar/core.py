@@ -1,12 +1,8 @@
 """Core domain types: vocabulary, sequence state, prediction frames, config, traces.
 
-Position conventions used throughout the package:
-
-* ``core`` operations (state construction and updates) index the full
-  sequence, prompt included.
-* Samplers, the scheduler, cache scopes, traces, and metrics all work in
-  generation-region coordinates ``[0, L)``.  The decoder converts to
-  absolute indices only when it calls a predictor or updates the state.
+Position convention: every position is a generation-region coordinate
+``g`` in ``[0, L)``, and ``SequenceState.tokens`` is the only structure indexed
+absolutely, where ``g`` sits at ``tokens[prompt_len + g]``.
 """
 
 from __future__ import annotations
@@ -95,14 +91,6 @@ class SequenceState:
             i for i, t in enumerate(self.tokens[lp:]) if t == mask
         ))
 
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
-    def masked_positions(self) -> tuple[int, ...]:
-        """Absolute indices currently holding the mask token."""
-        return tuple(i for i, t in enumerate(self.tokens) if t == self.mask_id)
-
     def gen_masked(self) -> frozenset[int]:
         """Masked positions in generation-region coordinates."""
         return self.masked
@@ -116,15 +104,15 @@ _STATE_FIELDS = tuple(f.name for f in fields(SequenceState))
 
 @dataclass(frozen=True)
 class PredictionFrame:
-    """Per-position greedy predictions and confidences from one denoise call.
+    """Per-position greedy predictions and confidences over the generation region.
 
-    Positions outside ``evaluated`` carry values forward from the previous
-    frame; before any call they hold ``mask_id`` / :data:`SENTINEL_CONFIDENCE`.
+    Positions a denoise call did not evaluate carry values forward from the
+    previous frame; before any call they hold ``mask_id`` /
+    :data:`SENTINEL_CONFIDENCE`.
     """
 
     predicted: tuple[int, ...]
     confidence: tuple[float, ...]
-    evaluated: frozenset[int]
 
     def __post_init__(self) -> None:
         if len(self.predicted) != len(self.confidence):
@@ -135,19 +123,18 @@ class PredictionFrame:
         return cls(
             predicted=(mask_id,) * length,
             confidence=(SENTINEL_CONFIDENCE,) * length,
-            evaluated=frozenset(),
         )
 
     def merge(
         self, positions: Sequence[int], values: Iterable[tuple[int, float]]
     ) -> "PredictionFrame":
-        """New frame with ``positions`` overwritten and marked evaluated."""
+        """New frame with ``positions`` overwritten by ``values``."""
         pred = list(self.predicted)
         conf = list(self.confidence)
         for p, (tok, c) in zip(positions, values, strict=True):
             pred[p] = tok
             conf[p] = c
-        return PredictionFrame(tuple(pred), tuple(conf), frozenset(positions))
+        return PredictionFrame(tuple(pred), tuple(conf))
 
 
 def init_state(
@@ -174,7 +161,7 @@ def init_state(
 def apply_sample(
     state: SequenceState, frame: PredictionFrame, selected: Iterable[int]
 ) -> SequenceState:
-    """Commit predicted tokens at ``selected`` (absolute) positions.
+    """Commit predicted tokens at the ``selected`` generation positions.
 
     Every selected position must currently be masked; all other positions are
     untouched and the step counter decreases by one.  The empty selection is a
@@ -185,20 +172,20 @@ def apply_sample(
         raise ValueError("step budget exhausted; cannot advance")
     sel = sorted(set(selected))
     tokens = list(state.tokens)
-    for pos in sel:
-        if not 0 <= pos < len(tokens):
-            raise ValueError(f"selected position {pos} out of range")
-        if tokens[pos] != state.mask_id:
-            raise ValueError(f"selected position {pos} is not masked")
-        new_tok = frame.predicted[pos]
-        if new_tok == state.mask_id:
-            raise ValueError(f"frame predicts the mask token at position {pos}")
-        tokens[pos] = new_tok
     lp = state.prompt_len
+    for g in sel:
+        if not 0 <= g < state.gen_budget:
+            raise ValueError(f"selected position {g} out of range")
+        if tokens[lp + g] != state.mask_id:
+            raise ValueError(f"selected position {g} is not masked")
+        new_tok = frame.predicted[g]
+        if new_tok == state.mask_id:
+            raise ValueError(f"frame predicts the mask token at position {g}")
+        tokens[lp + g] = new_tok
     changed = {
         "tokens": tuple(tokens),
         "step": state.step - 1,
-        "masked": state.masked.difference([pos - lp for pos in sel]),
+        "masked": state.masked.difference(sel),
     }
     # Built field by field: not through __init__, so the masked set is not
     # rescanned (the checks above keep __post_init__'s invariants), and not

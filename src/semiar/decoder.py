@@ -134,9 +134,9 @@ def decode(
     vocab = predictor.vocabulary
     config.validate_against(vocab)
     state = init_state(prompt, config.gen_budget, config.max_steps, vocab.mask_id)
-    lp, L = state.prompt_len, config.gen_budget
+    L = config.gen_budget
 
-    frame = PredictionFrame.sentinel(state.length, vocab.mask_id)
+    frame = PredictionFrame.sentinel(L, vocab.mask_id)
     records: list[StepRecord] = []
     blocks: list[BlockDecision] = []
     step_idx = 0
@@ -156,8 +156,8 @@ def decode(
                 block_end=block_end,
                 block_size=block_size,
                 evaluated=tuple(evaluated),
-                predicted=frame.predicted[lp : lp + L],
-                confidence=frame.confidence[lp : lp + L],
+                predicted=frame.predicted,
+                confidence=frame.confidence,
                 sampled=tuple(sorted(sampled)),
                 masked_before=tuple(sorted(masked)),
                 cache=config.cache,
@@ -167,7 +167,7 @@ def decode(
     while g < L and state.step >= 1:
         masked = state.gen_masked()
         evaluated = sorted(evaluation_scope(config.cache, g, None, "open", masked, L))
-        frame = _denoise(predictor, state, [lp + p for p in evaluated], frame, step_idx)
+        frame = _denoise(predictor, state, evaluated, frame, step_idx)
 
         decision = decide_block(state, frame, config, g)
         B = decision.block_size
@@ -176,7 +176,7 @@ def decode(
 
         sampled = sample_step(state, frame, config, block)
         record_step(evaluated, sampled, masked, B, g + B)
-        state = apply_sample(state, frame, [lp + p for p in sampled])
+        state = apply_sample(state, frame, sampled)
         step_idx += 1
 
         while state.step >= 1:
@@ -184,12 +184,10 @@ def decode(
             if masked.isdisjoint(block):
                 break
             evaluated = sorted(evaluation_scope(config.cache, g, B, "in_block", masked, L))
-            frame = _denoise(
-                predictor, state, [lp + p for p in evaluated], frame, step_idx
-            )
+            frame = _denoise(predictor, state, evaluated, frame, step_idx)
             sampled = sample_step(state, frame, config, block)
             record_step(evaluated, sampled, masked, None, g + B)
-            state = apply_sample(state, frame, [lp + p for p in sampled])
+            state = apply_sample(state, frame, sampled)
             step_idx += 1
 
         if not state.gen_masked().isdisjoint(block):
@@ -200,7 +198,7 @@ def decode(
     return DecodeResult(
         status="completed" if remaining == 0 else "partial",
         final_tokens=state.tokens,
-        trace=DecodeTrace(prompt_len=lp, gen_budget=L, steps=tuple(records)),
+        trace=DecodeTrace(prompt_len=state.prompt_len, gen_budget=L, steps=tuple(records)),
         blocks=tuple(blocks),
         remaining_masks=remaining,
     )

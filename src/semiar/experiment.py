@@ -42,7 +42,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Mapping, get_type_hints
 
 from . import metrics, tracefile
 from .core import DecodeConfig, Vocabulary, parse_config_value
@@ -161,33 +161,62 @@ def _parse_cell_section(
     return combos
 
 
+def _section_values(
+    section: str, items: Mapping[str, str], types: dict[str, Callable[[str], Any]]
+) -> dict[str, Any]:
+    """Convert a spec section's values; errors name ``[section] key``."""
+    if unknown := sorted(items.keys() - types.keys()):
+        raise ValueError(f"[{section}] {unknown[0]}: unknown key; "
+                         f"expected one of {', '.join(sorted(types))}")
+    values = {}
+    for key, raw in items.items():
+        try:
+            values[key] = types[key](raw)
+        except ValueError as exc:
+            raise ValueError(f"[{section}] {key}: {exc}") from None
+    return values
+
+
+#: The [predictor] keys each kind reads in :func:`build_predictor`, besides
+#: ``kind``, with their value types.  Synthetic keys are the field parameters;
+#: each run sets its own noise seed.
+_PREDICTOR_KEYS: dict[str, dict[str, Callable[[str], Any]]] = {
+    "synthetic": {key: tp for key, tp in get_type_hints(SyntheticFieldParams).items()
+                  if key != "noise_seed"},
+    "ngram": {"corpus": str, "order": int, "smoothing": float, "char_mode": str},
+    "trace": {"path": str},
+}
+
+
 def build_predictor(spec: PredictorSpec, seed: int) -> MaskPredictor:
-    """Instantiate a predictor backend for one run."""
-    opts = dict(spec.options)
+    """Instantiate a predictor backend for one run from parsed options."""
+    opts = spec.options
     if spec.kind == "synthetic":
-        params = SyntheticFieldParams(
-            plateau_rate=float(opts.get("plateau_rate", 1.0)),
-            vb_width_mean=int(opts.get("vb_width_mean", 4)),
-            vb_width_jitter=int(opts.get("vb_width_jitter", 0)),
-            floor_level=float(opts.get("floor_level", 0.05)),
-            vb_low=float(opts.get("vb_low", 0.4)),
-            vb_high=float(opts.get("vb_high", 0.85)),
-            plateau_level=float(opts.get("plateau_level", 0.95)),
-            delimiter_period=int(opts.get("delimiter_period", 0)),
-            noise_seed=seed,
-        )
-        return build_synthetic(params)
+        return build_synthetic(SyntheticFieldParams(**opts, noise_seed=seed))
     if spec.kind == "ngram":
         corpus = Path(opts["corpus"]).read_text(encoding="utf-8")
         return build_ngram(
             corpus,
-            order=int(opts.get("order", 3)),
-            smoothing_k=float(opts.get("smoothing", 0.01)),
-            char_mode=str(opts.get("char_mode", "false")).lower() == "true",
+            order=opts.get("order", 3),
+            smoothing_k=opts.get("smoothing", 0.01),
+            char_mode=opts.get("char_mode", "false").lower() == "true",
         )
     if spec.kind == "trace":
         return load_trace_predictor(opts["path"])
     raise ValueError(f"unknown predictor kind {spec.kind!r}")
+
+
+def _prompt_spec(raw: str) -> PromptSpec:
+    kind, _, arg = raw.partition(":")
+    if kind == "literal":
+        return PromptSpec("literal", tokens=tuple(int(t) for t in arg.split()))
+    if kind == "corpus":
+        return PromptSpec("corpus", length=int(arg or "4"))
+    raise ValueError(f"unknown prompt source {raw!r}")
+
+
+#: The [experiment] keys :func:`parse_spec` reads, with their value types.
+_EXPERIMENT_KEYS = {"seed": int, "repetitions": int, "out": Path, "prompt": _prompt_spec}
 
 
 def parse_spec(text: str, out_dir: Path | None = None) -> ExperimentSpec:
@@ -197,35 +226,30 @@ def parse_spec(text: str, out_dir: Path | None = None) -> ExperimentSpec:
 
     if "experiment" not in parser:
         raise ValueError("spec is missing the [experiment] section")
-    exp = parser["experiment"]
-    seed = exp.getint("seed", 0)
-    repetitions = exp.getint("repetitions", 1)
-    out = out_dir or Path(exp.get("out", "runs"))
-
-    prompt_raw = exp.get("prompt", "literal:0")
-    kind, _, arg = prompt_raw.partition(":")
-    if kind == "literal":
-        prompt = PromptSpec("literal", tokens=tuple(int(t) for t in arg.split()))
-    elif kind == "corpus":
-        prompt = PromptSpec("corpus", length=int(arg or "4"))
-    else:
-        raise ValueError(f"unknown prompt source {prompt_raw!r}")
+    exp = _section_values("experiment", parser["experiment"], _EXPERIMENT_KEYS)
+    seed, repetitions = exp.get("seed", 0), exp.get("repetitions", 1)
+    out = out_dir or exp.get("out", Path("runs"))
+    prompt = exp.get("prompt", PromptSpec("literal", tokens=(0,)))
 
     if "predictor" not in parser:
         raise ValueError("spec is missing the [predictor] section")
     pred_section = dict(parser["predictor"])
     pred_kind = pred_section.pop("kind", None)
-    if pred_kind not in ("synthetic", "ngram", "trace"):
+    if pred_kind not in _PREDICTOR_KEYS:
         raise ValueError(f"predictor kind must be synthetic, ngram or trace; got {pred_kind!r}")
-    predictor = PredictorSpec(pred_kind, pred_section)
+    options = _section_values("predictor", pred_section, _PREDICTOR_KEYS[pred_kind])
+    predictor = PredictorSpec(pred_kind, options)
 
     # cells are validated against a probe predictor so bad specs fail up front
     probe = build_predictor(predictor, seed)
     cells: list[Cell] = []
     section_index = 0
     for section_name in parser.sections():
-        if not section_name.startswith("cell"):
+        if section_name in ("experiment", "predictor"):
             continue
+        if not section_name.startswith("cell"):
+            raise ValueError(f"unknown section [{section_name}]; "
+                             "expected [experiment], [predictor] or [cell NAME]")
         name = section_name[4:].strip() or "cell"
         for cell_id, config in _parse_cell_section(
             name, parser[section_name], probe.vocabulary

@@ -48,7 +48,7 @@ class MaskPredictor:
     def predict(
         self, state: SequenceState, positions: Sequence[int]
     ) -> list[tuple[int, float]]:
-        """(token, confidence) per absolute position, aligned with input order."""
+        """(token, confidence) per generation position, aligned with input order."""
         raise NotImplementedError
 
     def denoise(
@@ -63,19 +63,20 @@ class MaskPredictor:
         shared and not overridden.
         """
         positions = sorted(set(eval_positions))
-        length = state.length
-        if positions and not (0 <= positions[0] and positions[-1] < length):
-            bad = next(pos for pos in positions if not 0 <= pos < length)
+        L = state.gen_budget
+        if positions and not (0 <= positions[0] and positions[-1] < L):
+            bad = next(pos for pos in positions if not 0 <= pos < L)
             raise PredictorError(f"evaluation position {bad} out of range")
         values = self.predict(state, positions)
         mask_id = self.vocabulary.mask_id
+        masked = state.masked
         for pos, (tok, conf) in zip(positions, values):
-            if state.tokens[pos] == mask_id:
+            if pos in masked:
                 if tok == mask_id:
                     raise PredictorError(f"predicted the mask token at {pos}")
                 if not 0.0 < conf <= 1.0:
                     raise PredictorError(f"confidence {conf} at {pos} outside (0, 1]")
-        base = prior or PredictionFrame.sentinel(state.length, mask_id)
+        base = prior or PredictionFrame.sentinel(L, mask_id)
         return base.merge(positions, values)
 
 
@@ -224,17 +225,16 @@ class SyntheticPredictor(MaskPredictor):
     def predict(
         self, state: SequenceState, positions: Sequence[int]
     ) -> list[tuple[int, float]]:
-        lp = state.prompt_len
-        tokens, mask = state.tokens, state.mask_id
+        tokens, mask, lp = state.tokens, state.mask_id, state.prompt_len
         frontier = self.frontier(state.unmasked_gen_count(), state.gen_budget)
         band_end = frontier + self.band_width(frontier)
         floor = self._floor.get
         out: list[tuple[int, float]] = []
-        for pos in positions:
-            gen = pos - lp
-            if tokens[pos] != mask:
+        for gen in positions:
+            tok = tokens[lp + gen]
+            if tok != mask:
                 # committed tokens keep reading as themselves, scored high
-                out.append((tokens[pos], self._plateau_conf(gen)))
+                out.append((tok, self._plateau_conf(gen)))
             elif gen >= band_end:
                 # _regime's FLOOR case, inlined and served from the memo:
                 # floor positions are nearly every evaluation of a long decode
@@ -398,10 +398,11 @@ class NGramPredictor(MaskPredictor):
         self, state: SequenceState, positions: Sequence[int]
     ) -> list[tuple[int, float]]:
         model = self.model
-        tokens, mask = state.tokens, state.mask_id
+        tokens, mask, lp = state.tokens, state.mask_id, state.prompt_len
         reach = model.order - 1
         out: list[tuple[int, float]] = []
-        for pos in positions:
+        for g in positions:
+            pos = lp + g
             left = _committed(tokens[max(0, pos - reach) : pos], mask)
             right = _committed(tokens[pos + 1 : pos + 1 + reach], mask)
             tok = tokens[pos]
@@ -486,14 +487,6 @@ class TraceReplayPredictor(MaskPredictor):
         return self._vocab
 
     @property
-    def prompt_len(self) -> int:
-        return self._data.prompt_len
-
-    @property
-    def gen_budget(self) -> int:
-        return self._data.gen_budget
-
-    @property
     def recorded_prompt(self) -> tuple[int, ...] | None:
         return self._data.prompt
 
@@ -516,10 +509,9 @@ class TraceReplayPredictor(MaskPredictor):
         rec = self._data.records[self._cursor]
         self._cursor += 1
 
-        lp, L = self._data.prompt_len, self._data.gen_budget
+        L = self._data.gen_budget
         out: list[tuple[int, float]] = []
-        for pos in positions:
-            gen = pos - lp
+        for gen in positions:
             # a snapshot still holds the sentinel where no record evaluated yet
             if not 0 <= gen < L or rec.confidence[gen] == SENTINEL_CONFIDENCE:
                 raise PredictorError(

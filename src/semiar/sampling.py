@@ -15,27 +15,21 @@ from .core import DecodeConfig, PredictionFrame, SENTINEL_CONFIDENCE, SequenceSt
 
 
 def _masked_in_scope(state: SequenceState, scope: Iterable[int]) -> list[int]:
-    lp = state.prompt_len
-    masked = [
-        g
-        for g in sorted(set(scope))
-        if 0 <= g < state.gen_budget and state.tokens[lp + g] == state.mask_id
-    ]
-    return masked
+    return sorted(state.masked.intersection(scope))
 
 
-def _confidence(state: SequenceState, frame: PredictionFrame, g: int) -> float:
-    c = frame.confidence[state.prompt_len + g]
+def _confidence(frame: PredictionFrame, g: int) -> float:
+    c = frame.confidence[g]
     if c == SENTINEL_CONFIDENCE:
         raise ValueError(f"masked scope position {g} was never evaluated")
     return c
 
-def _top1(state: SequenceState, frame: PredictionFrame, masked: list[int]) -> int:
+def _top1(frame: PredictionFrame, masked: list[int]) -> int:
     # max confidence, lowest index on ties; masked is sorted ascending
     best = masked[0]
-    best_c = _confidence(state, frame, best)
+    best_c = _confidence(frame, best)
     for g in masked[1:]:
-        c = _confidence(state, frame, g)
+        c = _confidence(frame, g)
         if c > best_c:
             best, best_c = g, c
     return best
@@ -48,7 +42,7 @@ def vanilla_sample(
     masked = _masked_in_scope(state, scope)
     if not masked:
         return frozenset()
-    return frozenset({_top1(state, frame, masked)})
+    return frozenset({_top1(frame, masked)})
 
 
 def linear_sample(
@@ -63,7 +57,7 @@ def linear_sample(
     masked = _masked_in_scope(state, scope)
     if not masked:
         return frozenset()
-    ranked = sorted(masked, key=lambda g: (-_confidence(state, frame, g), g))
+    ranked = sorted(masked, key=lambda g: (-_confidence(frame, g), g))
     return frozenset(ranked[: min(per_step, len(ranked))])
 
 
@@ -82,10 +76,10 @@ def threshold_sample(
     masked = _masked_in_scope(state, scope)
     if not masked:
         return frozenset()
-    top = _top1(state, frame, masked)
+    top = _top1(frame, masked)
     selected = {top}
     for g in masked:
-        if _confidence(state, frame, g) >= tau:
+        if _confidence(frame, g) >= tau:
             selected.add(g)
     return frozenset(selected)
 

@@ -105,11 +105,10 @@ def scheduler_view(
     confidence 1.0: a token already on the page is maximal evidence of a
     boundary, and the delimiter search should see it.
     """
-    lp, mask = state.prompt_len, state.mask_id
-    end = lp + state.gen_budget
-    tokens = state.tokens[lp:end]
-    pred = [t if t != mask else p for t, p in zip(tokens, frame.predicted[lp:end])]
-    conf = [1.0 if t != mask else c for t, c in zip(tokens, frame.confidence[lp:end])]
+    mask = state.mask_id
+    tokens = state.tokens[state.prompt_len :]
+    pred = [t if t != mask else p for t, p in zip(tokens, frame.predicted)]
+    conf = [1.0 if t != mask else c for t, c in zip(tokens, frame.confidence)]
     return pred, conf
 
 

@@ -250,9 +250,8 @@ def test_criterion_5_threshold_sampler_law():
         state = state.__class__(tokens=tuple(tokens), prompt_len=1, gen_budget=L,
                                 step=L + 1, mask_id=999)
         frame = PredictionFrame(
-            predicted=(1,) + tuple(5 for _ in range(L)),
-            confidence=(1.0,) + tuple(rng.random() for _ in range(L)),
-            evaluated=frozenset(range(L + 1)),
+            predicted=tuple(5 for _ in range(L)),
+            confidence=tuple(rng.random() for _ in range(L)),
         )
         t1, t2 = sorted((rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0)))
         scope = range(L)

@@ -28,7 +28,7 @@ MASK = 9
 
 def frame_for(state, predicted, confidence=None):
     conf = confidence or tuple(0.5 for _ in predicted)
-    return PredictionFrame(tuple(predicted), tuple(conf), frozenset(range(len(predicted))))
+    return PredictionFrame(tuple(predicted), tuple(conf))
 
 
 class TestVocabulary:
@@ -62,7 +62,7 @@ class TestInitState:
 
     def test_length_is_prompt_plus_budget(self):
         s = init_state(list(range(1, 6)), gen_budget=512, max_steps=512, mask_id=MASK)
-        assert s.length == 5 + 512
+        assert len(s.tokens) == 5 + 512
 
     def test_masked_prompt_rejected(self):
         with pytest.raises(ValueError):
@@ -76,35 +76,44 @@ class TestInitState:
 class TestApplySample:
     def test_empty_selection_only_decrements_step(self):
         s = init_state([7], 3, 5, MASK)
-        frame = frame_for(s, (7, 1, 2, 3))
+        frame = frame_for(s, (1, 2, 3))
         s2 = apply_sample(s, frame, ())
         assert s2.tokens == s.tokens
         assert s2.step == 4
 
     def test_selected_positions_take_predictions(self):
-        # tokens [7, M, M], predictions (_, 4, 9) at absolute 1..2, select {1}
+        # tokens [7, M, M], predictions (4, 8) at generation 0..1, select {0}
         s = init_state([7], 2, 4, MASK)
-        frame = frame_for(s, (7, 4, 8))
-        s2 = apply_sample(s, frame, {1})
+        frame = frame_for(s, (4, 8))
+        s2 = apply_sample(s, frame, {0})
         assert s2.tokens == (7, 4, MASK)
 
     def test_full_selection_clears_all_masks(self):
         s = init_state([7], 3, 4, MASK)
-        frame = frame_for(s, (7, 1, 2, 3))
-        s2 = apply_sample(s, frame, {1, 2, 3})
+        frame = frame_for(s, (1, 2, 3))
+        s2 = apply_sample(s, frame, {0, 1, 2})
         assert MASK not in s2.tokens
         assert s2.gen_masked() == frozenset()
 
     def test_unmasked_selection_rejected(self):
+        # the prompt is outside the generation region, so a committed
+        # generation position stands in for the unmasked one
         s = init_state([7], 2, 4, MASK)
-        frame = frame_for(s, (7, 4, 8))
-        with pytest.raises(ValueError):
-            apply_sample(s, frame, {0})
+        frame = frame_for(s, (4, 8))
+        s2 = apply_sample(s, frame, {0})
+        with pytest.raises(ValueError, match="not masked"):
+            apply_sample(s2, frame, {0})
+
+    @pytest.mark.parametrize("pos", [-1, 2])
+    def test_out_of_range_selection_rejected(self, pos):
+        s = init_state([7], 2, 4, MASK)
+        with pytest.raises(ValueError, match="out of range"):
+            apply_sample(s, frame_for(s, (4, 8)), {pos})
 
     def test_exhausted_step_budget_rejected(self):
         s = init_state([7], 1, 1, MASK)
-        frame = frame_for(s, (7, 4))
-        s2 = apply_sample(s, frame, {1})
+        frame = frame_for(s, (4,))
+        s2 = apply_sample(s, frame, {0})
         with pytest.raises(ValueError):
             apply_sample(s2, frame, ())
 
@@ -112,11 +121,11 @@ class TestApplySample:
     def test_monotone_unmasking_and_conservation(self, data):
         budget = data.draw(st.integers(1, 12))
         s = init_state([1, 2], budget, budget + 1, MASK)
-        frame = frame_for(s, tuple([1, 2] + [3] * budget))
-        masked_before = set(s.masked_positions())
+        frame = frame_for(s, tuple([3] * budget))
+        masked_before = set(s.gen_masked())
         pick = data.draw(st.sets(st.sampled_from(sorted(masked_before))))
         s2 = apply_sample(s, frame, pick)
-        masked_after = set(s2.masked_positions())
+        masked_after = set(s2.gen_masked())
         assert masked_after <= masked_before
         assert len(masked_before) - len(masked_after) == len(pick)
         assert s2.tokens[:2] == s.tokens[:2]
@@ -125,7 +134,7 @@ class TestApplySample:
 class TestPredictionFrame:
     def test_sentinel_has_no_evaluated_positions(self):
         f = PredictionFrame.sentinel(4, MASK)
-        assert f.evaluated == frozenset()
+        assert f.predicted == (MASK,) * 4
         assert all(c == SENTINEL_CONFIDENCE for c in f.confidence)
 
     def test_merge_carries_old_values(self):
@@ -133,8 +142,7 @@ class TestPredictionFrame:
         f1 = f.merge([0, 2], [(5, 0.9), (6, 0.8)])
         f2 = f1.merge([2], [(7, 0.7)])
         assert f2.predicted == (5, MASK, 7)
-        assert f2.confidence[0] == 0.9
-        assert f2.evaluated == frozenset({2})
+        assert f2.confidence == (0.9, SENTINEL_CONFIDENCE, 0.7)
 
 
 class TestDecodeConfig:

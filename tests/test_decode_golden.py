@@ -3,12 +3,15 @@
 Each case decodes one fixed prompt under one sampler x scheduler x cache
 combination and hashes the trace file.  Any change to what the decoder
 evaluates, commits or records changes a digest, so a speed-up that must keep
-traces byte-identical is checked here without running the benchmark.
+traces byte-identical is checked here without running the benchmark.  Each
+predictor runs at two prompt lengths: predictors read committed tokens at
+``prompt_len + g``, and the n-gram's longer prompt reaches past its window.
 
 To re-pin after an intended trace change, run ``python tests/test_decode_golden.py``
 and paste its output over ``GOLDEN``.
 """
 
+import functools
 import hashlib
 import itertools
 
@@ -22,20 +25,25 @@ from semiar.tracefile import write_trace
 CORPUS = " . ".join(["a b c", "d e f g", "h i"] * 6)
 
 
-def _synthetic_case():
+def _synthetic_case(prompt):
     pred = build_synthetic(SyntheticFieldParams(
         noise_seed=3, vb_width_mean=2, vb_width_jitter=1, delimiter_period=6))
-    return pred, (0, 1, 2), 48, frozenset({pred.delimiter_id})
+    return pred, prompt, 48, frozenset({pred.delimiter_id})
 
 
-def _ngram_case():
+def _ngram_case(prompt_text):
     pred = build_ngram(CORPUS, order=3, smoothing_k=0.1)
     vocab = pred.vocabulary
-    prompt = (vocab.id_of("a"), vocab.id_of("b"))
+    prompt = tuple(vocab.id_of(t) for t in prompt_text.split())
     return pred, prompt, 32, frozenset({vocab.id_of(".")})
 
 
-PREDICTORS = {"synthetic": _synthetic_case, "ngram": _ngram_case}
+PREDICTORS = {
+    "synthetic": functools.partial(_synthetic_case, (0, 1, 2)),
+    "synthetic-prompt1": functools.partial(_synthetic_case, (0,)),
+    "ngram": functools.partial(_ngram_case, "a b"),
+    "ngram-prompt6": functools.partial(_ngram_case, "a b c . d e"),
+}
 MODES = list(itertools.product(SAMPLERS, SCHEDULERS, CACHES))
 
 
@@ -69,6 +77,24 @@ GOLDEN = {
     "ngram/dynamic/adaptive/none": "8d76336583dc714610a03cd4105b855aec7adf9230ab88c17169f5139040bd7a",
     "ngram/dynamic/adaptive/prefix": "516b147317311876877f5fc947d3d929e13b82a7f2a440f76b9382a36732144b",
     "ngram/dynamic/adaptive/dual": "fb62c8999a9bcea54ebe253e951e77cc87f6cbf657feb2d104f4ef81d9553583",
+    "ngram-prompt6/vanilla/fixed/none": "cc6a76f7b9079dcb21e95a322844cb7696de5d273b67aff447bfe1896a7c66c3",
+    "ngram-prompt6/vanilla/fixed/prefix": "9e01f4405a5ffd1c21eee35d7e113ad5f94ca2ab8a7f57bebb055a6e4e2a0bf2",
+    "ngram-prompt6/vanilla/fixed/dual": "7ddec9a0707c6f4f10772565e87cc9790ed7a2d835cb5b3a1919550e08aed059",
+    "ngram-prompt6/vanilla/adaptive/none": "a61550b6293e37234ae87014100f734d7d96fa75f40616d00f6309c90a55b19e",
+    "ngram-prompt6/vanilla/adaptive/prefix": "c217d586de3980b8e09c2d8513cc67e4f3e8844748cb758f08bf86237b46cee5",
+    "ngram-prompt6/vanilla/adaptive/dual": "4531ed0c8fb106307844e347e7eab499e346041db4e7c89dad1336733447d41c",
+    "ngram-prompt6/linear/fixed/none": "f4fe572c99681713121f49870a3fb215e9766fc574435c296670efee67c581ee",
+    "ngram-prompt6/linear/fixed/prefix": "a34739b1de42a551acd30de9d5783c50ea263404f9b8fa422421882e66c54b9c",
+    "ngram-prompt6/linear/fixed/dual": "6691971c696c4dd4ff7b4cc4753f19e9dfe261beb623994d2c8ebab28f7946e2",
+    "ngram-prompt6/linear/adaptive/none": "39ac2bc63d95027f3013a73b803510df412f5ddaf799613ed29ebd5dbbbe13e2",
+    "ngram-prompt6/linear/adaptive/prefix": "f794c61cfb3f565e06c54ce234e831a5fc47ecce40868fc8fd0fde106ea38b2e",
+    "ngram-prompt6/linear/adaptive/dual": "5bf66a0c4e8c21ed65a1a3e07b4f47c8a914f5da763be52d17abf764f33118a4",
+    "ngram-prompt6/dynamic/fixed/none": "1a876519d02e4e9bffe2a1c43199cc25b01757e060807663312d65f8aa821101",
+    "ngram-prompt6/dynamic/fixed/prefix": "e5580b4fa11111f2bcab6c74074a06f92bd660c56f2a26aca4a96c0d6aa00f49",
+    "ngram-prompt6/dynamic/fixed/dual": "2fb58dbcaa2611fd375c133c49e69650c12922541bd0a6dab0c990120b536949",
+    "ngram-prompt6/dynamic/adaptive/none": "4a3071266cc768dc475a2c17c936d3d449d8657f25f62b2e6763f194253ff548",
+    "ngram-prompt6/dynamic/adaptive/prefix": "75e89ad06b6c5afe353516852f522f1f6af389c24c34d1659047a52fdd9ad7c9",
+    "ngram-prompt6/dynamic/adaptive/dual": "c3025197c39fa25ec5119d0d83edd9a6d86d7f4d2155186a7237a6ef30d90226",
     "synthetic/vanilla/fixed/none": "255d3b486b7986de714d733389ea17e6a3c6351fc7a659f36798e2b4a2e15b9d",
     "synthetic/vanilla/fixed/prefix": "8c8e82a1bd23056b9b662b8a004d6045770a2d7ad838728571cea2c84ed5162c",
     "synthetic/vanilla/fixed/dual": "c292c2c3036ebd29f7834ba3aa515573c3b76c452e2311cc15099ed7a7c1d97b",
@@ -87,6 +113,24 @@ GOLDEN = {
     "synthetic/dynamic/adaptive/none": "47a8e7d090cfc5590070cf6bfb2cab09cd0ab9671f9656d8acb6242012fbf995",
     "synthetic/dynamic/adaptive/prefix": "4b63f9b844737b4f6b55de77dedacbbd419694ab951f28c3eedbab6e44479870",
     "synthetic/dynamic/adaptive/dual": "ae626429635a613cdeacf48f509d650d0efeacd158cbe852e47ab11056c2449b",
+    "synthetic-prompt1/vanilla/fixed/none": "2005a7ffb7fcabd4ad5e94e79efa91acf2de8a47e6ec8bc51903a5dd2938d9c9",
+    "synthetic-prompt1/vanilla/fixed/prefix": "010e8694cd52870c0f0b7a4dc374593904c767664a45e11ad2771d479a526ff2",
+    "synthetic-prompt1/vanilla/fixed/dual": "6f898ee43977f77b62d0b64574c8e93289ee74d0eb5ea6ef73de0e26576d51f8",
+    "synthetic-prompt1/vanilla/adaptive/none": "8c7e7456dab43e2d0459218a2f0aef69525d26c2c539e72f3f29621ae24f67d8",
+    "synthetic-prompt1/vanilla/adaptive/prefix": "596f75209a2667a4c24a9b43f9229e424a33e34227b3150c6a3c6c068f8c688f",
+    "synthetic-prompt1/vanilla/adaptive/dual": "58d2f79817935fa691f2f5775756f60b2f5de67f93bc64a3ffc58fcf78fc325c",
+    "synthetic-prompt1/linear/fixed/none": "9d1f0cb3d14f1adface2d8815ae6c066746b923ddb7a94f6dfd7a42f1684915a",
+    "synthetic-prompt1/linear/fixed/prefix": "8a15bf00b33c6417cb2557deb87328bf233def39b8e4ca9a64fe9fbc6e55701c",
+    "synthetic-prompt1/linear/fixed/dual": "d2528c689a6cf77f0ca6fa69dddbe0bbd41919d133a1aed0abec6320ea9a0426",
+    "synthetic-prompt1/linear/adaptive/none": "603799e4a17bb1b2ac572cbb6feb50509dee0eb54b806bd784fa7cbbd56aa9c9",
+    "synthetic-prompt1/linear/adaptive/prefix": "70885629fcba810ea31d5039977f1b97ddf0d7bceb9d49260878b334bf0d94ad",
+    "synthetic-prompt1/linear/adaptive/dual": "80990b6f6b75f981bfd0e3a7cc5bd5b3d1267a5513935f13133b3064148cc056",
+    "synthetic-prompt1/dynamic/fixed/none": "f5a10da517f86a7ba9c46915c001412f053a1892eb7724df450d50c5162253b2",
+    "synthetic-prompt1/dynamic/fixed/prefix": "3b9bfa90963980a8362ea1a185c10a69177c094617cbc62e13bbadc39c569d30",
+    "synthetic-prompt1/dynamic/fixed/dual": "6265f1139594a5f8dc0128531136126d97f1f05140d1736ba64a2b29213fbcb1",
+    "synthetic-prompt1/dynamic/adaptive/none": "358129d0d50eadad24bbdda16d9c7d5466b43a82202a61c68344e0a32725d4b2",
+    "synthetic-prompt1/dynamic/adaptive/prefix": "b9731ffeaab2d290ebab70f5f659653c780359713957bf0a7fb9daeb4d5265dc",
+    "synthetic-prompt1/dynamic/adaptive/dual": "f3b0cc9512815d0add334761ec64e300ea7b6b119a61115ceb315fdd1709ff1e",
 }
 
 

@@ -77,6 +77,28 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match=match):
             experiment.load_spec(write_spec(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("repetitions = 2", "repetitons = 3", r"\[experiment\] repetitons: unknown key"),
+            ("vb_high = 0.92", "vb_widht_mean = 3", r"\[predictor\] vb_widht_mean: unknown key"),
+            ("vb_high = 0.92", "order = 3", r"\[predictor\] order: unknown key"),
+            ("[cell sweep]", "[cel a]", r"unknown section \[cel a\]"),
+            ("seed = 11", "seed = x", r"\[experiment\] seed: invalid literal for int"),
+            ("vb_high = 0.92", "vb_width_mean = three",
+             r"\[predictor\] vb_width_mean: invalid literal for int"),
+            ("prompt = literal:0 1", "prompt = corpus:x",
+             r"\[experiment\] prompt: invalid literal for int"),
+        ],
+        ids=["experiment-key", "predictor-key", "other-kind-key", "section", "seed",
+             "predictor-value", "prompt"],
+    )
+    def test_malformed_spec_names_section_and_key(self, old, new, message, tmp_path):
+        assert old in SPEC_TEMPLATE
+        text = SPEC_TEMPLATE.replace(old, new)
+        with pytest.raises(ValueError, match=message):
+            experiment.load_spec(write_spec(tmp_path, text))
+
     def test_cell_values_parse_through_config_codec(self, tmp_path):
         text = SPEC_TEMPLATE.replace("b0 = 4,8", "b0 = 4") + "linear_steps = none,4\n"
         spec = experiment.load_spec(write_spec(tmp_path, text), tmp_path / "out")
@@ -110,11 +132,19 @@ class TestRun:
         assert csv_path.read_bytes() == first
 
     def test_jobs_do_not_change_results(self, tmp_path):
-        spec1 = experiment.load_spec(write_spec(tmp_path), tmp_path / "o1")
-        spec2 = experiment.load_spec(write_spec(tmp_path), tmp_path / "o2")
-        _, csv1 = experiment.run(spec1, jobs=1)
-        _, csv2 = experiment.run(spec2, jobs=4)
-        assert csv1.read_bytes() == csv2.read_bytes()
+        trees = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            experiment.run(experiment.load_spec(write_spec(tmp_path), out), jobs=jobs)
+            experiment.analyze(out)
+            trees.append({path.relative_to(out).as_posix(): path.read_bytes()
+                          for path in sorted(out.rglob("*")) if path.is_file()})
+        names = sorted(trees[0])
+        # 8 traces and summaries, the aggregate, 8 x 3 analysis reports, failures.csv
+        assert len(names) == 8 + 8 + 1 + 24 + 1
+        assert sorted(trees[1]) == names
+        for name in names:
+            assert trees[0][name] == trees[1][name], name
 
     def test_disabled_delimiters_match_fixed_rows(self, tmp_path):
         text = SPEC_TEMPLATE.replace("delimiter_tokens = \\n\n", "")
@@ -226,6 +256,14 @@ class TestCli:
         assert replayed
         # deterministic replay reproduces the recorded trace byte for byte
         assert replayed[0].read_bytes() == trace.read_bytes()
+
+    def test_malformed_spec_prints_one_error_line(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, SPEC_TEMPLATE.replace("seed = 11", "seed = x"))
+        assert cli.main(["run", "--spec", str(spec_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: [experiment] seed: invalid literal for int() with base 10: 'x'"
+        ]
 
     def test_bad_spec_returns_nonzero(self, tmp_path):
         text = SPEC_TEMPLATE.replace("kind = synthetic", "kind = trace\npath = missing.jsonl")

@@ -58,7 +58,7 @@ def _shared(cache, key, build):
 
 @st.composite
 def masked_states(draw, vocab_size, mask_id):
-    """A random sequence of committed tokens and masks, plus sorted positions."""
+    """A random sequence of committed tokens and masks, plus sorted generation positions."""
     length = draw(st.integers(2, 40))
     prompt_len = draw(st.integers(1, length - 1))
     committed = st.integers(0, vocab_size - 1).filter(lambda t: t != mask_id)
@@ -68,7 +68,7 @@ def masked_states(draw, vocab_size, mask_id):
     )
     state = SequenceState(tokens=tokens, prompt_len=prompt_len,
                           gen_budget=length - prompt_len, step=1, mask_id=mask_id)
-    positions = sorted(draw(st.sets(st.integers(0, length - 1), min_size=1)))
+    positions = sorted(draw(st.sets(st.integers(0, state.gen_budget - 1), min_size=1)))
     return state, positions
 
 
@@ -103,7 +103,8 @@ def reference_ngram_predict(model, state, positions):
                 + 0.5 * reference_prob(ids, k, candidates, right, True, tok))
 
     out = []
-    for pos in positions:
+    for g in positions:
+        pos = state.prompt_len + g
         window_l = range(max(0, pos - (model.order - 1)), pos)
         window_r = range(pos + 1, min(len(tokens), pos + model.order))
         left = tuple(tokens[i] for i in window_l if tokens[i] != mask)
@@ -165,8 +166,8 @@ def reference_synthetic_predict(pred, state, positions):
     committed = sum(1 for t in state.tokens[lp:] if t != state.mask_id)
     frontier = pred.frontier(committed, state.gen_budget)
     out = []
-    for pos in positions:
-        gen = pos - lp
+    for gen in positions:
+        pos = lp + gen
         if state.tokens[pos] != state.mask_id:
             u = unit_draw(p.noise_seed, "plateau", gen)
             out.append((state.tokens[pos], p.plateau_level + u * (1.0 - p.plateau_level)))

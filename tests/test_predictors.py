@@ -51,39 +51,36 @@ class TestSyntheticField:
     def test_regime_bands_around_frontier(self):
         pred = build_synthetic(self.params())
         state = gen_state(pred, 24, committed=8)
-        frame = pred.denoise(state, range(1, 25))
-        lp = 1
+        frame = pred.denoise(state, range(24))
         for i in range(8):  # plateau behind the frontier
-            assert frame.confidence[lp + i] >= 0.95
+            assert frame.confidence[i] >= 0.95
         for i in range(8, 12):  # band of width 4 at the frontier
-            assert 0.4 <= frame.confidence[lp + i] <= 0.85
+            assert 0.4 <= frame.confidence[i] <= 0.85
         for i in range(12, 24):  # floor beyond
-            assert frame.confidence[lp + i] <= 0.05
+            assert frame.confidence[i] <= 0.05
 
     def test_plateau_positions_all_high(self):
         pred = build_synthetic(self.params())
         state = gen_state(pred, 20, committed=10)
-        frame = pred.denoise(state, range(1, 21))
-        assert all(frame.confidence[1 + i] >= 0.95 for i in range(10))
+        frame = pred.denoise(state, range(20))
+        assert all(frame.confidence[i] >= 0.95 for i in range(10))
 
     def test_floor_never_reaches_the_unmask_threshold(self):
         pred = build_synthetic(self.params())
         state = gen_state(pred, 32, committed=4)
-        frame = pred.denoise(state, range(1, 33))
-        floor = [frame.confidence[1 + i] for i in range(8 + 4, 32)]
+        frame = pred.denoise(state, range(32))
+        floor = [frame.confidence[i] for i in range(8 + 4, 32)]
         assert max(floor) < 0.9
 
     def test_regime_separation(self):
         pred = build_synthetic(self.params())
         for committed in range(1, 16):
             state = gen_state(pred, 16, committed=committed)
-            frame = pred.denoise(state, range(1, 17))
+            frame = pred.denoise(state, range(16))
             frontier = pred.frontier(committed, 16)
             width = pred.band_width(frontier)
-            plateau = [frame.confidence[1 + i] for i in range(frontier)]
-            floor = [
-                frame.confidence[1 + i] for i in range(frontier + width, 16)
-            ]
+            plateau = [frame.confidence[i] for i in range(frontier)]
+            floor = [frame.confidence[i] for i in range(frontier + width, 16)]
             if plateau and floor:
                 assert min(plateau) > max(floor)
 
@@ -91,15 +88,15 @@ class TestSyntheticField:
         a = build_synthetic(self.params())
         b = build_synthetic(self.params())
         state = gen_state(a, 16, committed=5)
-        assert a.denoise(state, range(1, 17)) == b.denoise(state, range(1, 17))
+        assert a.denoise(state, range(16)) == b.denoise(state, range(16))
 
     def test_seed_changes_band_values(self):
         a = build_synthetic(self.params(noise_seed=1))
         b = build_synthetic(self.params(noise_seed=2))
         state = gen_state(a, 16, committed=4)
-        fa = a.denoise(state, range(1, 17))
-        fb = b.denoise(state, range(1, 17))
-        band = range(1 + 4, 1 + 8)
+        fa = a.denoise(state, range(16))
+        fb = b.denoise(state, range(16))
+        band = range(4, 8)
         assert any(fa.confidence[i] != fb.confidence[i] for i in band)
 
     def test_band_fluctuates_over_steps(self):
@@ -107,19 +104,19 @@ class TestSyntheticField:
         conf_at_pos9 = set()
         for committed in (4, 5, 6, 7, 8):
             state = gen_state(pred, 24, committed=committed)
-            frame = pred.denoise(state, range(1, 25))
-            conf_at_pos9.add(frame.confidence[1 + 9])
+            frame = pred.denoise(state, range(24))
+            conf_at_pos9.add(frame.confidence[9])
         assert len(conf_at_pos9) > 1
 
     def test_delimiter_planting(self):
         pred = build_synthetic(self.params(delimiter_period=6))
         state = gen_state(pred, 24)
-        frame = pred.denoise(state, range(1, 25))
+        frame = pred.denoise(state, range(24))
         for i in range(24):
-            expected = pred.delimiter_id if i % 6 == 5 else frame.predicted[1 + i]
-            assert frame.predicted[1 + i] == expected
-        assert frame.predicted[1 + 5] == pred.delimiter_id
-        assert frame.predicted[1 + 11] == pred.delimiter_id
+            expected = pred.delimiter_id if i % 6 == 5 else frame.predicted[i]
+            assert frame.predicted[i] == expected
+        assert frame.predicted[5] == pred.delimiter_id
+        assert frame.predicted[11] == pred.delimiter_id
 
     def test_delimiter_period_drives_band_width(self):
         pred = build_synthetic(self.params(delimiter_period=6))
@@ -131,11 +128,10 @@ class TestSyntheticField:
     def test_empty_scope_carries_prior(self):
         pred = build_synthetic(self.params())
         state = gen_state(pred, 8)
-        prior = pred.denoise(state, range(1, 9))
+        prior = pred.denoise(state, range(8))
         frame = pred.denoise(state, [], prior=prior)
         assert frame.predicted == prior.predicted
         assert frame.confidence == prior.confidence
-        assert frame.evaluated == frozenset()
 
 
 def brute_force_ngram_prob(corpus, order, k, left_ctx, right_ctx, target):
@@ -181,11 +177,11 @@ class TestNGram:
         tokens = (vocab.id_of("a"), vocab.mask_id, vocab.id_of("c"), vocab.id_of("d"))
         state = state.__class__(tokens=tokens, prompt_len=1, gen_budget=3,
                                 step=4, mask_id=vocab.mask_id)
-        frame = pred.denoise(state, [1])
-        assert vocab.token_of(frame.predicted[1]) == "b"
-        assert frame.confidence[1] > 0.9
+        frame = pred.denoise(state, [0])
+        assert vocab.token_of(frame.predicted[0]) == "b"
+        assert frame.confidence[0] > 0.9
         expected = brute_force_ngram_prob(corpus, 3, 0.01, ("a",), ("c", "d"), "b")
-        assert frame.confidence[1] == pytest.approx(expected, abs=1e-12)
+        assert frame.confidence[0] == pytest.approx(expected, abs=1e-12)
 
     def test_bigram_right_of_committed_token(self):
         corpus = "a b . a b ."
@@ -195,8 +191,8 @@ class TestNGram:
         state = init_state((0,), 2, 3, vocab.mask_id).__class__(
             tokens=tokens, prompt_len=1, gen_budget=2, step=3, mask_id=vocab.mask_id
         )
-        frame = pred.denoise(state, [1])
-        assert vocab.token_of(frame.predicted[1]) == "b"
+        frame = pred.denoise(state, [0])
+        assert vocab.token_of(frame.predicted[0]) == "b"
 
     def test_unseen_context_without_smoothing_is_uniform(self):
         pred = build_ngram("a b a b", order=2, smoothing_k=0.0)
@@ -211,9 +207,9 @@ class TestNGram:
         pred = build_ngram("x x x x", order=2, smoothing_k=0.001)
         vocab = pred.vocabulary
         state = init_state((vocab.id_of("x"),), 2, 3, vocab.mask_id)
-        frame = pred.denoise(state, [1, 2])
-        assert vocab.token_of(frame.predicted[1]) == "x"
-        assert frame.confidence[1] > 0.99
+        frame = pred.denoise(state, [0, 1])
+        assert vocab.token_of(frame.predicted[0]) == "x"
+        assert frame.confidence[0] > 0.99
 
     def test_distributions_sum_to_one(self):
         pred = build_ngram("a b c a b d a", order=3, smoothing_k=0.05)
@@ -279,9 +275,9 @@ class TestTraceReplay:
         replayer = load_trace_predictor(path)
         state = init_state(prompt, cfg.gen_budget, cfg.max_steps, pred.vocabulary.mask_id)
         for _ in range(len(result.trace)):
-            replayer.predict(state, [2])
+            replayer.predict(state, [0])
         with pytest.raises(ReplayExhausted):
-            replayer.predict(state, [2])
+            replayer.predict(state, [0])
 
     def test_absent_position_reports(self, tmp_path):
         pred, cfg, prompt, result = self.small_decode()
@@ -290,7 +286,7 @@ class TestTraceReplay:
         replayer = load_trace_predictor(path)
         state = init_state(prompt, cfg.gen_budget, cfg.max_steps, pred.vocabulary.mask_id)
         with pytest.raises(PredictorError, match="absent"):
-            replayer.predict(state, [len(prompt) + cfg.gen_budget + 5])
+            replayer.predict(state, [cfg.gen_budget + 5])
 
     def test_unevaluated_position_reports(self, tmp_path):
         pred, cfg, prompt, result = self.small_decode()
@@ -305,9 +301,9 @@ class TestTraceReplay:
         path.write_text("\n".join(lines) + "\n")
         replayer = load_trace_predictor(path)
         state = init_state(prompt, cfg.gen_budget, cfg.max_steps, pred.vocabulary.mask_id)
-        assert len(replayer.fork().predict(state, [len(prompt) + 2])) == 1
+        assert len(replayer.fork().predict(state, [2])) == 1
         with pytest.raises(PredictorError, match="position 3 absent"):
-            replayer.predict(state, [len(prompt) + 3])
+            replayer.predict(state, [3])
 
     def test_malformed_line_names_line_number(self, tmp_path):
         pred, cfg, prompt, result = self.small_decode()
@@ -374,10 +370,9 @@ class TestDenoiseValidation:
     """The exact ``PredictorError`` text for each invalid request or prediction."""
 
     def state(self):
-        # prompt (0,), generation slots 1..6; slots 2 and 4 already committed
+        # prompt (0,), generation positions 0..5; 1 and 3 already committed
         state = init_state((0,), 6, 6, mask_id=1)
-        return apply_sample(state, PredictionFrame((0,) * 7, (0.9,) * 7, frozenset()),
-                            [2, 4])
+        return apply_sample(state, PredictionFrame((0,) * 6, (0.9,) * 6), [1, 3])
 
     def check(self, overrides, positions, message):
         with pytest.raises(PredictorError) as info:
@@ -387,41 +382,41 @@ class TestDenoiseValidation:
     @pytest.mark.parametrize(
         "prediction, message",
         [
-            pytest.param((1, 0.9), "predicted the mask token at 3", id="mask-token"),
-            pytest.param((0, 0.0), "confidence 0.0 at 3 outside (0, 1]", id="zero"),
-            pytest.param((0, 1.5), "confidence 1.5 at 3 outside (0, 1]", id="above-one"),
-            pytest.param((0, float("nan")), "confidence nan at 3 outside (0, 1]", id="nan"),
-            pytest.param((0, float("-inf")), "confidence -inf at 3 outside (0, 1]",
+            pytest.param((1, 0.9), "predicted the mask token at 2", id="mask-token"),
+            pytest.param((0, 0.0), "confidence 0.0 at 2 outside (0, 1]", id="zero"),
+            pytest.param((0, 1.5), "confidence 1.5 at 2 outside (0, 1]", id="above-one"),
+            pytest.param((0, float("nan")), "confidence nan at 2 outside (0, 1]", id="nan"),
+            pytest.param((0, float("-inf")), "confidence -inf at 2 outside (0, 1]",
                          id="minus-inf"),
-            pytest.param((0, float("inf")), "confidence inf at 3 outside (0, 1]", id="inf"),
+            pytest.param((0, float("inf")), "confidence inf at 2 outside (0, 1]", id="inf"),
         ],
     )
     def test_invalid_prediction_at_masked_position(self, prediction, message):
-        self.check({3: prediction}, range(7), message)
+        self.check({2: prediction}, range(6), message)
 
     def test_first_offender_in_position_order_is_named(self):
-        self.check({6: (1, 0.9), 5: (0, 2.0), 3: (0, float("nan"))}, [6, 5, 3, 1],
-                   "confidence nan at 3 outside (0, 1]")
-        self.check({5: (1, 0.9), 6: (0, 0.0)}, [6, 5], "predicted the mask token at 5")
+        self.check({5: (1, 0.9), 4: (0, 2.0), 2: (0, float("nan"))}, [5, 4, 2, 0],
+                   "confidence nan at 2 outside (0, 1]")
+        self.check({4: (1, 0.9), 5: (0, 0.0)}, [5, 4], "predicted the mask token at 4")
 
     def test_nan_hidden_among_valid_confidences(self):
-        overrides = {p: (0, 0.2 * p) for p in (1, 3, 5)}
-        overrides[6] = (0, float("nan"))
-        self.check(overrides, range(7), "confidence nan at 6 outside (0, 1]")
+        overrides = {g: (0, 0.2 * (g + 1)) for g in (0, 2, 4)}
+        overrides[5] = (0, float("nan"))
+        self.check(overrides, range(6), "confidence nan at 5 outside (0, 1]")
 
     def test_committed_positions_are_not_checked(self):
-        overrides = {0: (1, 0.0), 2: (0, float("nan")), 4: (0, 7.0), 5: (0, 1)}
-        frame = _StubPredictor(overrides).denoise(self.state(), range(7))
-        assert frame.predicted[:3] == (1, 0, 0)
-        assert frame.confidence[4:6] == (7.0, 1)
-        assert frame.evaluated == frozenset(range(7))
+        overrides = {1: (1, float("nan")), 3: (0, 7.0), 4: (0, 1)}
+        frame = _StubPredictor(overrides).denoise(self.state(), range(6))
+        assert frame.predicted[:3] == (0, 1, 0)
+        assert frame.confidence[3:5] == (7.0, 1)
+        assert len(frame.predicted) == len(frame.confidence) == 6
 
     @pytest.mark.parametrize(
         "positions, message",
         [
-            pytest.param([3, -2, -1], "evaluation position -2 out of range", id="below"),
-            pytest.param([9, 7, 3], "evaluation position 7 out of range", id="beyond"),
-            pytest.param([8, -1, 7, 3], "evaluation position -1 out of range", id="both"),
+            pytest.param([2, -2, -1], "evaluation position -2 out of range", id="below"),
+            pytest.param([8, 6, 2], "evaluation position 6 out of range", id="beyond"),
+            pytest.param([7, -1, 6, 2], "evaluation position -1 out of range", id="both"),
         ],
     )
     def test_out_of_range_positions(self, positions, message):

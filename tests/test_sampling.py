@@ -21,9 +21,8 @@ def masked_state(confidences, committed=()):
         tokens=tuple(tokens), prompt_len=1, gen_budget=L, step=L + 1, mask_id=MASK
     )
     frame = PredictionFrame(
-        predicted=(1,) + tuple(5 for _ in confidences),
-        confidence=(1.0,) + tuple(confidences),
-        evaluated=frozenset(range(1 + L)),
+        predicted=tuple(5 for _ in confidences),
+        confidence=tuple(confidences),
     )
     return state, frame
 
@@ -47,7 +46,7 @@ class TestThresholdSample:
 
     def test_unevaluated_masked_scope_rejected(self):
         state, frame = masked_state([0.5])
-        bare = PredictionFrame.sentinel(state.length, MASK)
+        bare = PredictionFrame.sentinel(state.gen_budget, MASK)
         with pytest.raises(ValueError, match="never evaluated"):
             threshold_sample(state, bare, 0.9, range(1))
 

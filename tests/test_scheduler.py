@@ -102,11 +102,7 @@ class TestFixedBlockLength:
 class TestSchedulerView:
     def test_committed_positions_read_as_certain(self):
         state = init_state((1,), 3, 4, MASK)
-        frame = PredictionFrame(
-            predicted=(1, 5, 6, 7),
-            confidence=(1.0, 0.4, 0.5, 0.6),
-            evaluated=frozenset(range(4)),
-        )
+        frame = PredictionFrame(predicted=(5, 6, 7), confidence=(0.4, 0.5, 0.6))
         state = state.__class__(
             tokens=(1, NL, MASK, MASK), prompt_len=1, gen_budget=3, step=4, mask_id=MASK
         )

@@ -30,7 +30,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     summary = experiment.analyze(
         args.traces,
         out_dir=Path(args.out) if args.out else None,
-        tau=args.tau,
         tau_hi=args.tau_hi,
         tau_lo=args.tau_lo,
         persistence_k=args.persistence,
@@ -82,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="post-process stored traces into reports")
     p_an.add_argument("--traces", required=True, help="directory holding *.trace.jsonl")
     p_an.add_argument("--out", default=None, help="report directory (default: traces/analysis)")
-    p_an.add_argument("--tau", type=float, default=0.9, help="unmask threshold for event detection")
     p_an.add_argument("--tau-hi", type=float, default=0.9, dest="tau_hi")
     p_an.add_argument("--tau-lo", type=float, default=0.1, dest="tau_lo")
     p_an.add_argument("--persistence", type=int, default=3)

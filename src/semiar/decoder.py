@@ -1,10 +1,11 @@
 """The blockwise semi-autoregressive decode loop.
 
-Each block runs as: opening denoise over the cache policy's opening scope,
-block-size decision on that frame, a first sample restricted to the block,
-then denoise-sample cycles over the block's masked positions until the block
-holds no masks.  Blocks advance left to right and every denoise-sample cycle
-appends one step record to the trace.
+Decoding is one loop of denoise-sample steps; every step appends one step
+record to the trace.  A step evaluates the cache policy's scope and denoises.
+If no block is open, the scheduler then sizes one from that step's frame and
+the step opens it; either way the step samples only within the open block.
+Once the block holds no masks it closes and the next step opens the block
+after it, so blocks advance left to right.
 
 Cache policies are modelled as evaluation scopes over prediction frames:
 
@@ -31,7 +32,6 @@ from .core import (
     DecodeConfig,
     DecodeTrace,
     PredictionFrame,
-    SequenceState,
     StepRecord,
     Vocabulary,
     apply_sample,
@@ -50,28 +50,21 @@ def evaluation_scope(
     policy: str,
     g: int,
     block_size: int | None,
-    phase: str,
     masked: Iterable[int],
     gen_budget: int,
 ) -> frozenset[int]:
     """Generation positions one denoise call must evaluate under ``policy``.
 
-    ``phase`` is ``"open"`` for the block-opening call, ``"in_block"``
-    otherwise; ``block_size`` may be None while the block is still undecided.
+    ``block_size`` is None for the block-opening call, whose block is not yet
+    sized.
     """
-    if phase not in ("open", "in_block"):
-        raise ValueError(f"unknown phase {phase!r}")
     if policy == "none":
-        if phase == "open":
-            return frozenset(range(gen_budget))
-        return frozenset(masked)
+        return frozenset(range(gen_budget) if block_size is None else masked)
     if policy == "prefix":
         return frozenset(range(g, gen_budget))
     if policy == "dual":
-        if phase == "open":
-            return frozenset(range(gen_budget))
         if block_size is None:
-            raise ValueError("dual-cache in-block scope needs the block size")
+            return frozenset(range(gen_budget))
         return frozenset(masked).intersection(range(g, g + block_size))
     raise ValueError(f"unknown cache policy {policy!r}")
 
@@ -107,19 +100,6 @@ class DecodeResult:
         return self.final_tokens[self.trace.prompt_len :]
 
 
-def _denoise(
-    predictor: MaskPredictor,
-    state: SequenceState,
-    positions: Sequence[int],
-    prior: PredictionFrame,
-    step_idx: int,
-) -> PredictionFrame:
-    try:
-        return predictor.denoise(state, positions, prior=prior)
-    except Exception as exc:
-        raise DecodeError(f"predictor failed at denoise call {step_idx}: {exc}") from exc
-
-
 def decode(
     predictor: MaskPredictor,
     config: DecodeConfig,
@@ -139,22 +119,33 @@ def decode(
     frame = PredictionFrame.sentinel(L, vocab.mask_id)
     records: list[StepRecord] = []
     blocks: list[BlockDecision] = []
-    step_idx = 0
     g = 0
+    B: int | None = None  # size of the open block; None until a step opens one
 
-    def record_step(
-        evaluated: list[int],
-        sampled: frozenset[int],
-        masked: frozenset[int],
-        block_size: int | None,
-        block_end: int,
-    ) -> None:
+    while g < L and state.step >= 1:
+        masked = state.gen_masked()
+        evaluated = sorted(evaluation_scope(config.cache, g, B, masked, L))
+        try:
+            frame = predictor.denoise(state, evaluated, prior=frame)
+        except Exception as exc:
+            raise DecodeError(
+                f"predictor failed at denoise call {len(records)}: {exc}"
+            ) from exc
+
+        opens = B is None
+        if opens:
+            decision = decide_block(state, frame, config, g)
+            blocks.append(decision)
+            B = decision.block_size
+        block = range(g, g + B)
+
+        sampled = sample_step(state, frame, config, block)
         records.append(
             StepRecord(
-                step=step_idx,
+                step=len(records),
                 block_start=g,
-                block_end=block_end,
-                block_size=block_size,
+                block_end=g + B,
+                block_size=B if opens else None,
                 evaluated=tuple(evaluated),
                 predicted=frame.predicted,
                 confidence=frame.confidence,
@@ -163,36 +154,9 @@ def decode(
                 cache=config.cache,
             )
         )
-
-    while g < L and state.step >= 1:
-        masked = state.gen_masked()
-        evaluated = sorted(evaluation_scope(config.cache, g, None, "open", masked, L))
-        frame = _denoise(predictor, state, evaluated, frame, step_idx)
-
-        decision = decide_block(state, frame, config, g)
-        B = decision.block_size
-        blocks.append(decision)
-        block = range(g, g + B)
-
-        sampled = sample_step(state, frame, config, block)
-        record_step(evaluated, sampled, masked, B, g + B)
         state = apply_sample(state, frame, sampled)
-        step_idx += 1
-
-        while state.step >= 1:
-            masked = state.gen_masked()
-            if masked.isdisjoint(block):
-                break
-            evaluated = sorted(evaluation_scope(config.cache, g, B, "in_block", masked, L))
-            frame = _denoise(predictor, state, evaluated, frame, step_idx)
-            sampled = sample_step(state, frame, config, block)
-            record_step(evaluated, sampled, masked, None, g + B)
-            state = apply_sample(state, frame, sampled)
-            step_idx += 1
-
-        if not state.gen_masked().isdisjoint(block):
-            break  # step budget died inside this block
-        g += B
+        if state.gen_masked().isdisjoint(block):
+            g, B = g + B, None
 
     remaining = len(state.gen_masked())
     return DecodeResult(

@@ -128,24 +128,30 @@ def _parse_cell_section(
 
     A key is any :class:`DecodeConfig` field but the reserved ones: the comma
     separates swept values, so delimiters come from whitespace-separated
-    ``delimiter_tokens``, and each run derives its own seed.
+    ``delimiter_tokens``, and each run derives its own seed.  Errors name
+    ``[cell NAME] key``.
     """
     fixed: dict[str, Any] = {}
     swept: dict[str, list[Any]] = {}
+    where = f"[{section.name}]"
     for key, raw in section.items():
-        if key == "delimiter_tokens":
-            fixed["delimiters"] = frozenset(
-                vocab.id_of(tok.replace("\\n", "\n")) for tok in raw.split()
-            )
-            continue
         if key in _RESERVED_CELL_KEYS:
-            raise ValueError(f"cell {name!r}: key {key!r}: {_RESERVED_CELL_KEYS[key]}")
+            raise ValueError(f"{where} {key}: reserved key; {_RESERVED_CELL_KEYS[key]}")
+        if key == "delimiter_tokens":
+            try:
+                fixed["delimiters"] = frozenset(
+                    vocab.id_of(tok.replace("\\n", "\n")) for tok in raw.split()
+                )
+            except KeyError as exc:
+                raise ValueError(f"{where} {key}: {exc.args[0]}") from None
+            continue
         try:
             values = [parse_config_value(key, v) for v in raw.split(",")]
         except KeyError:
-            raise ValueError(f"cell {name!r}: unknown key {key!r}") from None
-        except ValueError as exc:
-            raise ValueError(f"cell {name!r}: {exc}") from None
+            raise ValueError(f"{where} {key}: unknown key; expected a decode config "
+                             "field or delimiter_tokens") from None
+        except ValueError as exc:  # already names the key
+            raise ValueError(f"{where} {exc}") from None
         if len(values) == 1:
             fixed[key] = values[0]
         else:
@@ -155,8 +161,11 @@ def _parse_cell_section(
     swept_keys = sorted(swept)
     for combo in itertools.product(*(swept[k] for k in swept_keys)):
         suffix = "-".join(f"{k}={v}" for k, v in zip(swept_keys, combo))
-        config = DecodeConfig(**fixed, **dict(zip(swept_keys, combo)))
-        config.validate_against(vocab)
+        try:
+            config = DecodeConfig(**fixed, **dict(zip(swept_keys, combo)))
+            config.validate_against(vocab)
+        except ValueError as exc:
+            raise ValueError(f"{where} {exc}") from None
         combos.append((f"{name}.{suffix}" if suffix else name, config))
     return combos
 
@@ -177,15 +186,23 @@ def _section_values(
     return values
 
 
+def _boolean(raw: str) -> bool:
+    if raw.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return raw.lower() == "true"
+
+
 #: The [predictor] keys each kind reads in :func:`build_predictor`, besides
 #: ``kind``, with their value types.  Synthetic keys are the field parameters;
 #: each run sets its own noise seed.
 _PREDICTOR_KEYS: dict[str, dict[str, Callable[[str], Any]]] = {
     "synthetic": {key: tp for key, tp in get_type_hints(SyntheticFieldParams).items()
                   if key != "noise_seed"},
-    "ngram": {"corpus": str, "order": int, "smoothing": float, "char_mode": str},
+    "ngram": {"corpus": str, "order": int, "smoothing": float, "char_mode": _boolean},
     "trace": {"path": str},
 }
+#: The [predictor] key each kind cannot do without.
+_REQUIRED_PREDICTOR_KEY = {"ngram": "corpus", "trace": "path"}
 
 
 def build_predictor(spec: PredictorSpec, seed: int) -> MaskPredictor:
@@ -199,7 +216,7 @@ def build_predictor(spec: PredictorSpec, seed: int) -> MaskPredictor:
             corpus,
             order=opts.get("order", 3),
             smoothing_k=opts.get("smoothing", 0.01),
-            char_mode=opts.get("char_mode", "false").lower() == "true",
+            char_mode=opts.get("char_mode", False),
         )
     if spec.kind == "trace":
         return load_trace_predictor(opts["path"])
@@ -220,7 +237,9 @@ _EXPERIMENT_KEYS = {"seed": int, "repetitions": int, "out": Path, "prompt": _pro
 
 
 def parse_spec(text: str, out_dir: Path | None = None) -> ExperimentSpec:
-    parser = configparser.ConfigParser()
+    # no section header can name a newline, so [DEFAULT] reads as an ordinary
+    # section and is rejected like any other unknown one
+    parser = configparser.ConfigParser(default_section="\n")
     parser.optionxform = str.lower  # type: ignore[assignment]
     parser.read_string(text)
 
@@ -238,6 +257,9 @@ def parse_spec(text: str, out_dir: Path | None = None) -> ExperimentSpec:
     if pred_kind not in _PREDICTOR_KEYS:
         raise ValueError(f"predictor kind must be synthetic, ngram or trace; got {pred_kind!r}")
     options = _section_values("predictor", pred_section, _PREDICTOR_KEYS[pred_kind])
+    required = _REQUIRED_PREDICTOR_KEY.get(pred_kind)
+    if required is not None and required not in options:
+        raise ValueError(f"[predictor] {required}: required for kind = {pred_kind}")
     predictor = PredictorSpec(pred_kind, options)
 
     # cells are validated against a probe predictor so bad specs fail up front
@@ -382,12 +404,16 @@ def run(spec: ExperimentSpec, jobs: int = 1) -> tuple[list[RunOutcome], Path]:
 def analyze(
     trace_dir: str | Path,
     out_dir: str | Path | None = None,
-    tau: float = 0.9,
     tau_hi: float = 0.9,
     tau_lo: float = 0.1,
     persistence_k: int = 3,
 ) -> Path:
-    """Post-process every trace file under ``trace_dir`` into report CSVs."""
+    """Post-process every trace file under ``trace_dir`` into report CSVs.
+
+    Failure events are detected at each trace's recorded ``tau``, as the run
+    that wrote it did for ``aggregate.csv``; a trace without a recorded config
+    uses :class:`DecodeConfig`'s default.
+    """
     trace_dir = Path(trace_dir)
     out = Path(out_dir) if out_dir is not None else trace_dir / "analysis"
     paths = sorted(trace_dir.rglob("*.trace.jsonl"))
@@ -400,7 +426,8 @@ def analyze(
         try:
             data = tracefile.read_trace_file(path)
             trace = tracefile.trace_from_file(data)
-            report = metrics.failure_rates(trace, tau)
+            cfg = data.config
+            report = metrics.failure_rates(trace, cfg.tau if cfg else DecodeConfig.tau)
             labels = metrics.segment_regimes(trace, tau_hi, tau_lo, persistence_k)
         except Exception as exc:
             log.warning("skipping %s: %s", path, exc)
@@ -411,7 +438,6 @@ def analyze(
         metrics.write_step_report(f"{stem}.steps.csv", trace, report, widths)
         metrics.write_heatmap(f"{stem}.heatmap.csv", trace)
         metrics.write_regime_labels(f"{stem}.regimes.csv", labels)
-        cfg = data.config
         rows.append(
             [
                 str(path.relative_to(trace_dir)),

@@ -6,6 +6,9 @@ evaluates, commits or records changes a digest, so a speed-up that must keep
 traces byte-identical is checked here without running the benchmark.  Each
 predictor runs at two prompt lengths: predictors read committed tokens at
 ``prompt_len + g``, and the n-gram's longer prompt reaches past its window.
+Every mode also runs at a step budget of ``L // 3``, which each of them
+exhausts, some inside a block and some on the step that opens one, so the
+partial-result path is pinned too.
 
 To re-pin after an intended trace change, run ``python tests/test_decode_golden.py``
 and paste its output over ``GOLDEN``.
@@ -47,12 +50,14 @@ PREDICTORS = {
 MODES = list(itertools.product(SAMPLERS, SCHEDULERS, CACHES))
 
 
-def trace_digest(kind, sampler, scheduler, cache, tmp_dir):
+def trace_digest(kind, sampler, scheduler, cache, tmp_dir, partial=False):
     pred, prompt, L, delimiters = PREDICTORS[kind]()
-    config = DecodeConfig(gen_budget=L, max_steps=2 * L, b0=8, tau=0.6, tau_d=0.2,
+    max_steps = L // 3 if partial else 2 * L
+    config = DecodeConfig(gen_budget=L, max_steps=max_steps, b0=8, tau=0.6, tau_d=0.2,
                           window_fraction=0.5, delimiters=delimiters, sampler=sampler,
                           scheduler=scheduler, cache=cache, linear_steps=L // 2)
     result = decode(pred, config, prompt)
+    assert result.completed != partial
     path = tmp_dir / f"{kind}-{sampler}-{scheduler}-{cache}.jsonl"
     write_trace(path, result.trace, pred.vocabulary, prompt=prompt, config=config)
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -133,6 +138,81 @@ GOLDEN = {
     "synthetic-prompt1/dynamic/adaptive/dual": "f3b0cc9512815d0add334761ec64e300ea7b6b119a61115ceb315fdd1709ff1e",
 }
 
+GOLDEN_PARTIAL = {
+    "ngram/vanilla/fixed/none": "25b24220bce3b02c9a923f1cb2852785d82af2ab82c9ff2865535a291aa5929f",
+    "ngram/vanilla/fixed/prefix": "9052e1c50fe23751c28dab4d7785ea8b1f55d959e14e2d0e73bbf760e597ff4a",
+    "ngram/vanilla/fixed/dual": "4c2dcb4636e0ab09538ef3690a27b09778fc478fae125880c0648101c03f2ef0",
+    "ngram/vanilla/adaptive/none": "3a1bac63dfe08d1ddd5d281b1d5a2f070cd48cf22ae191d18e6a9caa976bdaf0",
+    "ngram/vanilla/adaptive/prefix": "7a1ba9b127a23263c749caafa4741e16c6392ab408ab80d89757ab216ad47968",
+    "ngram/vanilla/adaptive/dual": "0c124732372b9d7c206acd400f2fa0c274dd62d2fbb438c67b311f6125661b84",
+    "ngram/linear/fixed/none": "76cb604fb8d34899d349662975e2b0b78f14b4b98842221a5883861eaddb810b",
+    "ngram/linear/fixed/prefix": "93be567bea7de6805120ff552e77293609bf268b5ce63a11180fae20b08c3005",
+    "ngram/linear/fixed/dual": "ea6d87ec1f671285d16ce0f6a1cd8fcf0c156c52d75dc8aba38cd4948fdd0e72",
+    "ngram/linear/adaptive/none": "9c8f0746ae31f895c2807f584789e0630fcd2eb0a3303c9f644d53a1a9c430e6",
+    "ngram/linear/adaptive/prefix": "d5f01dd2a02c76bd388d951995e994ee363d1ce20770fc4dfe4e1d56b6ef4d80",
+    "ngram/linear/adaptive/dual": "f986b576968e96502871f452f4d43ded9c3aa7c5e16c0f5d8b9befde8fa80cd5",
+    "ngram/dynamic/fixed/none": "d07e9367a4e51d0d7ed7374e2a0594ae90ebaaf447eb6d6624d02f6a93658762",
+    "ngram/dynamic/fixed/prefix": "9cb1a46577d3cc252c15f71769ddac6d38944916c4ca37e10ee699574fd7df3e",
+    "ngram/dynamic/fixed/dual": "4b5b60927704eb463a357adc17bb73c21bc9ee68c67542e2f0dc4b1d2336ea5f",
+    "ngram/dynamic/adaptive/none": "e3d520344d97dbb458f3b53a828987ee64cda607a87868fc77e8a812b4826a6b",
+    "ngram/dynamic/adaptive/prefix": "4c5882bcd47c9f0c40b2e2fc7b1201277e56d49e58a42b71ad85b953e7279ccc",
+    "ngram/dynamic/adaptive/dual": "180df62bfd0be329f154f890f629f8880e6d04b8b5b983e5e306961ff317d11c",
+    "ngram-prompt6/vanilla/fixed/none": "cbc59ca89e5ce492718de093cedcc0643c0acf29ddca33f7a4ec965eef20de76",
+    "ngram-prompt6/vanilla/fixed/prefix": "23212920a6aa507fde8f3b056cdc9817abc6af943565fc9938b355a9ea5765e5",
+    "ngram-prompt6/vanilla/fixed/dual": "03b4bdba3f7f63f13e5993afdb463b2c3cb622b33edddb6289be0aeacaa5f2e3",
+    "ngram-prompt6/vanilla/adaptive/none": "7e7933f555115153f4e5eac033b55d42cd48a41fdbbd771b76beef8f9bc1b2a4",
+    "ngram-prompt6/vanilla/adaptive/prefix": "103b192109338aa687dd8f3fb853f0554c2f3cc34d38be3597412de42b9d652d",
+    "ngram-prompt6/vanilla/adaptive/dual": "127e419dbbc744a516524bb69bbcb323d4c00ef73ddb68787d9ec121c977145d",
+    "ngram-prompt6/linear/fixed/none": "8f429f8afa9dc856d636436c7e93d0f27a24cd45d4b9bdaab3fc868504ff472f",
+    "ngram-prompt6/linear/fixed/prefix": "c888f8f5e7e30ce3823493e03f5a480d70770f638ccd4f19954a1ee98a318b45",
+    "ngram-prompt6/linear/fixed/dual": "f5fa3ae2b9b76f90b377152e41727f6f619ec80e4271dbf1f503bc8ecfde623e",
+    "ngram-prompt6/linear/adaptive/none": "80d7076a6061155cc7c40e081aa49ea7e8c61e0116159ad03b9077e0d82ac812",
+    "ngram-prompt6/linear/adaptive/prefix": "553f215b4402d71ae9947806a87b1bbf5ca00efad5e72dbb1d47b8ee70986b22",
+    "ngram-prompt6/linear/adaptive/dual": "652c45f78a0260e955b23a3a92d90d7ff9518636f097a4c876203b0e268abf45",
+    "ngram-prompt6/dynamic/fixed/none": "7c8a292e3bb9a7b38f53d1779f33972f9ba8b07e2338e848e145771523e8802d",
+    "ngram-prompt6/dynamic/fixed/prefix": "d5e02526553e3bb8280548fdb9f34eb718a3189961c365c7d522beb8bf655be2",
+    "ngram-prompt6/dynamic/fixed/dual": "740d0b059199f3038ba9368c22c783cb288ae629a5707b88a02c927f169ae9c7",
+    "ngram-prompt6/dynamic/adaptive/none": "3ab2ce1e919ae65c85daa8f657922ce56bf10e7294c499d8ac51629eaa79cfe6",
+    "ngram-prompt6/dynamic/adaptive/prefix": "274711686f34e0387331711ad6de04a3d433eea2a5d13e053663d4c94ce6ddcc",
+    "ngram-prompt6/dynamic/adaptive/dual": "d98987077b9b7ff53af9253f73918d6aa87e01edd8ebe0197319498411eacb0f",
+    "synthetic/vanilla/fixed/none": "a27cfe254235e7da56281eab38be0f63c27d02ef15515a7566ce3ce2fe3a7bb8",
+    "synthetic/vanilla/fixed/prefix": "3cba391fc3591d28f209ea7fa710507f1051f3b1cd3e435fcc1b8a8f2f17ac86",
+    "synthetic/vanilla/fixed/dual": "bb550be895e4845eccd469f9f86cd83ca62f5685e670a74d2a410693e07f8cca",
+    "synthetic/vanilla/adaptive/none": "928d9b5f33d48bec649d8b335c490ef489ade59a4611d037ade9eeb5649de3a9",
+    "synthetic/vanilla/adaptive/prefix": "bcca1e35023c762bbbcb2b722193751851e037176bf3736540ab8527029acb48",
+    "synthetic/vanilla/adaptive/dual": "d1d5ad765d9be5b3c52d028877b19ebf2c70e2ffbe54a8e95da1fee299802676",
+    "synthetic/linear/fixed/none": "40cd3e5b976420516bb18e9fa9221676be3281000d6b8e92bfbaaaa09725e8bb",
+    "synthetic/linear/fixed/prefix": "4860677d6f036584fe02ba7c761452abfe11bd1dd0baa10acd73eb841682a6ff",
+    "synthetic/linear/fixed/dual": "de6b0781d90560f9d72d33836e815b6563422fd0f693498d2e8adcad133180ad",
+    "synthetic/linear/adaptive/none": "30b195536213bbdb266b2de09650da7745973ad6e9be90b6863ca9aa076507e8",
+    "synthetic/linear/adaptive/prefix": "a7e927786355c666401c45fd0848bfea678a15c5fda4689b94e431d68b25eb5a",
+    "synthetic/linear/adaptive/dual": "07984dbbe5f1ec10fa7661da1b97238369a64b442acfb0428996173e225d8a89",
+    "synthetic/dynamic/fixed/none": "990db68eb67592e99ed65c3c09680cf0bcb083feec1c7bf776a879bac6411f67",
+    "synthetic/dynamic/fixed/prefix": "80d9a058f8a47974eadb91269746d69a0c2aba6a82dabdbfb0632f467db65985",
+    "synthetic/dynamic/fixed/dual": "7d205ecd92e2ad73f53d7104854cea90116f19c98661a14281180e1ba46d4e28",
+    "synthetic/dynamic/adaptive/none": "de163c509191aeaa5fc98f51e4fce0d8cec6d304e1d5e8c9e8b90dcb8ab4033d",
+    "synthetic/dynamic/adaptive/prefix": "61833abbf1b9a5dc793ca7f14a23694acfedd1d4820a2a6376d0343c077ad756",
+    "synthetic/dynamic/adaptive/dual": "9fa0ade275aeb00737115baf3b42cd492419fb35f2f848c861e8e38d0155fee2",
+    "synthetic-prompt1/vanilla/fixed/none": "4ff423336768d462e0329b11845c617fb7176413e64cec764a92f6a7ca2a8451",
+    "synthetic-prompt1/vanilla/fixed/prefix": "64eadddd44fe763a9814ec9d65edf385009e355ddc43454aadf64f5a316828bd",
+    "synthetic-prompt1/vanilla/fixed/dual": "ac4242d0695bce331714419f372ea798150583d34ced92dda1f2fd5d29ec134a",
+    "synthetic-prompt1/vanilla/adaptive/none": "8b60096073afb3432c9d0983fb1f5b8df43dea750f2c25c374bf2367c08bc91d",
+    "synthetic-prompt1/vanilla/adaptive/prefix": "e5af7966f953ad2bd62389693c99d2c3c658ace47701d970dac2f874c8d47fe2",
+    "synthetic-prompt1/vanilla/adaptive/dual": "ba91e5a535248168fbfddb021da9b89a5c5cf384575b1b964d66931370fa42a9",
+    "synthetic-prompt1/linear/fixed/none": "5316e043fa8efa40eee4f1197068c9ca629ef0a669692bc6efc0c0851524d65a",
+    "synthetic-prompt1/linear/fixed/prefix": "290e49437056c929a8c2934f12d76cd4d4214b410c73f6462430c6e0e4485fad",
+    "synthetic-prompt1/linear/fixed/dual": "90aebbb92c9c3811d18ee9a5a1c02c28649f62917f110d4db1db21bfec8554e8",
+    "synthetic-prompt1/linear/adaptive/none": "47402cda60779488963431af5f6a671adb10de8bd5f9022a121d9e60173c9d24",
+    "synthetic-prompt1/linear/adaptive/prefix": "08b00faa3906cb8318cef95db7ab4436ac5e9b34676f921b065026ace256e38d",
+    "synthetic-prompt1/linear/adaptive/dual": "7b810da76a797bd1f1315e069a9ca516d0fcee7c78535ef54e1d37362732635a",
+    "synthetic-prompt1/dynamic/fixed/none": "c5af844e4da6beb57b0ff2691c4d116dc11079707499518c2e6815269f644bc0",
+    "synthetic-prompt1/dynamic/fixed/prefix": "ca0d1e53e4cba9d8f62997eed0d4116f44986361dbdae09010e4c6a6ab1b41ee",
+    "synthetic-prompt1/dynamic/fixed/dual": "ef81aac23011dc846988bee8d5a904c6e9ea1d8970e765c1106b3f58cdad8c27",
+    "synthetic-prompt1/dynamic/adaptive/none": "ab8e869548887ccbe072a65d513f9bf2c13c64951f5a4bce0366f47eddfba28d",
+    "synthetic-prompt1/dynamic/adaptive/prefix": "40fc3fb2f39b2c410564f5c526bd93be18a5045f667f773d95a3af276f53d5ce",
+    "synthetic-prompt1/dynamic/adaptive/dual": "20036dba4085dabcb110aa72c0d668eb6abbef163acc617a5270428c422958f0",
+}
+
 
 @pytest.mark.parametrize("kind", sorted(PREDICTORS))
 @pytest.mark.parametrize("sampler, scheduler, cache", MODES)
@@ -141,12 +221,23 @@ def test_trace_bytes_match_golden(kind, sampler, scheduler, cache, tmp_path):
     assert trace_digest(kind, sampler, scheduler, cache, tmp_path) == GOLDEN[key]
 
 
+@pytest.mark.parametrize("kind", sorted(PREDICTORS))
+@pytest.mark.parametrize("sampler, scheduler, cache", MODES)
+def test_partial_budget_trace_bytes_match_golden(kind, sampler, scheduler, cache, tmp_path):
+    key = f"{kind}/{sampler}/{scheduler}/{cache}"
+    digest = trace_digest(kind, sampler, scheduler, cache, tmp_path, partial=True)
+    assert digest == GOLDEN_PARTIAL[key]
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
 
     with tempfile.TemporaryDirectory() as tmp:
-        for kind in sorted(PREDICTORS):
-            for mode in MODES:
-                key = "/".join((kind,) + mode)
-                print(f'    "{key}": "{trace_digest(kind, *mode, Path(tmp))}",')
+        for name, partial in (("GOLDEN", False), ("GOLDEN_PARTIAL", True)):
+            print(f"{name} = {{")
+            for kind in sorted(PREDICTORS):
+                for mode in MODES:
+                    key = "/".join((kind,) + mode)
+                    print(f'    "{key}": "{trace_digest(kind, *mode, Path(tmp), partial)}",')
+            print("}")

@@ -58,31 +58,27 @@ def check_invariants(result, config):
 
 class TestEvaluationScope:
     def test_none_open_is_full_region(self):
-        assert evaluation_scope("none", 4, None, "open", {5, 9}, 16) == frozenset(range(16))
+        assert evaluation_scope("none", 4, None, {5, 9}, 16) == frozenset(range(16))
 
     def test_none_in_block_is_every_masked_position(self):
-        assert evaluation_scope("none", 4, 4, "in_block", {5, 6, 9}, 16) == {5, 6, 9}
+        assert evaluation_scope("none", 4, 4, {5, 6, 9}, 16) == {5, 6, 9}
 
     def test_prefix_is_suffix_from_block_start(self):
-        assert evaluation_scope("prefix", 32, None, "open", set(), 64) == frozenset(
-            range(32, 64)
-        )
-        assert evaluation_scope("prefix", 32, 8, "in_block", {33}, 64) == frozenset(
-            range(32, 64)
-        )
+        assert evaluation_scope("prefix", 32, None, set(), 64) == frozenset(range(32, 64))
+        assert evaluation_scope("prefix", 32, 8, {33}, 64) == frozenset(range(32, 64))
 
     def test_dual_freezes_out_of_block(self):
-        scope = evaluation_scope("dual", 4, 4, "in_block", {5, 6, 9}, 16)
+        scope = evaluation_scope("dual", 4, 4, {5, 6, 9}, 16)
         assert scope == {5, 6}
 
     def test_dual_open_is_full_region(self):
-        assert evaluation_scope("dual", 4, None, "open", {5}, 16) == frozenset(range(16))
+        assert evaluation_scope("dual", 4, None, {5}, 16) == frozenset(range(16))
 
-    def test_unknown_policy_or_phase(self):
-        with pytest.raises(ValueError):
-            evaluation_scope("block", 0, 1, "open", set(), 4)
-        with pytest.raises(ValueError):
-            evaluation_scope("none", 0, 1, "between", set(), 4)
+    def test_unknown_policy(self):
+        with pytest.raises(ValueError, match="unknown cache policy"):
+            evaluation_scope("block", 0, None, set(), 4)
+        with pytest.raises(ValueError, match="unknown cache policy"):
+            evaluation_scope("block", 0, 1, set(), 4)
 
 
 class TestDecodeLoop:
@@ -126,7 +122,10 @@ class TestDecodeLoop:
         b = decode(synthetic(), cfg, (0, 1))
         assert a == b
 
-    def test_predictor_failure_carries_step_context(self):
+    # vanilla commits one token per step, so with b0=4 call 2 is inside the
+    # first block and call 4 opens the second
+    @pytest.mark.parametrize("failing_call", [2, 4])
+    def test_predictor_failure_carries_step_context(self, failing_call):
         class Exploding(MaskPredictor):
             def __init__(self, inner):
                 self.inner = inner
@@ -138,12 +137,12 @@ class TestDecodeLoop:
 
             def predict(self, state, positions):
                 self.calls += 1
-                if self.calls > 2:
+                if self.calls > failing_call:
                     raise RuntimeError("backend gone")
                 return self.inner.predict(state, positions)
 
         cfg = DecodeConfig(gen_budget=8, max_steps=8, b0=4, sampler="vanilla")
-        with pytest.raises(DecodeError, match="denoise call 2"):
+        with pytest.raises(DecodeError, match=f"denoise call {failing_call}:"):
             decode(Exploding(synthetic()), cfg, (0,))
 
     def test_all_policy_sampler_scheduler_combinations(self):

@@ -32,6 +32,9 @@ delimiter_tokens = \\n
 """
 
 
+SYNTHETIC_OPTIONS = "kind = synthetic\ndelimiter_period = 4\nvb_high = 0.92"
+
+
 def write_spec(tmp_path, text=SPEC_TEMPLATE):
     path = tmp_path / "exp.spec"
     path.write_text(text)
@@ -63,13 +66,14 @@ class TestSpecParsing:
 
     def test_unknown_cell_key_rejected(self, tmp_path):
         text = SPEC_TEMPLATE + "block = 9\n"
-        with pytest.raises(ValueError, match="unknown key"):
+        with pytest.raises(ValueError, match=r"\[cell sweep\] block: unknown key"):
             experiment.load_spec(write_spec(tmp_path, text))
 
 
     @pytest.mark.parametrize(
         "key, match",
-        [("seed", r"'seed'.*\[experiment\] seed"), ("delimiters", "delimiter_tokens")],
+        [("seed", r"\[cell sweep\] seed: reserved key; .*\[experiment\] seed"),
+         ("delimiters", r"\[cell sweep\] delimiters: reserved key; .*delimiter_tokens")],
         ids=["seed", "delimiters"],
     )
     def test_reserved_cell_key_rejected(self, key, match, tmp_path):
@@ -89,9 +93,20 @@ class TestSpecParsing:
              r"\[predictor\] vb_width_mean: invalid literal for int"),
             ("prompt = literal:0 1", "prompt = corpus:x",
              r"\[experiment\] prompt: invalid literal for int"),
+            (SYNTHETIC_OPTIONS, "kind = ngram\norder = 3",
+             r"\[predictor\] corpus: required for kind = ngram"),
+            (SYNTHETIC_OPTIONS, "kind = trace", r"\[predictor\] path: required for kind = trace"),
+            (SYNTHETIC_OPTIONS, "kind = ngram\ncorpus = corpus.txt\nchar_mode = yes",
+             r"\[predictor\] char_mode: expected true or false, got 'yes'"),
+            ("[experiment]", "[DEFAULT]\nb0 = 4\n\n[experiment]", r"unknown section \[DEFAULT\]"),
+            ("b0 = 4,8", "b0 = 4,x", r"\[cell sweep\] b0: invalid literal for int"),
+            ("b0 = 4,8", "b0 = 0", r"\[cell sweep\] b0 must be >= 1"),
+            ("delimiter_tokens = \\n", "delimiter_tokens = \\n nope",
+             r"\[cell sweep\] delimiter_tokens: unknown token 'nope'"),
         ],
         ids=["experiment-key", "predictor-key", "other-kind-key", "section", "seed",
-             "predictor-value", "prompt"],
+             "predictor-value", "prompt", "ngram-corpus", "trace-path", "char-mode",
+             "default-section", "cell-value", "cell-config", "cell-delimiter"],
     )
     def test_malformed_spec_names_section_and_key(self, old, new, message, tmp_path):
         assert old in SPEC_TEMPLATE
@@ -229,6 +244,23 @@ class TestAnalyze:
     def test_empty_directory_errors(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             experiment.analyze(tmp_path)
+
+    def test_rates_match_aggregate_at_recorded_tau(self, tmp_path):
+        # events are detected at the tau each trace recorded, as in the run; a
+        # frontier ahead of the commits puts outside positions between 0.5 and 0.9
+        text = SPEC_TEMPLATE.replace("vb_high = 0.92", "vb_high = 0.92\nplateau_rate = 1.5")
+        text += "tau = 0.5\n"
+        out = tmp_path / "out"
+        outcomes, csv_path = experiment.run(experiment.load_spec(write_spec(tmp_path, text), out))
+        rates = ("late_overhead_rate", "premature_rate")
+        expected = {}
+        for oc, row in zip(outcomes, csv.DictReader(csv_path.open()), strict=True):
+            assert row["cell"] == oc.cell.cell_id
+            trace = f"{oc.cell.cell_id}/rep{oc.repetition:03d}.trace.jsonl"
+            expected[trace] = [row[r] for r in rates]
+        analyzed = {row["trace"]: [row[r] for r in rates]
+                    for row in csv.DictReader(experiment.analyze(out).open())}
+        assert analyzed == expected
 
     def test_malformed_trace_skipped(self, tmp_path):
         spec = experiment.load_spec(write_spec(tmp_path), tmp_path / "out")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import sys
@@ -14,6 +15,23 @@ from .decoder import decode, result_summary, write_summary
 from .predictors import load_trace_predictor
 
 
+def _cell_line(outcomes: list[experiment.RunOutcome]) -> str:
+    """One cell's runs pooled: means per ok run, failure rates as events over steps."""
+    ok = [oc for oc in outcomes if oc.error is None]
+    line = f"{outcomes[0].cell.cell_id} ok={len(ok)}/{len(outcomes)}"
+    if not ok:
+        return line
+    steps = sum(oc.report.total_steps for oc in ok)
+    late = sum(oc.report.late_overhead_steps for oc in ok)
+    premature = sum(oc.report.premature_steps for oc in ok)
+    return (
+        f"{line} steps={sum(oc.result.steps_used for oc in ok) / len(ok):.1f}"
+        f" nfe={sum(oc.result.denoise_calls for oc in ok) / len(ok):.1f}"
+        f" position_evals={sum(oc.result.position_evaluations for oc in ok) / len(ok):.1f}"
+        f" late={late / steps:.4f} premature={premature / steps:.4f}"
+    )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = experiment.load_spec(args.spec, Path(args.out) if args.out else None)
     if args.seed is not None:
@@ -21,6 +39,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     outcomes, csv_path = experiment.run(spec, jobs=args.jobs)
     failed = [oc for oc in outcomes if oc.error is not None]
     print(f"{len(outcomes) - len(failed)}/{len(outcomes)} runs ok -> {csv_path}")
+    # outcomes come ordered by cell, then repetition
+    for _, cell_outcomes in itertools.groupby(outcomes, key=lambda oc: oc.cell):
+        print(_cell_line(list(cell_outcomes)))
     for oc in failed:
         print(f"FAILED {oc.cell.cell_id} rep {oc.repetition}: {oc.error}", file=sys.stderr)
     return 1 if failed else 0

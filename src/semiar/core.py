@@ -137,6 +137,17 @@ class PredictionFrame:
         return PredictionFrame(tuple(pred), tuple(conf))
 
 
+def prompt_error(prompt: Sequence[int], vocab_size: int, mask_id: int) -> str | None:
+    """Why ``prompt`` cannot start a decode, or None: names the first id
+    outside ``[0, vocab_size)`` or equal to the mask, with its index."""
+    for index, token in enumerate(prompt):
+        if not 0 <= token < vocab_size:
+            return f"prompt id {token} at index {index} outside the vocabulary [0, {vocab_size})"
+        if token == mask_id:
+            return f"prompt id {token} at index {index} is the mask id"
+    return None
+
+
 def init_state(
     prompt: Sequence[int], gen_budget: int, max_steps: int, mask_id: int
 ) -> SequenceState:
@@ -254,6 +265,8 @@ class DecodeConfig:
 
 # The one DecodeConfig codec: field types drive the text and the JSON forms.
 _FIELD_TYPES = get_type_hints(DecodeConfig)
+#: The DecodeConfig fields without a default, which every config text must set.
+REQUIRED_CONFIG_KEYS = ("gen_budget", "max_steps")
 
 
 def _parse(tp: Any, raw: str) -> Any:
@@ -306,7 +319,7 @@ def config_from_text(text: str) -> DecodeConfig:
             values[key] = parse_config_value(key, raw)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    missing = {"gen_budget", "max_steps"} - values.keys()
+    missing = set(REQUIRED_CONFIG_KEYS) - values.keys()
     if missing:
         raise ValueError(f"missing required config keys: {sorted(missing)}")
     return DecodeConfig(**values)

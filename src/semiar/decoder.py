@@ -36,6 +36,7 @@ from .core import (
     Vocabulary,
     apply_sample,
     init_state,
+    prompt_error,
 )
 from .predictors import MaskPredictor
 from .sampling import sample_step
@@ -113,6 +114,8 @@ def decode(
     """
     vocab = predictor.vocabulary
     config.validate_against(vocab)
+    if why := prompt_error(prompt, vocab.size, vocab.mask_id):
+        raise ValueError(why)
     state = init_state(prompt, config.gen_budget, config.max_steps, vocab.mask_id)
     L = config.gen_budget
 

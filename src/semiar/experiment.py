@@ -45,7 +45,13 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, get_type_hints
 
 from . import metrics, tracefile
-from .core import DecodeConfig, Vocabulary, parse_config_value
+from .core import (
+    REQUIRED_CONFIG_KEYS,
+    DecodeConfig,
+    Vocabulary,
+    parse_config_value,
+    prompt_error,
+)
 from .decoder import DecodeResult, decode, write_summary
 from .predictors import (
     MaskPredictor,
@@ -156,6 +162,9 @@ def _parse_cell_section(
             fixed[key] = values[0]
         else:
             swept[key] = values
+    for key in REQUIRED_CONFIG_KEYS:
+        if key not in fixed and key not in swept:
+            raise ValueError(f"{where} {key}: required")
 
     combos: list[tuple[str, DecodeConfig]] = []
     swept_keys = sorted(swept)
@@ -226,9 +235,15 @@ def build_predictor(spec: PredictorSpec, seed: int) -> MaskPredictor:
 def _prompt_spec(raw: str) -> PromptSpec:
     kind, _, arg = raw.partition(":")
     if kind == "literal":
-        return PromptSpec("literal", tokens=tuple(int(t) for t in arg.split()))
+        tokens = tuple(int(t) for t in arg.split())
+        if not tokens:
+            raise ValueError("literal prompt must list at least one token id")
+        return PromptSpec("literal", tokens=tokens)
     if kind == "corpus":
-        return PromptSpec("corpus", length=int(arg or "4"))
+        length = int(arg or "4")
+        if length < 1:
+            raise ValueError(f"corpus prompt length {length} is below 1")
+        return PromptSpec("corpus", length=length)
     raise ValueError(f"unknown prompt source {raw!r}")
 
 
@@ -239,7 +254,7 @@ _EXPERIMENT_KEYS = {"seed": int, "repetitions": int, "out": Path, "prompt": _pro
 def parse_spec(text: str, out_dir: Path | None = None) -> ExperimentSpec:
     # no section header can name a newline, so [DEFAULT] reads as an ordinary
     # section and is rejected like any other unknown one
-    parser = configparser.ConfigParser(default_section="\n")
+    parser = configparser.ConfigParser(default_section="\n", interpolation=None)
     parser.optionxform = str.lower  # type: ignore[assignment]
     parser.read_string(text)
 
@@ -255,15 +270,24 @@ def parse_spec(text: str, out_dir: Path | None = None) -> ExperimentSpec:
     pred_section = dict(parser["predictor"])
     pred_kind = pred_section.pop("kind", None)
     if pred_kind not in _PREDICTOR_KEYS:
-        raise ValueError(f"predictor kind must be synthetic, ngram or trace; got {pred_kind!r}")
+        raise ValueError(f"[predictor] kind: expected synthetic, ngram or trace; "
+                         f"got {pred_kind!r}")
     options = _section_values("predictor", pred_section, _PREDICTOR_KEYS[pred_kind])
     required = _REQUIRED_PREDICTOR_KEY.get(pred_kind)
     if required is not None and required not in options:
         raise ValueError(f"[predictor] {required}: required for kind = {pred_kind}")
     predictor = PredictorSpec(pred_kind, options)
 
-    # cells are validated against a probe predictor so bad specs fail up front
+    # the prompt and cells are validated against a probe predictor so bad
+    # specs fail up front, not in every run
     probe = build_predictor(predictor, seed)
+    try:
+        why = prompt_error(resolve_prompt(prompt, probe, seed),
+                           probe.vocabulary.size, probe.vocabulary.mask_id)
+    except ValueError as exc:
+        why = str(exc)
+    if why:
+        raise ValueError(f"[experiment] prompt: {why}")
     cells: list[Cell] = []
     section_index = 0
     for section_name in parser.sections():
@@ -302,7 +326,8 @@ def _corpus_prompt(
     model = getattr(predictor, "model", None)
     seq = getattr(model, "corpus_ids", ()) if model is not None else ()
     if len(seq) < length:
-        raise ValueError("corpus too short to sample a prompt window from")
+        raise ValueError(f"corpus:{length} needs a predictor corpus of at least "
+                         f"{length} tokens; this one has {len(seq)}")
     start = int(unit_draw(run_seed, "prompt") * (len(seq) - length + 1))
     return tuple(seq[start : start + length])
 
@@ -311,8 +336,6 @@ def resolve_prompt(
     spec: PromptSpec, predictor: MaskPredictor, run_seed: int
 ) -> tuple[int, ...]:
     if spec.kind == "literal":
-        if not spec.tokens:
-            raise ValueError("literal prompt must list at least one token id")
         return spec.tokens
     return _corpus_prompt(predictor, spec.length, run_seed)
 

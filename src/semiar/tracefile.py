@@ -18,7 +18,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .core import DecodeConfig, DecodeTrace, PredictionFrame, StepRecord, Vocabulary
+from .core import (
+    DecodeConfig,
+    DecodeTrace,
+    PredictionFrame,
+    StepRecord,
+    Vocabulary,
+    prompt_error,
+)
 from .core import config_from_dict, config_to_dict  # the header's config codec
 
 
@@ -73,11 +80,13 @@ def _header_error(header: dict) -> str | None:
     if header["gen_budget"] < 1:
         return f"gen_budget {header['gen_budget']} is below 1"
     prompt = header.get("prompt")
-    if prompt is not None and (
-        not isinstance(prompt, list) or any(type(t) is not int for t in prompt)
-    ):
+    if prompt is None:
+        return None
+    if not isinstance(prompt, list) or any(type(t) is not int for t in prompt):
         return "prompt must be a JSON array of integers"
-    return None
+    if len(prompt) != header["prompt_len"]:
+        return f"prompt holds {len(prompt)} ids but prompt_len is {header['prompt_len']}"
+    return prompt_error(prompt, len(vocab), header["mask_id"])
 
 
 def _invalid(values: list, lo: float, hi: float, types: frozenset[type]) -> list:

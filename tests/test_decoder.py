@@ -116,6 +116,17 @@ class TestDecodeLoop:
         assert result.remaining_masks == 13
         assert result.steps_used == 3
 
+    @pytest.mark.parametrize(
+        "prompt, match",
+        [((0, 99), r"prompt id 99 at index 1 outside the vocabulary \[0, 11\)"),
+         ((-1,), r"prompt id -1 at index 0 outside the vocabulary \[0, 11\)")],
+        ids=["beyond-vocab", "negative"],
+    )
+    def test_out_of_vocabulary_prompt_rejected(self, prompt, match):
+        cfg = DecodeConfig(gen_budget=4, max_steps=4)
+        with pytest.raises(ValueError, match=match):
+            decode(synthetic(), cfg, prompt)
+
     def test_determinism(self):
         cfg = DecodeConfig(gen_budget=16, max_steps=16, b0=4, cache="dual")
         a = decode(synthetic(), cfg, (0, 1))

@@ -35,6 +35,21 @@ delimiter_tokens = \\n
 SYNTHETIC_OPTIONS = "kind = synthetic\ndelimiter_period = 4\nvb_high = 0.92"
 
 
+def plateau_spec(rate):
+    """The template with the frontier at ``rate`` times the commits and tau = 0.5.
+
+    The template's failure rates read 0.0 on every run.  A frontier ahead of
+    the commits (1.5) puts outside positions above tau, so late overhead shows;
+    one behind them (0.5) leaves in-block positions below it, so premature
+    commits show.
+    """
+    return (SPEC_TEMPLATE.replace("vb_high = 0.92", f"vb_high = 0.92\nplateau_rate = {rate}")
+            + "tau = 0.5\n")
+
+
+PLATEAU_SPEC = plateau_spec(1.5)
+
+
 def write_spec(tmp_path, text=SPEC_TEMPLATE):
     path = tmp_path / "exp.spec"
     path.write_text(text)
@@ -103,15 +118,43 @@ class TestSpecParsing:
             ("b0 = 4,8", "b0 = 0", r"\[cell sweep\] b0 must be >= 1"),
             ("delimiter_tokens = \\n", "delimiter_tokens = \\n nope",
              r"\[cell sweep\] delimiter_tokens: unknown token 'nope'"),
+            ("gen_budget = 24\n", "", r"\[cell sweep\] gen_budget: required"),
+            ("repetitions = 2", "repetitions = 1%",
+             r"\[experiment\] repetitions: invalid literal for int"),
+            ("kind = synthetic", "kind = neural",
+             r"\[predictor\] kind: expected synthetic, ngram or trace; got 'neural'"),
+            ("kind = synthetic\n", "", r"\[predictor\] kind: .*got None"),
+            ("prompt = literal:0 1", "prompt = literal:",
+             r"\[experiment\] prompt: literal prompt must list at least one token id"),
+            ("prompt = literal:0 1", "prompt = literal:0 11",
+             r"\[experiment\] prompt: prompt id 11 at index 1 outside the vocabulary"),
+            ("prompt = literal:0 1", "prompt = literal:9",
+             r"\[experiment\] prompt: prompt id 9 at index 0 is the mask id"),
+            ("prompt = literal:0 1", "prompt = corpus:4",
+             r"\[experiment\] prompt: corpus:4 needs a predictor corpus of at least 4 "
+             r"tokens; this one has 0"),
         ],
         ids=["experiment-key", "predictor-key", "other-kind-key", "section", "seed",
              "predictor-value", "prompt", "ngram-corpus", "trace-path", "char-mode",
-             "default-section", "cell-value", "cell-config", "cell-delimiter"],
+             "default-section", "cell-value", "cell-config", "cell-delimiter",
+             "cell-budget-missing", "percent-value", "predictor-kind-unknown",
+             "predictor-kind-missing", "prompt-empty", "prompt-beyond-vocab",
+             "prompt-holds-mask", "prompt-without-corpus"],
     )
     def test_malformed_spec_names_section_and_key(self, old, new, message, tmp_path):
         assert old in SPEC_TEMPLATE
         text = SPEC_TEMPLATE.replace(old, new)
         with pytest.raises(ValueError, match=message):
+            experiment.load_spec(write_spec(tmp_path, text))
+
+    def test_corpus_prompt_longer_than_corpus_rejected(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b c\n")
+        text = (SPEC_TEMPLATE.replace("prompt = literal:0 1", "prompt = corpus:4")
+                .replace(SYNTHETIC_OPTIONS, f"kind = ngram\ncorpus = {corpus}\norder = 2")
+                .replace("delimiter_tokens = \\n\n", ""))
+        with pytest.raises(ValueError, match=r"\[experiment\] prompt: corpus:4 needs a "
+                           r"predictor corpus of at least 4 tokens; this one has 3"):
             experiment.load_spec(write_spec(tmp_path, text))
 
     def test_cell_values_parse_through_config_codec(self, tmp_path):
@@ -146,11 +189,17 @@ class TestRun:
         _, csv_path = experiment.run(spec)
         assert csv_path.read_bytes() == first
 
-    def test_jobs_do_not_change_results(self, tmp_path):
+    @pytest.mark.parametrize(
+        "rate, nonzero",
+        [(1.5, "late_overhead_rate"), (0.5, "premature_rate")],
+        ids=["frontier-ahead", "frontier-behind"],
+    )
+    def test_jobs_do_not_change_results(self, rate, nonzero, tmp_path):
         trees = []
+        spec_path = write_spec(tmp_path, plateau_spec(rate))
         for jobs in (1, 2):
             out = tmp_path / f"jobs{jobs}"
-            experiment.run(experiment.load_spec(write_spec(tmp_path), out), jobs=jobs)
+            experiment.run(experiment.load_spec(spec_path, out), jobs=jobs)
             experiment.analyze(out)
             trees.append({path.relative_to(out).as_posix(): path.read_bytes()
                           for path in sorted(out.rglob("*")) if path.is_file()})
@@ -160,6 +209,9 @@ class TestRun:
         assert sorted(trees[1]) == names
         for name in names:
             assert trees[0][name] == trees[1][name], name
+        # the event detector must see something for the comparison to cover it
+        rows = list(csv.DictReader(trees[0]["aggregate.csv"].decode().splitlines()))
+        assert any(float(row[nonzero]) > 0 for row in rows)
 
     def test_disabled_delimiters_match_fixed_rows(self, tmp_path):
         text = SPEC_TEMPLATE.replace("delimiter_tokens = \\n\n", "")
@@ -246,12 +298,10 @@ class TestAnalyze:
             experiment.analyze(tmp_path)
 
     def test_rates_match_aggregate_at_recorded_tau(self, tmp_path):
-        # events are detected at the tau each trace recorded, as in the run; a
-        # frontier ahead of the commits puts outside positions between 0.5 and 0.9
-        text = SPEC_TEMPLATE.replace("vb_high = 0.92", "vb_high = 0.92\nplateau_rate = 1.5")
-        text += "tau = 0.5\n"
+        # events are detected at the tau each trace recorded, as in the run
         out = tmp_path / "out"
-        outcomes, csv_path = experiment.run(experiment.load_spec(write_spec(tmp_path, text), out))
+        outcomes, csv_path = experiment.run(
+            experiment.load_spec(write_spec(tmp_path, PLATEAU_SPEC), out))
         rates = ("late_overhead_rate", "premature_rate")
         expected = {}
         for oc, row in zip(outcomes, csv.DictReader(csv_path.open()), strict=True):
@@ -288,6 +338,35 @@ class TestCli:
         assert replayed
         # deterministic replay reproduces the recorded trace byte for byte
         assert replayed[0].read_bytes() == trace.read_bytes()
+
+    def test_run_prints_pooled_line_per_cell(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        spec_path = write_spec(tmp_path, PLATEAU_SPEC)
+        assert cli.main(["run", "--spec", str(spec_path), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == f"8/8 runs ok -> {out / 'aggregate.csv'}"
+
+        rows = list(csv.DictReader((out / "aggregate.csv").open()))
+        expected = []
+        for cell in dict.fromkeys(row["cell"] for row in rows):
+            runs = [row for row in rows if row["cell"] == cell]
+            steps = [int(row["steps"]) for row in runs]
+
+            def mean(col):
+                return sum(int(row[col]) for row in runs) / len(runs)
+
+            def pooled(col):
+                events = sum(round(float(row[col]) * n) for row, n in zip(runs, steps))
+                return events / sum(steps)
+
+            expected.append(
+                f"{cell} ok={len(runs)}/2 steps={mean('steps'):.1f} nfe={mean('nfe'):.1f}"
+                f" position_evals={mean('position_evals'):.1f}"
+                f" late={pooled('late_overhead_rate'):.4f}"
+                f" premature={pooled('premature_rate'):.4f}"
+            )
+        assert printed[1:] == expected
+        assert any(not line.endswith("late=0.0000 premature=0.0000") for line in expected)
 
     def test_malformed_spec_prints_one_error_line(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, SPEC_TEMPLATE.replace("seed = 11", "seed = x"))

@@ -122,6 +122,12 @@ class TestValidation:
                          id="prompt-number"),
             pytest.param(_header(prompt=[0, "a"]), "prompt must be a JSON array of integers",
                          id="prompt-holds-string"),
+            pytest.param(_header(prompt=[0, 0]), "prompt holds 2 ids but prompt_len is 1",
+                         id="prompt-length-mismatch"),
+            pytest.param(_header(prompt=[3]), r"prompt id 3 at index 0 outside the vocabulary",
+                         id="prompt-beyond-vocab"),
+            pytest.param(_header(prompt=[1]), "prompt id 1 at index 0 is the mask id",
+                         id="prompt-holds-mask"),
         ],
     )
     def test_malformed_header_names_line_1(self, header, match, tmp_path):

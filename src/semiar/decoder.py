@@ -19,6 +19,17 @@ Cache policies are modelled as evaluation scopes over prediction frames:
 
 The policies change which predictions are fresh and what evaluation work is
 charged, never which tokens may be sampled.
+
+What is charged is not always what is computed.  A predictor that declares a
+finite :attr:`~semiar.predictors.MaskPredictor.reach` predicts each position
+from the tokens within that distance alone, so a commit at ``c`` can change
+only the predictions at ``c - reach .. c + reach``.  Within the charged scope
+the loop recomputes just the positions a commit has touched since they were
+last computed and carries the rest from the prior frame, where they already
+hold the very value a recomputation would give.  A value that ``prefix`` or
+``dual`` left stale outside the scope stays marked stale until it is computed
+again: being in the frame is not enough to be reused.  Frames, traces and the
+charged ``evaluated`` sets are the same as if every scope were recomputed.
 """
 
 from __future__ import annotations
@@ -124,12 +135,22 @@ def decode(
     blocks: list[BlockDecision] = []
     g = 0
     B: int | None = None  # size of the open block; None until a step opens one
+    reach = predictor.reach
+    # stale[p]: a commit within reach of p since p was last computed, so its
+    # frame value may differ from what the predictor would say now
+    stale = [True] * L
 
     while g < L and state.step >= 1:
         masked = state.gen_masked()
         evaluated = sorted(evaluation_scope(config.cache, g, B, masked, L))
+        if reach is None:
+            computed = evaluated
+        else:
+            computed = [p for p in evaluated if stale[p]]
+            for p in computed:
+                stale[p] = False
         try:
-            frame = predictor.denoise(state, evaluated, prior=frame)
+            frame = predictor.denoise(state, computed, prior=frame)
         except Exception as exc:
             raise DecodeError(
                 f"predictor failed at denoise call {len(records)}: {exc}"
@@ -158,6 +179,10 @@ def decode(
             )
         )
         state = apply_sample(state, frame, sampled)
+        if reach is not None:
+            for c in sampled:
+                lo, hi = max(0, c - reach), min(L, c + reach + 1)
+                stale[lo:hi] = [True] * (hi - lo)
         if state.gen_masked().isdisjoint(block):
             g, B = g + B, None
 

@@ -289,6 +289,7 @@ def parse_spec(text: str, out_dir: Path | None = None) -> ExperimentSpec:
     if why:
         raise ValueError(f"[experiment] prompt: {why}")
     cells: list[Cell] = []
+    section_of: dict[str, str] = {}  # cell id -> the section that yields it
     section_index = 0
     for section_name in parser.sections():
         if section_name in ("experiment", "predictor"):
@@ -297,9 +298,18 @@ def parse_spec(text: str, out_dir: Path | None = None) -> ExperimentSpec:
             raise ValueError(f"unknown section [{section_name}]; "
                              "expected [experiment], [predictor] or [cell NAME]")
         name = section_name[4:].strip() or "cell"
+        # a cell's runs write under out_dir / cell_id
+        if name in (".", "..") or "/" in name or "\\" in name:
+            raise ValueError(f"[{section_name}]: cell name {name!r} must be one "
+                             "path component, not '.', '..' or one holding / or \\")
         for cell_id, config in _parse_cell_section(
             name, parser[section_name], probe.vocabulary
         ):
+            if cell_id in section_of:
+                raise ValueError(f"[{section_name}]: cell id {cell_id!r} is already "
+                                 f"taken by [{section_of[cell_id]}]; their runs "
+                                 "would share files")
+            section_of[cell_id] = section_name
             cells.append(Cell(cell_id, config, section_index))
         section_index += 1
     if not cells:

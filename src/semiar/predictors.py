@@ -41,6 +41,14 @@ class PredictorError(RuntimeError):
 class MaskPredictor:
     """Interface: ``denoise(state, eval_positions)`` producing merged frames."""
 
+    #: How far a commit reaches: a predictor with an int ``reach`` predicts
+    #: each generation position from the tokens at most ``reach`` slots away
+    #: (its own included) and from nothing else that a decode changes, so a
+    #: commit at ``c`` can change only the predictions at ``c - reach .. c +
+    #: reach`` and the decoder reuses every other one.  ``None`` means any
+    #: commit may change any prediction, and every evaluation is computed.
+    reach: int | None = None
+
     @property
     def vocabulary(self) -> Vocabulary:
         raise NotImplementedError
@@ -135,7 +143,8 @@ class SyntheticPredictor(MaskPredictor):
     Plateau confidences and whole floor predictions (token and confidence)
     depend only on (noise seed, position), so each is computed once per
     instance and memoised; band draws stay keyed by (position, frontier) and
-    are drawn afresh.
+    are drawn afresh.  Its :attr:`reach` is global: the frontier counts every
+    commit, so a commit anywhere may move any position's regime.
     """
 
     def __init__(self, params: SyntheticFieldParams):
@@ -384,7 +393,9 @@ class NGramPredictor(MaskPredictor):
     right of a position; masked slots in those windows are skipped, so a
     position with no committed neighbour within reach degrades to the blended
     unigram (or uniform) distribution.  That gradient is what produces
-    confidence locality around committed text.
+    confidence locality around committed text.  Those slots and the
+    position's own token are all a prediction reads, so :attr:`reach` is
+    ``n-1``.
     """
 
     def __init__(self, model: NGramModel):
@@ -393,6 +404,10 @@ class NGramPredictor(MaskPredictor):
     @property
     def vocabulary(self) -> Vocabulary:
         return self.model.vocab
+
+    @property
+    def reach(self) -> int:  # type: ignore[override]
+        return self.model.order - 1
 
     def predict(
         self, state: SequenceState, positions: Sequence[int]
@@ -470,7 +485,9 @@ class TraceReplayPredictor(MaskPredictor):
     Each denoise call is served from the accumulated snapshot of the record
     at the cursor, matching the carry-forward semantics of live frames.
     Each instance owns a cursor, so concurrent sessions need separate
-    instances (see :meth:`fork`).
+    instances (see :meth:`fork`).  Its :attr:`reach` is global, so every
+    denoise call asks it for the whole scope and its cursor moves once per
+    step.
     """
 
     def __init__(self, data: "tracefile.TraceFileData"):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,10 +14,12 @@ from semiar.core import CACHES, SAMPLERS, SCHEDULERS, DecodeConfig, apply_sample
 from semiar.decoder import DecodeError, decode, evaluation_scope, result_summary
 from semiar.predictors import (
     MaskPredictor,
+    NGramPredictor,
     SyntheticFieldParams,
     build_ngram,
     build_synthetic,
 )
+from semiar.tracefile import write_trace
 
 CORPUS = " . ".join(["a b c d e", "f g h i j", "k l m n o"] * 6)
 
@@ -301,3 +305,70 @@ class TestCarriedMaskedSet:
             result = decode(pred, config, tuple(prompt))
         assert len(steps) == result.steps_used
         assert result.remaining_masks == len(_scan(steps[-1]))
+
+
+class _AlwaysRecompute(NGramPredictor):
+    """The same n-gram model, declared global: every charged evaluation computes."""
+
+    reach = None
+
+
+class TestExactReuse:
+    """Reusing predictions outside a commit's reach must equal recomputing them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        corpus=st.lists(st.sampled_from("abcde"), min_size=1, max_size=40),
+        order=st.integers(1, 5),
+        sampler=st.sampled_from(SAMPLERS),
+        scheduler=st.sampled_from(SCHEDULERS),
+        cache=st.sampled_from(CACHES),
+        L=st.integers(1, 24),
+        b0=st.integers(1, 10),
+        tau=st.floats(0.05, 1.0),
+        slack=st.integers(0, 12),
+        prompt_len=st.integers(1, 7),
+        data=st.data(),
+    )
+    def test_reuse_equals_recompute(
+        self, corpus, order, sampler, scheduler, cache, L, b0, tau, slack, prompt_len, data
+    ):
+        pred = build_ngram(" ".join(corpus), order=order, smoothing_k=0.01)
+        full = _AlwaysRecompute(pred.model)
+        assert full.reach is None
+        vocab = pred.vocabulary
+        words = [t for t in range(vocab.size) if t != vocab.mask_id]
+        prompt = tuple(data.draw(st.lists(st.sampled_from(words), min_size=prompt_len,
+                                          max_size=prompt_len)))
+        delims = frozenset(data.draw(st.sets(st.sampled_from(words), max_size=2)))
+        config = DecodeConfig(gen_budget=L, max_steps=max(1, L - slack), b0=b0, tau=tau,
+                              sampler=sampler, scheduler=scheduler, cache=cache,
+                              delimiters=delims, linear_steps=max(1, L // 3))
+        reused, recomputed = decode(pred, config, prompt), decode(full, config, prompt)
+        for a, b in zip(reused.trace.steps, recomputed.trace.steps):
+            assert a == b
+        assert reused == recomputed
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / name for name in ("reused.jsonl", "recomputed.jsonl")]
+            for path, result in zip(paths, (reused, recomputed)):
+                write_trace(path, result.trace, vocab, prompt=prompt, config=config)
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_reuse_skips_untouched_positions(self):
+        # one step's commits can touch at most (2 * reach + 1) positions each,
+        # so a long region computes far fewer values than it charges
+        pred = build_ngram(CORPUS, order=2, smoothing_k=0.01)
+        calls = []
+        original = NGramPredictor.predict
+
+        def counting_predict(self, state, positions):
+            calls.append(len(positions))
+            return original(self, state, positions)
+
+        cfg = DecodeConfig(gen_budget=40, max_steps=40, b0=40, sampler="vanilla")
+        with mock.patch.object(NGramPredictor, "predict", counting_predict):
+            result = decode(pred, cfg, tuple(pred.model.corpus_ids[:2]))
+        assert len(calls) == result.steps_used
+        assert calls[0] == 40
+        assert all(n <= 3 for n in calls[1:])
+        assert sum(calls) < result.position_evaluations / 4

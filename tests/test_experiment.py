@@ -33,6 +33,8 @@ delimiter_tokens = \\n
 
 
 SYNTHETIC_OPTIONS = "kind = synthetic\ndelimiter_period = 4\nvb_high = 0.92"
+# the keys of a cell section that yields one cell, named after its section
+TINY_CELL = "gen_budget = 4\nmax_steps = 4\n"
 
 
 def plateau_spec(rate):
@@ -133,13 +135,32 @@ class TestSpecParsing:
             ("prompt = literal:0 1", "prompt = corpus:4",
              r"\[experiment\] prompt: corpus:4 needs a predictor corpus of at least 4 "
              r"tokens; this one has 0"),
+            ("[cell sweep]", f"[cell a]\n{TINY_CELL}\n[cella]\n{TINY_CELL}\n[cell sweep]",
+             r"\[cella\]: cell id 'a' is already taken by \[cell a\]"),
+            ("[cell sweep]", f"[cell]\n{TINY_CELL}\n[cell cell]\n{TINY_CELL}\n[cell sweep]",
+             r"\[cell cell\]: cell id 'cell' is already taken by \[cell\]"),
+            ("[cell sweep]", f"[cell sweep.b0=4-scheduler=fixed]\n{TINY_CELL}\n[cell sweep]",
+             r"\[cell sweep\]: cell id 'sweep.b0=4-scheduler=fixed' is already taken "
+             r"by \[cell sweep.b0=4-scheduler=fixed\]"),
+            ("b0 = 4,8", "b0 = 4,4",
+             r"\[cell sweep\]: cell id 'sweep.b0=4-scheduler=fixed' is already taken "
+             r"by \[cell sweep\]"),
+            ("[cell sweep]", "[cell ../escape]",
+             r"\[cell \.\./escape\]: cell name '\.\./escape' must be one path component"),
+            ("[cell sweep]", "[cell a/b]", r"\[cell a/b\]: cell name 'a/b' must be one"),
+            ("[cell sweep]", "[cell a\\b]", r"\[cell a\\b\]: cell name 'a\\\\b' must be one"),
+            ("[cell sweep]", "[cell ..]", r"\[cell \.\.\]: cell name '\.\.' must be one"),
+            ("[cell sweep]", "[cell.]", r"\[cell\.\]: cell name '\.' must be one"),
         ],
         ids=["experiment-key", "predictor-key", "other-kind-key", "section", "seed",
              "predictor-value", "prompt", "ngram-corpus", "trace-path", "char-mode",
              "default-section", "cell-value", "cell-config", "cell-delimiter",
              "cell-budget-missing", "percent-value", "predictor-kind-unknown",
              "predictor-kind-missing", "prompt-empty", "prompt-beyond-vocab",
-             "prompt-holds-mask", "prompt-without-corpus"],
+             "prompt-holds-mask", "prompt-without-corpus", "cell-id-prefix-glued",
+             "cell-id-default-name", "cell-id-from-sweep", "cell-id-repeated-value",
+             "cell-name-parent-escape", "cell-name-slash", "cell-name-backslash",
+             "cell-name-dotdot", "cell-name-dot"],
     )
     def test_malformed_spec_names_section_and_key(self, old, new, message, tmp_path):
         assert old in SPEC_TEMPLATE

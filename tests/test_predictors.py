@@ -133,6 +133,10 @@ class TestSyntheticField:
         assert frame.predicted == prior.predicted
         assert frame.confidence == prior.confidence
 
+    def test_reach_is_global(self):
+        # the frontier counts every commit, so any commit may move any value
+        assert build_synthetic(self.params()).reach is None
+
 
 def brute_force_ngram_prob(corpus, order, k, left_ctx, right_ctx, target):
     """Recompute the blended probability straight from corpus counts."""
@@ -164,6 +168,10 @@ class TestNGram:
             build_ngram("", order=2, smoothing_k=0.01)
         with pytest.raises(ValueError):
             build_ngram("a b", order=0, smoothing_k=0.01)
+
+    @pytest.mark.parametrize("order", [1, 2, 5])
+    def test_reach_is_the_context_length(self, order):
+        assert build_ngram("a b c", order=order, smoothing_k=0.01).reach == order - 1
 
     def test_corpus_containing_the_mask_string_is_rejected(self):
         with pytest.raises(ValueError, match=r"'\[MASK\]' at token index 2"):
@@ -340,6 +348,26 @@ class TestTraceReplay:
         rec0 = recorded.trace.steps[0]
         rep0 = replayed.trace.steps[0]
         assert rep0.confidence == rec0.confidence
+
+    @pytest.mark.parametrize("cache", ["none", "prefix", "dual"])
+    def test_ngram_trace_replays_to_its_own_bytes(self, cache, tmp_path):
+        # the n-gram decode computes only what its commits touched; replay is
+        # global, so its cursor still moves once per step
+        pred = build_ngram(" . ".join(["a b c d e", "f g h i j"] * 4), order=3,
+                           smoothing_k=0.01)
+        cfg = DecodeConfig(gen_budget=16, max_steps=16, b0=4, cache=cache, tau=0.5)
+        prompt = tuple(pred.model.corpus_ids[:2])
+        recorded = decode(pred, cfg, prompt)
+        path = tmp_path / "run.trace.jsonl"
+        write_trace(path, recorded.trace, pred.vocabulary, prompt=prompt, config=cfg)
+
+        replayer = load_trace_predictor(path)
+        assert replayer.reach is None
+        replayed = decode(replayer, cfg, prompt)
+        again = tmp_path / "replay.trace.jsonl"
+        write_trace(again, replayed.trace, replayer.vocabulary, prompt=prompt, config=cfg)
+        assert replayed.steps_used == recorded.steps_used > 1
+        assert again.read_bytes() == path.read_bytes()
 
     def test_fork_rewinds_cursor(self, tmp_path):
         pred, cfg, prompt, result = self.small_decode()

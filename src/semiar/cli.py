@@ -10,8 +10,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import experiment, tracefile
-from .decoder import decode, result_summary, write_summary
+from . import experiment
+from .decoder import decode, result_summary
 from .predictors import load_trace_predictor
 
 
@@ -74,13 +74,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     result = decode(predictor, config, prompt)
     out = Path(args.out) if args.out else Path(args.trace).parent
-    out.mkdir(parents=True, exist_ok=True)
     stem = out / (Path(args.trace).name.replace(".trace.jsonl", "") + ".replayed")
-    tracefile.write_trace(
-        f"{stem}.trace.jsonl", result.trace, predictor.vocabulary,
-        prompt=prompt, config=config,
-    )
-    write_summary(f"{stem}.summary.json", result, predictor.vocabulary)
+    experiment.write_run(stem, result, predictor.vocabulary, prompt, config)
     print(json.dumps(result_summary(result, predictor.vocabulary), indent=2))
     return 0
 

@@ -258,10 +258,6 @@ class DecodeConfig:
             if d == vocab.mask_id:
                 raise ValueError("the mask token cannot be a delimiter")
 
-    @property
-    def effective_linear_steps(self) -> int:
-        return self.linear_steps if self.linear_steps is not None else self.max_steps
-
 
 # The one DecodeConfig codec: field types drive the text and the JSON forms.
 _FIELD_TYPES = get_type_hints(DecodeConfig)

@@ -85,7 +85,6 @@ def evaluation_scope(
 class DecodeResult:
     """Everything one decode session produced."""
 
-    status: str  # "completed" | "partial"
     final_tokens: tuple[int, ...]
     trace: DecodeTrace
     blocks: tuple[BlockDecision, ...]
@@ -93,7 +92,11 @@ class DecodeResult:
 
     @property
     def completed(self) -> bool:
-        return self.status == "completed"
+        return self.remaining_masks == 0
+
+    @property
+    def status(self) -> str:
+        return "completed" if self.completed else "partial"
 
     @property
     def steps_used(self) -> int:
@@ -158,7 +161,7 @@ def decode(
 
         opens = B is None
         if opens:
-            decision = decide_block(state, frame, config, g)
+            decision = decide_block(frame, config, g)
             blocks.append(decision)
             B = decision.block_size
         block = range(g, g + B)
@@ -186,13 +189,11 @@ def decode(
         if state.gen_masked().isdisjoint(block):
             g, B = g + B, None
 
-    remaining = len(state.gen_masked())
     return DecodeResult(
-        status="completed" if remaining == 0 else "partial",
         final_tokens=state.tokens,
         trace=DecodeTrace(prompt_len=state.prompt_len, gen_budget=L, steps=tuple(records)),
         blocks=tuple(blocks),
-        remaining_masks=remaining,
+        remaining_masks=len(state.gen_masked()),
     )
 
 

@@ -360,6 +360,21 @@ class RunOutcome:
     error: str | None = None
 
 
+def write_run(
+    stem: Path,
+    result: DecodeResult,
+    vocab: Vocabulary,
+    prompt: tuple[int, ...],
+    config: DecodeConfig,
+) -> None:
+    """Write one decode's ``<stem>.trace.jsonl`` and ``<stem>.summary.json``,
+    creating ``stem``'s directory."""
+    stem.parent.mkdir(parents=True, exist_ok=True)
+    tracefile.write_trace(f"{stem}.trace.jsonl", result.trace, vocab,
+                          prompt=prompt, config=config)
+    write_summary(f"{stem}.summary.json", result, vocab)
+
+
 def _execute_run(
     spec: ExperimentSpec, cell_index: int, repetition: int
 ) -> RunOutcome:
@@ -371,18 +386,8 @@ def _execute_run(
         prompt = resolve_prompt(spec.prompt, predictor, run_seed)
         result = decode(predictor, config, prompt)
         report = metrics.failure_rates(result.trace, config.tau)
-
-        run_dir = spec.out_dir / cell.cell_id
-        run_dir.mkdir(parents=True, exist_ok=True)
-        stem = run_dir / f"rep{repetition:03d}"
-        tracefile.write_trace(
-            stem.with_suffix(".trace.jsonl"),
-            result.trace,
-            predictor.vocabulary,
-            prompt=prompt,
-            config=config,
-        )
-        write_summary(stem.with_suffix(".summary.json"), result, predictor.vocabulary)
+        write_run(spec.out_dir / cell.cell_id / f"rep{repetition:03d}",
+                  result, predictor.vocabulary, prompt, config)
         return RunOutcome(cell, repetition, run_seed, result, report)
     except Exception as exc:  # cell isolation: one failure must not sink the sweep
         log.error("cell %s rep %d failed: %s", cell.cell_id, repetition, exc)

@@ -146,15 +146,14 @@ def segment_regimes(
 
     A masked position is plateau when its last ``persistence_k`` snapshots all
     reach ``tau_hi``, floor when they all stay at or below ``tau_lo``, and
-    volatility band otherwise; unmasked positions are decoded.  Early steps
-    use however much history exists.
+    volatility band otherwise; unmasked positions are decoded.  Early steps,
+    and every step of a trace shorter than ``persistence_k``, use however much
+    history exists.
     """
     if tau_lo >= tau_hi:
         raise ValueError("tau_lo must be strictly below tau_hi")
     if persistence_k < 1:
         raise ValueError("persistence_k must be >= 1")
-    if len(trace) < persistence_k:
-        raise ValueError("trace shorter than the persistence window")
 
     # Per position, the run of consecutive snapshots ending at this step that
     # reach tau_hi, and the run that stays at or below tau_lo.  The last

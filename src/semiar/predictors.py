@@ -492,16 +492,11 @@ class TraceReplayPredictor(MaskPredictor):
 
     def __init__(self, data: "tracefile.TraceFileData"):
         self._data = data
-        self._vocab = Vocabulary(
-            tokens=tuple(data.vocab),
-            mask_id=data.mask_id,
-            eos_id=data.eos_id,
-        )
         self._cursor = 0
 
     @property
     def vocabulary(self) -> Vocabulary:
-        return self._vocab
+        return self._data.vocab
 
     @property
     def recorded_prompt(self) -> tuple[int, ...] | None:
@@ -518,15 +513,16 @@ class TraceReplayPredictor(MaskPredictor):
     def predict(
         self, state: SequenceState, positions: Sequence[int]
     ) -> list[tuple[int, float]]:
-        if self._cursor >= len(self._data.records):
+        trace = self._data.trace
+        if self._cursor >= len(trace):
             raise ReplayExhausted(
-                f"trace has {len(self._data.records)} recorded steps; "
+                f"trace has {len(trace)} recorded steps; "
                 f"denoise call {self._cursor + 1} has nothing to replay"
             )
-        rec = self._data.records[self._cursor]
+        rec = trace.steps[self._cursor]
         self._cursor += 1
 
-        L = self._data.gen_budget
+        L = trace.gen_budget
         out: list[tuple[int, float]] = []
         for gen in positions:
             # a snapshot still holds the sentinel where no record evaluated yet

@@ -85,8 +85,9 @@ def threshold_sample(
 
 
 def linear_per_step(config: DecodeConfig) -> int:
-    """Tokens per step for the linear sampler: ceil(L / T) preserves the budget."""
-    return math.ceil(config.gen_budget / config.effective_linear_steps)
+    """Tokens per step for the linear sampler: ceil(L / T) preserves the budget,
+    with T = ``linear_steps``, or ``max_steps`` when it is unset."""
+    return math.ceil(config.gen_budget / (config.linear_steps or config.max_steps))
 
 
 def sample_step(

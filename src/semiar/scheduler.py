@@ -3,8 +3,10 @@
 ``compute_block_length`` inspects a short window of the block-opening
 predictions for a confident delimiter token and, when it finds one, sizes the
 block to end exactly there; otherwise it falls back to the default block size.
-Inputs are generation-region arrays; committed positions should already carry
-their committed token at confidence 1.0 (see :func:`scheduler_view`).
+Inputs are generation-region arrays.  The decoder passes the block-opening
+frame as it stands: blocks advance left to right and commit only inside
+themselves, so every position from the block start on is still masked when a
+block opens and the window never holds a committed token.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DecodeConfig, PredictionFrame, SequenceState
+from .core import DecodeConfig, PredictionFrame
 
 FALLBACK = "fallback"
 DELIMITER = "delimiter"
@@ -96,27 +98,13 @@ def compute_block_length(
     )
 
 
-def scheduler_view(
-    state: SequenceState, frame: PredictionFrame
-) -> tuple[list[int], list[float]]:
-    """Generation-region (predicted, confidence) arrays for block sizing.
+def decide_block(frame: PredictionFrame, config: DecodeConfig, g: int) -> BlockDecision:
+    """Run the configured scheduler on the frame of the step that opens a block at ``g``.
 
-    Committed positions override the frame with their committed token at
-    confidence 1.0: a token already on the page is maximal evidence of a
-    boundary, and the delimiter search should see it.
+    The frame's predictions are read as they are.  No committed token needs
+    to stand in for a prediction: nothing at or after ``g`` has been committed
+    yet, because every earlier block committed only inside itself.
     """
-    mask = state.mask_id
-    tokens = state.tokens[state.prompt_len :]
-    pred = [t if t != mask else p for t, p in zip(tokens, frame.predicted)]
-    conf = [1.0 if t != mask else c for t, c in zip(tokens, frame.confidence)]
-    return pred, conf
-
-
-def decide_block(
-    state: SequenceState, frame: PredictionFrame, config: DecodeConfig, g: int
-) -> BlockDecision:
-    """Run the configured scheduler on a block-opening frame."""
     if config.scheduler == "fixed":
         return fixed_block_length(config, g)
-    pred, conf = scheduler_view(state, frame)
-    return compute_block_length(pred, conf, config, g)
+    return compute_block_length(frame.predicted, frame.confidence, config, g)

@@ -9,6 +9,11 @@ Files written by this package additionally carry ``eos_id``, ``prompt`` and
 ``config`` in the header and ``B``, ``block_end``, ``sampled``, ``masked``,
 ``cache`` per step line.  The extras let ``analyze`` and ``replay`` work from
 the file alone; readers that only need the required keys can ignore them.
+
+The reader rejects, naming the line, a ``vocab`` that repeats a token, a ``g``
+outside ``[0, gen_budget)``, and, where present, a ``block_end`` outside
+``(g, gen_budget]``, a ``B`` outside ``[1, gen_budget - g]`` or a ``cache``
+that names no cache policy.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from pathlib import Path
 from typing import Any
 
 from .core import (
+    CACHES,
     DecodeConfig,
     DecodeTrace,
     PredictionFrame,
@@ -41,12 +47,11 @@ _NUMBER = frozenset({int, float})
 
 @dataclass(frozen=True)
 class TraceFileData:
-    vocab: tuple[str, ...]
-    mask_id: int
-    eos_id: int
-    prompt_len: int
-    gen_budget: int
-    records: tuple[StepRecord, ...]
+    """A parsed trace file: the header's vocabulary, the recorded decode, and
+    the prompt and config when the header carries them."""
+
+    vocab: Vocabulary
+    trace: DecodeTrace
     prompt: tuple[int, ...] | None = None
     config: DecodeConfig | None = None
 
@@ -125,9 +130,10 @@ def read_trace_file(path: str | Path) -> TraceFileData:
     if why := _header_error(header):
         raise bad(1, why)
 
-    vocab = header["vocab"]
-    mask_id = header["mask_id"]
-    eos_id = _eos_id(header)
+    try:
+        vocab = Vocabulary(tuple(header["vocab"]), header["mask_id"], _eos_id(header))
+    except ValueError as exc:
+        raise bad(1, str(exc)) from exc
     prompt = tuple(header["prompt"]) if header.get("prompt") is not None else None
     try:
         config = config_from_dict(header["config"]) if header.get("config") else None
@@ -135,7 +141,7 @@ def read_trace_file(path: str | Path) -> TraceFileData:
         raise bad(1, f"invalid config ({exc})") from exc
     L = header["gen_budget"]
 
-    frame = PredictionFrame.sentinel(L, mask_id)
+    frame = PredictionFrame.sentinel(L, vocab.mask_id)
     records: list[StepRecord] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -159,39 +165,40 @@ def read_trace_file(path: str | Path) -> TraceFileData:
             raise bad(lineno, "positions/pred/conf arrays are not index-aligned")
         if not (type(obj["step"]) is int and type(obj["g"]) is int):
             raise bad(lineno, "step and g must be integers")
+        g, end, size, cache = obj["g"], obj.get("block_end"), obj.get("B"), obj.get("cache")
+        if not 0 <= g < L:
+            raise bad(lineno, f"g {g} is not in [0, {L})")
+        if end is not None and _invalid([end], g + 1, L, _INT):
+            raise bad(lineno, f"block_end {end!r} is not an integer in ({g}, {L}]")
+        if size is not None and _invalid([size], 1, L - g, _INT):
+            raise bad(lineno, f"B {size!r} is not an integer in [1, {L - g}]")
+        if cache not in (None, *CACHES):
+            raise bad(lineno, f"cache {cache!r} is not one of {', '.join(CACHES)}")
         for key in ("positions", "sampled", "masked"):
             if wrong := _invalid(obj.get(key, []), 0, L - 1, _INT):
                 raise bad(lineno, f"position {wrong[0]!r} is not an integer in [0, {L})")
-        if wrong := _invalid(pred, 0, len(vocab) - 1, _INT):
-            raise bad(lineno, f"token {wrong[0]!r} is not an integer in [0, {len(vocab)})")
+        if wrong := _invalid(pred, 0, vocab.size - 1, _INT):
+            raise bad(lineno, f"token {wrong[0]!r} is not an integer in [0, {vocab.size})")
         if wrong := _invalid(conf, 0.0, 1.0, _NUMBER):
             raise bad(lineno, f"confidence {wrong[0]!r} is not a number in [0, 1]")
         frame = frame.merge(positions, zip(pred, map(float, conf)))
         records.append(
             StepRecord(
                 step=obj["step"],
-                block_start=obj["g"],
-                block_end=obj.get("block_end"),
-                block_size=obj.get("B"),
+                block_start=g,
+                block_end=end,
+                block_size=size,
                 evaluated=tuple(positions),
                 predicted=frame.predicted,
                 confidence=frame.confidence,
                 sampled=tuple(obj["sampled"]) if "sampled" in obj else None,
                 masked_before=tuple(obj["masked"]) if "masked" in obj else None,
-                cache=obj.get("cache"),
+                cache=cache,
             )
         )
 
-    return TraceFileData(
-        vocab=tuple(vocab),
-        mask_id=mask_id,
-        eos_id=eos_id,
-        prompt_len=header["prompt_len"],
-        gen_budget=L,
-        records=tuple(records),
-        prompt=prompt,
-        config=config,
-    )
+    trace = DecodeTrace(prompt_len=header["prompt_len"], gen_budget=L, steps=tuple(records))
+    return TraceFileData(vocab, trace, prompt, config)
 
 
 def write_trace(
@@ -239,10 +246,9 @@ def trace_from_file(data: TraceFileData) -> DecodeTrace:
     Requires the extended per-step fields; files holding only the required
     schema keys carry too little to reconstruct sampling decisions.
     """
-    for rec in data.records:
+    for rec in data.trace.steps:
         if None in (rec.block_end, rec.sampled, rec.masked_before, rec.cache):
             raise TraceFormatError(
                 "trace lacks the extended per-step fields needed for analysis"
             )
-    return DecodeTrace(prompt_len=data.prompt_len, gen_budget=data.gen_budget,
-                       steps=data.records)
+    return data.trace

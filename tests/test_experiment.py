@@ -1,6 +1,7 @@
 """Experiment harness: spec parsing, sweeps, aggregation, analysis, CLI."""
 
 import csv
+import json
 
 import pytest
 
@@ -8,7 +9,8 @@ from semiar import cli, experiment
 from semiar.core import DecodeConfig
 from semiar.decoder import decode
 from semiar.predictors import SyntheticFieldParams, build_synthetic
-from semiar.tracefile import write_trace
+from semiar.seeding import mix_seed
+from semiar.tracefile import read_trace_file, write_trace
 
 SPEC_TEMPLATE = """
 [experiment]
@@ -190,6 +192,17 @@ class TestSpecParsing:
         }
 
 
+    def test_char_mode_builds_a_character_ngram(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("abc abd abe\n")
+        text = (f"[experiment]\nprompt = corpus:2\n[predictor]\nkind = ngram\n"
+                f"corpus = {corpus}\nchar_mode = true\n[cell c]\n{TINY_CELL}")
+        spec = experiment.load_spec(write_spec(tmp_path, text))
+        assert spec.predictor.options["char_mode"] is True
+        vocab = experiment.build_predictor(spec.predictor, 0).vocabulary
+        assert set(vocab.tokens) == {"a", "b", "c", "d", "e", " ", "[MASK]", "<EOS>"}
+
+
 class TestRun:
     def test_sweep_produces_per_run_files_and_aggregate(self, tmp_path):
         spec = experiment.load_spec(write_spec(tmp_path), tmp_path / "out")
@@ -333,6 +346,18 @@ class TestAnalyze:
                     for row in csv.DictReader(experiment.analyze(out).open())}
         assert analyzed == expected
 
+    def test_trace_shorter_than_persistence_is_analyzed(self, tmp_path):
+        text = SPEC_TEMPLATE.replace("gen_budget = 24\nmax_steps = 24\nb0 = 4,8",
+                                     "gen_budget = 2\nmax_steps = 2\nb0 = 2")
+        out = tmp_path / "out"
+        experiment.run(experiment.load_spec(write_spec(tmp_path, text), out))
+        summary = experiment.analyze(out, persistence_k=3)
+        rows = list(csv.DictReader(summary.open()))
+        assert len(rows) == 4  # 2 schedulers x 2 repetitions
+        assert {row["steps"] for row in rows} == {"2"}
+        for suffix in ("steps", "heatmap", "regimes"):
+            assert len(list(summary.parent.glob(f"*.{suffix}.csv"))) == 4
+
     def test_malformed_trace_skipped(self, tmp_path):
         spec = experiment.load_spec(write_spec(tmp_path), tmp_path / "out")
         experiment.run(spec)
@@ -359,6 +384,54 @@ class TestCli:
         assert replayed
         # deterministic replay reproduces the recorded trace byte for byte
         assert replayed[0].read_bytes() == trace.read_bytes()
+
+    def _recorded_trace(self, tmp_path, sampler, with_header=True):
+        pred = build_synthetic(SyntheticFieldParams(noise_seed=3, vb_high=0.92,
+                                                    delimiter_period=4))
+        cfg = DecodeConfig(gen_budget=12, max_steps=12, b0=4, tau=0.5, sampler=sampler,
+                           delimiters=frozenset({pred.delimiter_id}))
+        result = decode(pred, cfg, (0, 1))
+        path = tmp_path / "seed.trace.jsonl"
+        if with_header:
+            write_trace(path, result.trace, pred.vocabulary, prompt=(0, 1), config=cfg)
+        else:
+            write_trace(path, result.trace, pred.vocabulary)
+        return path
+
+    def test_replay_with_overrides(self, tmp_path, capsys):
+        # vanilla commits one position per step, so a dynamic replay, which
+        # commits at least one, never asks for more steps than were recorded
+        trace = self._recorded_trace(tmp_path, "vanilla")
+        out = tmp_path / "replays"
+        assert cli.main(["replay", "--trace", str(trace), "--out", str(out),
+                         "--sampler", "dynamic", "--scheduler", "adaptive"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        data = read_trace_file(out / "seed.replayed.trace.jsonl")
+        assert (data.config.sampler, data.config.scheduler) == ("dynamic", "adaptive")
+        assert printed["status"] == "completed"
+        assert printed["steps"] == len(data.trace) < 12
+        assert json.loads((out / "seed.replayed.summary.json").read_text()) == printed
+
+    def test_replay_that_runs_out_exits_1(self, tmp_path, capsys):
+        trace = self._recorded_trace(tmp_path, "dynamic")
+        assert cli.main(["replay", "--trace", str(trace), "--sampler", "vanilla"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "nothing to replay" in err[0]
+
+    def test_replay_without_recorded_config_exits_1(self, tmp_path, capsys):
+        trace = self._recorded_trace(tmp_path, "dynamic", with_header=False)
+        assert cli.main(["replay", "--trace", str(trace)]) == 1
+        assert "lacks the recorded config/prompt" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.replayed.*"))
+
+    def test_run_seed_override_sets_seed_column(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["run", "--spec", str(write_spec(tmp_path)), "--out", str(out),
+                         "--seed", "99"]) == 0
+        rows = list(csv.DictReader((out / "aggregate.csv").open()))
+        reps = [0, 1] * 4  # four cells of one section, two repetitions each
+        assert [int(row["seed"]) for row in rows] == [mix_seed(99, 0, r) for r in reps]
 
     def test_run_prints_pooled_line_per_cell(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,22 +1,30 @@
 """Block-size determination: hand-worked cases, window laws, oracle agreement."""
 
+import itertools
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiar.core import DecodeConfig, PredictionFrame, init_state
+from semiar.core import CACHES, SAMPLERS, SCHEDULERS, DecodeConfig
+from semiar.decoder import decode
+from semiar.predictors import (
+    SyntheticFieldParams,
+    build_ngram,
+    build_synthetic,
+    load_trace_predictor,
+)
 from semiar.scheduler import (
     DELIMITER,
     FALLBACK,
     compute_block_length,
     fixed_block_length,
-    scheduler_view,
 )
+from semiar.tracefile import write_trace
 
 NL = 100  # delimiter token id used throughout
-MASK = 101
+MODES = list(itertools.product(SAMPLERS, SCHEDULERS, CACHES))
 
 
 def cfg(**kw):
@@ -99,16 +107,43 @@ class TestFixedBlockLength:
         assert fixed_block_length(cfg(b0=1), 100).block_size == 1
 
 
-class TestSchedulerView:
-    def test_committed_positions_read_as_certain(self):
-        state = init_state((1,), 3, 4, MASK)
-        frame = PredictionFrame(predicted=(5, 6, 7), confidence=(0.4, 0.5, 0.6))
-        state = state.__class__(
-            tokens=(1, NL, MASK, MASK), prompt_len=1, gen_budget=3, step=4, mask_id=MASK
-        )
-        pred, conf = scheduler_view(state, frame)
-        assert pred == [NL, 6, 7]
-        assert conf == [1.0, 0.5, 0.6]
+def _opening_predictor(kind):
+    """A predictor with its prompt, budget and delimiter set, for ``kind``."""
+    if kind == "synthetic":
+        pred = build_synthetic(SyntheticFieldParams(
+            noise_seed=5, vb_width_mean=2, vb_width_jitter=1, delimiter_period=5))
+        return pred, (0, 1), 30, frozenset({pred.delimiter_id})
+    pred = build_ngram(" . ".join(["a b c", "d e f g", "h i"] * 6), order=3,
+                       smoothing_k=0.1)
+    vocab = pred.vocabulary
+    return pred, (vocab.id_of("a"), vocab.id_of("b")), 30, frozenset({vocab.id_of(".")})
+
+
+class TestBlockOpeningInvariant:
+    """The scheduler reads the block-opening frame as it is, with no committed
+    token standing in for a prediction.  That is sound because nothing at or
+    after a block's start is committed when the block opens."""
+
+    @pytest.mark.parametrize("b0", [3, 8])
+    @pytest.mark.parametrize("sampler, scheduler, cache", MODES)
+    @pytest.mark.parametrize("kind", ["synthetic", "ngram"])
+    def test_window_is_masked_when_a_block_opens(
+        self, kind, sampler, scheduler, cache, b0, tmp_path
+    ):
+        pred, prompt, L, delimiters = _opening_predictor(kind)
+        config = DecodeConfig(gen_budget=L, max_steps=2 * L, b0=b0, tau=0.6, tau_d=0.2,
+                              window_fraction=0.5, delimiters=delimiters, sampler=sampler,
+                              scheduler=scheduler, cache=cache)
+        live = decode(pred, config, prompt)
+        path = tmp_path / "run.trace.jsonl"
+        write_trace(path, live.trace, pred.vocabulary, prompt=prompt, config=config)
+        replayer = load_trace_predictor(path)
+        replayed = decode(replayer, replayer.recorded_config, replayer.recorded_prompt)
+        for result in (live, replayed):
+            openings = [rec for rec in result.trace.steps if rec.is_block_open]
+            assert len(openings) == len(result.blocks) > 1
+            for rec in openings:
+                assert set(range(rec.block_start, L)) <= set(rec.masked_before), rec.step
 
 
 # --- randomized oracle agreement -------------------------------------------

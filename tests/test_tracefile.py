@@ -40,9 +40,8 @@ class TestRoundTrip:
         path = tmp_path / "run.trace.jsonl"
         write_trace(path, result.trace, pred.vocabulary)
         data = read_trace_file(path)
-        assert data.vocab == pred.vocabulary.tokens
-        assert data.mask_id == pred.vocabulary.mask_id
-        assert data.eos_id == pred.vocabulary.eos_id
+        assert data.vocab == pred.vocabulary
+        assert len(data.trace) == len(result.trace)
 
     def test_rewrite_is_byte_identical(self, small_run, tmp_path):
         pred, cfg, prompt, result = small_run
@@ -66,6 +65,12 @@ def _set(key, index, value):
 def _put(key, value):
     def edit(obj):
         obj[key] = value
+    return edit
+
+
+def _drop(key):
+    def edit(obj):
+        del obj[key]
     return edit
 
 
@@ -128,6 +133,8 @@ class TestValidation:
                          id="prompt-beyond-vocab"),
             pytest.param(_header(prompt=[1]), "prompt id 1 at index 0 is the mask id",
                          id="prompt-holds-mask"),
+            pytest.param(_header(vocab=["a", "a", "[MASK]", "<EOS>"], mask_id=2, eos_id=3),
+                         "duplicate token strings", id="vocab-repeats-token"),
         ],
     )
     def test_malformed_header_names_line_1(self, header, match, tmp_path):
@@ -153,6 +160,20 @@ class TestValidation:
             pytest.param(_set("conf", 0, 1.5), "confidence 1.5", id="conf-above-one"),
             pytest.param(_set("conf", 0, -0.1), "confidence -0.1", id="conf-negative"),
             pytest.param(_set("conf", 0, float("nan")), "confidence nan", id="conf-nan"),
+            pytest.param(_drop("conf"), "missing key 'conf'", id="lacks-conf"),
+            pytest.param(_put("sampled", 3), "'sampled' must be a JSON array",
+                         id="sampled-not-list"),
+            pytest.param(_put("g", -5), r"g -5 is not in \[0, 10\)", id="g-negative"),
+            pytest.param(_put("g", 10), r"g 10 is not in \[0, 10\)", id="g-beyond-budget"),
+            pytest.param(_put("block_end", "9"), "block_end '9'", id="block-end-string"),
+            pytest.param(_put("block_end", 99), r"block_end 99 is not an integer in \(0, 10\]",
+                         id="block-end-beyond-budget"),
+            pytest.param(_put("block_end", 0), "block_end 0", id="block-end-at-g"),
+            pytest.param(_put("B", "x"), "B 'x'", id="block-size-string"),
+            pytest.param(_put("B", 0), r"B 0 is not an integer in \[1, 10\]", id="block-size-zero"),
+            pytest.param(_put("B", 11), "B 11", id="block-size-beyond-budget"),
+            pytest.param(_put("cache", "bogus"), "cache 'bogus' is not one of none, prefix, dual",
+                         id="cache-unknown"),
         ],
     )
     def test_malformed_step_line_names_line(self, edit, match, small_run, tmp_path):
@@ -165,6 +186,16 @@ class TestValidation:
         lines[1] = json.dumps(obj)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceFormatError, match=f"line 2: .*{match}"):
+            read_trace_file(path)
+
+    def test_step_line_not_an_object_names_line(self, small_run, tmp_path):
+        pred, cfg, prompt, result = small_run
+        path = tmp_path / "run.jsonl"
+        write_trace(path, result.trace, pred.vocabulary)
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps([json.loads(lines[2])])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match="line 3: step record must be a JSON object"):
             read_trace_file(path)
 
     def test_minimal_schema_readable_but_not_analyzable(self, small_run, tmp_path):
@@ -180,7 +211,7 @@ class TestValidation:
             ))
         path.write_text("\n".join(slim) + "\n")
         data = read_trace_file(path)  # required keys suffice for replay
-        assert len(data.records) == len(result.trace)
+        assert len(data.trace) == len(result.trace)
         with pytest.raises(TraceFormatError, match="extended"):
             trace_from_file(data)
 
@@ -190,4 +221,4 @@ class TestValidation:
         write_trace(path, result.trace, pred.vocabulary)
         path.write_text(path.read_text().replace("\n", "\n\n"))
         data = read_trace_file(path)
-        assert len(data.records) == len(result.trace)
+        assert len(data.trace) == len(result.trace)

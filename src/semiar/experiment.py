@@ -425,14 +425,14 @@ def run(spec: ExperimentSpec, jobs: int = 1) -> tuple[list[RunOutcome], Path]:
                     cfg.sampler,
                     cfg.cache,
                     cfg.b0,
-                    repr(cfg.tau_d),
+                    cfg.tau_d,
                     oc.run_seed,
                     oc.result.steps_used,
                     oc.result.denoise_calls,
                     oc.result.position_evaluations,
-                    repr(oc.report.late_overhead_rate),
-                    repr(oc.report.premature_rate),
-                    repr(mean_b),
+                    oc.report.late_overhead_rate,
+                    oc.report.premature_rate,
+                    mean_b,
                     int(oc.result.completed),
                 ]
             )
@@ -452,6 +452,7 @@ def analyze(
     that wrote it did for ``aggregate.csv``; a trace without a recorded config
     uses :class:`DecodeConfig`'s default.
     """
+    metrics.check_regime_params(tau_hi, tau_lo, persistence_k)
     trace_dir = Path(trace_dir)
     out = Path(out_dir) if out_dir is not None else trace_dir / "analysis"
     paths = sorted(trace_dir.rglob("*.trace.jsonl"))
@@ -479,14 +480,11 @@ def analyze(
         rows.append(
             [
                 str(path.relative_to(trace_dir)),
-                cfg.scheduler if cfg else "",
-                cfg.sampler if cfg else "",
-                cfg.cache if cfg else "",
-                cfg.b0 if cfg else "",
+                *((cfg.scheduler, cfg.sampler, cfg.cache, cfg.b0) if cfg else [""] * 4),
                 len(trace),
-                repr(report.late_overhead_rate),
-                repr(report.premature_rate),
-                repr(sum(widths) / len(widths)) if widths else "0",
+                report.late_overhead_rate,
+                report.premature_rate,
+                sum(widths) / len(widths) if widths else "0",
             ]
         )
 

@@ -21,9 +21,10 @@ from enum import Enum
 from pathlib import Path
 
 from .core import DecodeTrace, StepRecord
+from .sampling import top1
 
 
-class Regime(Enum):
+class Regime(str, Enum):
     PLATEAU = "plateau"
     VOLATILITY_BAND = "band"
     FLOOR = "floor"
@@ -98,16 +99,13 @@ def detect_late_overhead(record: StepRecord, tau: float) -> LateOverheadEvent | 
 def detect_premature(record: StepRecord, tau: float) -> PrematureEvent | None:
     """A sub-threshold forced commit while a strictly better position waits outside.
 
-    The in-block top-1 (lowest index on ties) is recomputed from the record's
-    snapshot, which is exactly what the sampler saw at that step.
+    The forced position is :func:`~semiar.sampling.top1` over the record's
+    snapshot: the sampler's own rule applied to exactly what it saw.
     """
     inside = _inside_masked(record)
     if not inside:
         return None
-    top = inside[0]
-    for j in inside[1:]:
-        if record.confidence[j] > record.confidence[top]:
-            top = j
+    top = top1(record.confidence, inside)
     forced_conf = record.confidence[top]
     if forced_conf >= tau:
         return None
@@ -136,6 +134,14 @@ def failure_rates(trace: DecodeTrace, tau: float) -> FailureReport:
     return FailureReport(total_steps=len(trace), late_overhead=late, premature=early)
 
 
+def check_regime_params(tau_hi: float, tau_lo: float, persistence_k: int) -> None:
+    """Reject thresholds :func:`segment_regimes` cannot label with."""
+    if tau_lo >= tau_hi:
+        raise ValueError("tau_lo must be strictly below tau_hi")
+    if persistence_k < 1:
+        raise ValueError("persistence_k must be >= 1")
+
+
 def segment_regimes(
     trace: DecodeTrace,
     tau_hi: float = 0.9,
@@ -150,10 +156,7 @@ def segment_regimes(
     and every step of a trace shorter than ``persistence_k``, use however much
     history exists.
     """
-    if tau_lo >= tau_hi:
-        raise ValueError("tau_lo must be strictly below tau_hi")
-    if persistence_k < 1:
-        raise ValueError("persistence_k must be >= 1")
+    check_regime_params(tau_hi, tau_lo, persistence_k)
 
     # Per position, the run of consecutive snapshots ending at this step that
     # reach tau_hi, and the run that stays at or below tau_lo.  The last
@@ -223,7 +226,7 @@ def write_heatmap(path: str | Path, trace: DecodeTrace) -> None:
         writer = csv.writer(fh)
         writer.writerow(["step"] + [f"p{i}" for i in range(trace.gen_budget)])
         for rec in trace.steps:
-            writer.writerow([rec.step] + [repr(c) for c in rec.confidence])
+            writer.writerow([rec.step, *rec.confidence])
 
 
 def write_regime_labels(path: str | Path, labels: list[list[Regime]]) -> None:
@@ -231,4 +234,4 @@ def write_regime_labels(path: str | Path, labels: list[list[Regime]]) -> None:
         writer = csv.writer(fh)
         writer.writerow(["step"] + [f"p{i}" for i in range(len(labels[0]))])
         for step, row in enumerate(labels):
-            writer.writerow([step] + [lab.value for lab in row])
+            writer.writerow([step, *row])

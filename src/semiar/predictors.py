@@ -351,29 +351,17 @@ class NGramModel:
     def _argmax(
         self, left_ctx: tuple[int, ...], right_ctx: tuple[int, ...]
     ) -> tuple[int, float]:
-        # Only tokens observed in either context table can beat the shared
-        # smoothing baseline, so the scan stays proportional to the counts.
+        # Every token unobserved in both context tables sits at the same
+        # smoothing baseline, so the lowest of them stands for all of them.
         sides = self._sides(left_ctx, right_ctx)
         (counts_l, _), (counts_r, _) = sides
         mask = self.vocab.mask_id
-        seen = (counts_l.keys() | counts_r.keys()) - {mask}
-
-        best_tok, best_p = None, -1.0
-        for tok in sorted(seen):
-            p = self._blend(sides, tok)
-            if p > best_p:
-                best_tok, best_p = tok, p
-
-        if len(seen) < self._candidates:  # some token sits at the shared baseline
-            unseen = next(
-                t for t in range(self.vocab.size) if t != mask and t not in seen
-            )
-            baseline = self._blend(sides, unseen)
-            if best_tok is None or baseline > best_p or (
-                baseline == best_p and unseen < best_tok
-            ):
-                return unseen, baseline
-        return best_tok, best_p
+        tokens = (counts_l.keys() | counts_r.keys()) - {mask}
+        if len(tokens) < self._candidates:
+            tokens.add(next(t for t in range(self.vocab.size) if t != mask and t not in tokens))
+        probs = {tok: self._blend(sides, tok) for tok in sorted(tokens)}
+        best = max(probs, key=probs.__getitem__)  # the first, so the lowest, on ties
+        return best, probs[best]
 
 
 def _committed(window: tuple[int, ...], mask_id: int) -> tuple[int, ...]:

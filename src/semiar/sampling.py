@@ -9,7 +9,7 @@ the whole pipeline stays deterministic.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import DecodeConfig, PredictionFrame, SENTINEL_CONFIDENCE, SequenceState
 
@@ -24,25 +24,22 @@ def _confidence(frame: PredictionFrame, g: int) -> float:
         raise ValueError(f"masked scope position {g} was never evaluated")
     return c
 
-def _top1(frame: PredictionFrame, masked: list[int]) -> int:
-    # max confidence, lowest index on ties; masked is sorted ascending
-    best = masked[0]
-    best_c = _confidence(frame, best)
-    for g in masked[1:]:
-        c = _confidence(frame, g)
-        if c > best_c:
-            best, best_c = g, c
-    return best
+
+def top1(confidence: Sequence[float], positions: Iterable[int]) -> int:
+    """The most confident of ``positions``, lowest index on ties.
+
+    ``max`` keeps the first of equal maxima, so over ascending positions the
+    lowest index wins.  The sampler's forced commit, the adaptive scheduler's
+    delimiter and the premature-commit detector all choose by this rule.
+    """
+    return max(positions, key=confidence.__getitem__)
 
 
 def vanilla_sample(
     state: SequenceState, frame: PredictionFrame, scope: Iterable[int]
 ) -> frozenset[int]:
-    """Top-1 confidence sampling: the single most confident masked position."""
-    masked = _masked_in_scope(state, scope)
-    if not masked:
-        return frozenset()
-    return frozenset({_top1(frame, masked)})
+    """Top-1 confidence sampling: dynamic sampling at a threshold no confidence reaches."""
+    return threshold_sample(state, frame, math.inf, scope)
 
 
 def linear_sample(
@@ -54,11 +51,8 @@ def linear_sample(
     """Fixed-budget sampling: the ``per_step`` most confident masked positions."""
     if per_step < 1:
         raise ValueError("per_step must be >= 1")
-    masked = _masked_in_scope(state, scope)
-    if not masked:
-        return frozenset()
-    ranked = sorted(masked, key=lambda g: (-_confidence(frame, g), g))
-    return frozenset(ranked[: min(per_step, len(ranked))])
+    ranked = sorted(_masked_in_scope(state, scope), key=lambda g: (-_confidence(frame, g), g))
+    return frozenset(ranked[:per_step])
 
 
 def threshold_sample(
@@ -76,11 +70,8 @@ def threshold_sample(
     masked = _masked_in_scope(state, scope)
     if not masked:
         return frozenset()
-    top = _top1(frame, masked)
-    selected = {top}
-    for g in masked:
-        if _confidence(frame, g) >= tau:
-            selected.add(g)
+    selected = {g for g in masked if _confidence(frame, g) >= tau}
+    selected.add(top1(frame.confidence, masked))
     return frozenset(selected)
 
 

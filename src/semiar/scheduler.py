@@ -12,10 +12,11 @@ block opens and the window never holds a committed token.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .core import DecodeConfig, PredictionFrame
+from .sampling import top1
 
 FALLBACK = "fallback"
 DELIMITER = "delimiter"
@@ -40,11 +41,10 @@ class BlockDecision:
 
 def fixed_block_length(config: DecodeConfig, g: int) -> BlockDecision:
     """Constant block size, capped by the remaining generation budget."""
-    remaining = config.gen_budget - g
     if not 0 <= g < config.gen_budget:
         raise ValueError(f"block start {g} outside [0, {config.gen_budget})")
     return BlockDecision(
-        block_size=min(config.b0, remaining),
+        block_size=min(config.b0, config.gen_budget - g),
         source=FALLBACK,
         window_start=g,
         window_len=0,
@@ -66,36 +66,25 @@ def compute_block_length(
     lowest index on ties; the delimiter must reach ``tau_d`` or the decision
     falls back to the fixed size.
     """
+    fallback = fixed_block_length(config, g)
     L = config.gen_budget
-    if not 0 <= g < L:
-        raise ValueError(f"block start {g} outside [0, {L})")
     if len(predicted) != L or len(confidence) != L:
         raise ValueError("predicted/confidence must cover the full generation region")
 
-    remaining = L - g
-    w = min(max(1, math.floor(config.window_fraction * g)), remaining)
-
-    best_pos: int | None = None
-    best_conf = -math.inf
-    for i in range(g, g + w):
-        if predicted[i] in config.delimiters and confidence[i] > best_conf:
-            best_pos, best_conf = i, confidence[i]
-
-    if best_pos is not None and best_conf >= config.tau_d:
-        return BlockDecision(
-            block_size=best_pos - g + 1,
-            source=DELIMITER,
-            window_start=g,
-            window_len=w,
-            delimiter_pos=best_pos,
-            delimiter_conf=best_conf,
-        )
-    return BlockDecision(
-        block_size=min(config.b0, remaining),
-        source=FALLBACK,
-        window_start=g,
-        window_len=w,
-    )
+    w = min(max(1, math.floor(config.window_fraction * g)), L - g)
+    candidates = [i for i in range(g, g + w) if predicted[i] in config.delimiters]
+    if candidates:
+        pos = top1(confidence, candidates)
+        if confidence[pos] >= config.tau_d:
+            return BlockDecision(
+                block_size=pos - g + 1,
+                source=DELIMITER,
+                window_start=g,
+                window_len=w,
+                delimiter_pos=pos,
+                delimiter_conf=confidence[pos],
+            )
+    return replace(fallback, window_len=w)
 
 
 def decide_block(frame: PredictionFrame, config: DecodeConfig, g: int) -> BlockDecision:

@@ -10,10 +10,11 @@ Files written by this package additionally carry ``eos_id``, ``prompt`` and
 ``cache`` per step line.  The extras let ``analyze`` and ``replay`` work from
 the file alone; readers that only need the required keys can ignore them.
 
-The reader rejects, naming the line, a ``vocab`` that repeats a token, a ``g``
-outside ``[0, gen_budget)``, and, where present, a ``block_end`` outside
-``(g, gen_budget]``, a ``B`` outside ``[1, gen_budget - g]`` or a ``cache``
-that names no cache policy.
+The reader rejects, naming the line, a ``vocab`` that repeats a token, a
+``step`` other than the number of step lines before it (blank lines do not
+count), a ``g`` outside ``[0, gen_budget)``, and, where present, a
+``block_end`` outside ``(g, gen_budget]``, a ``B`` outside ``[1, gen_budget -
+g]`` or a ``cache`` that names no cache policy.
 """
 
 from __future__ import annotations
@@ -165,6 +166,8 @@ def read_trace_file(path: str | Path) -> TraceFileData:
             raise bad(lineno, "positions/pred/conf arrays are not index-aligned")
         if not (type(obj["step"]) is int and type(obj["g"]) is int):
             raise bad(lineno, "step and g must be integers")
+        if obj["step"] != len(records):
+            raise bad(lineno, f"step {obj['step']} should be {len(records)}; steps count from 0")
         g, end, size, cache = obj["g"], obj.get("block_end"), obj.get("B"), obj.get("cache")
         if not 0 <= g < L:
             raise bad(lineno, f"g {g} is not in [0, {L})")

@@ -10,8 +10,13 @@ Every mode also runs at a step budget of ``L // 3``, which each of them
 exhausts, some inside a block and some on the step that opens one, so the
 partial-result path is pinned too.
 
-To re-pin after an intended trace change, run ``python tests/test_decode_golden.py``
-and paste its output over ``GOLDEN``.
+``GOLDEN_TREES`` pins the whole ``run`` + ``analyze`` output tree of the
+experiment tests' spec template and of its frontier-ahead and frontier-behind
+variants, whose late-overhead and premature rates are nonzero: traces,
+summaries, ``aggregate.csv`` and every ``analysis/`` report.
+
+To re-pin after an intended output change, run ``python tests/test_decode_golden.py``
+and paste its output over ``GOLDEN``, ``GOLDEN_PARTIAL`` and ``GOLDEN_TREES``.
 """
 
 import functools
@@ -19,7 +24,9 @@ import hashlib
 import itertools
 
 import pytest
+from test_experiment import SPEC_TEMPLATE, plateau_spec
 
+from semiar import experiment
 from semiar.core import CACHES, SAMPLERS, SCHEDULERS, DecodeConfig
 from semiar.decoder import decode
 from semiar.predictors import SyntheticFieldParams, build_ngram, build_synthetic
@@ -61,6 +68,28 @@ def trace_digest(kind, sampler, scheduler, cache, tmp_dir, partial=False):
     path = tmp_dir / f"{kind}-{sampler}-{scheduler}-{cache}.jsonl"
     write_trace(path, result.trace, pred.vocabulary, prompt=prompt, config=config)
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+SPECS = {
+    "template": SPEC_TEMPLATE,
+    "frontier-ahead": plateau_spec(1.5),
+    "frontier-behind": plateau_spec(0.5),
+}
+
+
+def tree_digest(name, tmp_dir):
+    """Hash every file ``run`` then ``analyze`` write for one spec, by relative path."""
+    spec_path = tmp_dir / f"{name}.spec"
+    spec_path.write_text(SPECS[name])
+    out = tmp_dir / name
+    experiment.run(experiment.load_spec(spec_path, out))
+    experiment.analyze(out)
+    digest = hashlib.sha256()
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            digest.update(path.relative_to(out).as_posix().encode() + b"\0")
+            digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
 
 
 GOLDEN = {
@@ -213,6 +242,12 @@ GOLDEN_PARTIAL = {
     "synthetic-prompt1/dynamic/adaptive/dual": "20036dba4085dabcb110aa72c0d668eb6abbef163acc617a5270428c422958f0",
 }
 
+GOLDEN_TREES = {
+    "frontier-ahead": "4479d7692a9f647fb1bd77b265502dff3217b49fa9372b69a552c5ff8e84991d",
+    "frontier-behind": "d2429eac63b667c4a95129a1e9e79075cdbdc00b6ef811e471b5f83f3aa11b28",
+    "template": "d74842c173179a7385e6bdcadea6adb65f85b9467214357ae6a8d74a714053eb",
+}
+
 
 @pytest.mark.parametrize("kind", sorted(PREDICTORS))
 @pytest.mark.parametrize("sampler, scheduler, cache", MODES)
@@ -229,6 +264,11 @@ def test_partial_budget_trace_bytes_match_golden(kind, sampler, scheduler, cache
     assert digest == GOLDEN_PARTIAL[key]
 
 
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_run_and_analyze_bytes_match_golden(name, tmp_path):
+    assert tree_digest(name, tmp_path) == GOLDEN_TREES[name]
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
@@ -241,3 +281,7 @@ if __name__ == "__main__":
                     key = "/".join((kind,) + mode)
                     print(f'    "{key}": "{trace_digest(kind, *mode, Path(tmp), partial)}",')
             print("}")
+        print("GOLDEN_TREES = {")
+        for name in sorted(SPECS):
+            print(f'    "{name}": "{tree_digest(name, Path(tmp))}",')
+        print("}")

@@ -7,18 +7,22 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semiar import decoder as decoder_module
 from semiar.core import CACHES, SAMPLERS, SCHEDULERS, DecodeConfig, apply_sample
 from semiar.decoder import DecodeError, decode, evaluation_scope, result_summary
+from semiar.metrics import failure_rates
 from semiar.predictors import (
     MaskPredictor,
     NGramPredictor,
     SyntheticFieldParams,
+    SyntheticPredictor,
     build_ngram,
     build_synthetic,
 )
+from semiar.sampling import top1
+from semiar.scheduler import DELIMITER
 from semiar.tracefile import write_trace
 
 CORPUS = " . ".join(["a b c d e", "f g h i j", "k l m n o"] * 6)
@@ -305,6 +309,84 @@ class TestCarriedMaskedSet:
             result = decode(pred, config, tuple(prompt))
         assert len(steps) == result.steps_used
         assert result.remaining_masks == len(_scan(steps[-1]))
+
+
+class _StripedSynthetic(SyntheticPredictor):
+    """The synthetic field's tokens under confidences that climb in stripes of
+    four positions, so tied in-block maxima meet better positions outside."""
+
+    def predict(self, state, positions):
+        return [(tok, 0.1 + 0.2 * (g // 4 % 5))
+                for (tok, _), g in zip(super().predict(state, positions), positions)]
+
+
+class TestOneTop1Rule:
+    """The sampler, the scheduler and the premature detector pick the same top-1."""
+
+    PREDICTORS = {
+        "synthetic": lambda rate: synthetic(delimiter_period=4, plateau_rate=rate),
+        "striped": lambda rate: _StripedSynthetic(SyntheticFieldParams(
+            noise_seed=7, delimiter_period=3, plateau_rate=rate)),
+        "ngram": lambda rate: build_ngram(CORPUS, order=2, smoothing_k=0.5),
+        # no context at all: every masked position ties with every other
+        "unigram": lambda rate: build_ngram(CORPUS, order=1, smoothing_k=0.5),
+    }
+
+    @staticmethod
+    def checked_top1(confidence, positions):
+        """``top1``, checked against a lowest-index-of-the-maxima oracle."""
+        pos = top1(confidence, positions)
+        best = max(confidence[p] for p in positions)
+        assert pos == min(p for p in positions if confidence[p] == best)
+        return pos
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(PREDICTORS)),
+        sampler=st.sampled_from(SAMPLERS),
+        scheduler=st.sampled_from(SCHEDULERS),
+        cache=st.sampled_from(CACHES),
+        L=st.integers(1, 24),
+        b0=st.integers(1, 8),
+        tau=st.floats(0.3, 1.0),
+        tau_d=st.floats(0.05, 1.0),
+        rate=st.sampled_from([0.5, 1.0, 1.5]),
+        prompt=st.lists(st.integers(0, 7), min_size=1, max_size=3),
+    )
+    # every window position predicts "." at one confidence, about 0.15
+    @example(kind="unigram", sampler="vanilla", scheduler="adaptive", cache="none", L=16,
+             b0=4, tau=0.9, tau_d=0.1, rate=1.0, prompt=[0])
+    def test_sampler_scheduler_and_detector_agree(
+        self, kind, sampler, scheduler, cache, L, b0, tau, tau_d, rate, prompt
+    ):
+        pred = self.PREDICTORS[kind](rate)
+        delims = frozenset({pred.vocabulary.id_of(".") if "gram" in kind
+                            else pred.delimiter_id})
+        config = DecodeConfig(gen_budget=L, max_steps=2 * L, b0=b0, tau=tau, tau_d=tau_d,
+                              window_fraction=0.5, sampler=sampler, scheduler=scheduler,
+                              cache=cache, delimiters=delims, linear_steps=max(1, L // 2))
+        result = decode(pred, config, tuple(prompt))
+        steps = result.trace.steps
+        forced = {}
+        for rec in steps:
+            inside = [m for m in rec.masked_before if rec.block_start <= m < rec.block_end]
+            forced[rec.step] = self.checked_top1(rec.confidence, inside)
+            assert forced[rec.step] in rec.sampled
+
+        openers = [rec for rec in steps if rec.is_block_open]
+        assert len(openers) == len(result.blocks)
+        for rec, decision in zip(openers, result.blocks):
+            window = range(decision.window_start, decision.window_start + decision.window_len)
+            candidates = [i for i in window if rec.predicted[i] in delims]
+            if decision.source == DELIMITER:
+                pos = self.checked_top1(rec.confidence, candidates)
+                assert (decision.delimiter_pos, decision.delimiter_conf) == (
+                    pos, rec.confidence[pos])
+            elif scheduler == "adaptive" and candidates:
+                assert rec.confidence[top1(rec.confidence, candidates)] < tau_d
+
+        for event in failure_rates(result.trace, tau).premature:
+            assert event.forced_pos == forced[event.step]
 
 
 class _AlwaysRecompute(NGramPredictor):

@@ -462,6 +462,26 @@ class TestCli:
         assert printed[1:] == expected
         assert any(not line.endswith("late=0.0000 premature=0.0000") for line in expected)
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--persistence", "0"], "persistence_k must be >= 1"),
+         (["--tau-hi", "0.1", "--tau-lo", "0.9"], "tau_lo must be strictly below tau_hi")],
+        ids=["persistence", "tau-order"],
+    )
+    def test_analyze_rejects_bad_regime_flags(self, flags, message, tmp_path, capsys):
+        # the flags are checked before any trace is read or report written, so
+        # a bad value fails the command instead of skipping every trace
+        out = tmp_path / "out"
+        assert cli.main(["run", "--spec", str(write_spec(tmp_path)), "--out", str(out)]) == 0
+        assert cli.main(["analyze", "--traces", str(out), *flags]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (out / "analysis").exists()
+
+        assert cli.main(["analyze", "--traces", str(out)]) == 0
+        reports = {p: p.read_bytes() for p in (out / "analysis").iterdir()}
+        assert cli.main(["analyze", "--traces", str(out), *flags]) == 1
+        assert {p: p.read_bytes() for p in (out / "analysis").iterdir()} == reports
+
     def test_malformed_spec_prints_one_error_line(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, SPEC_TEMPLATE.replace("seed = 11", "seed = x"))
         assert cli.main(["run", "--spec", str(spec_path)]) == 1

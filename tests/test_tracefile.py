@@ -74,6 +74,12 @@ def _drop(key):
     return edit
 
 
+def _on_line(lineno, edit):
+    """The same edit, made to the step line at ``lineno`` instead of line 2."""
+    edit.lineno = lineno
+    return edit
+
+
 def _header(**changes):
     """A sound header with ``changes`` applied."""
     header = {"vocab": ["a", "[MASK]", "<EOS>"], "mask_id": 1, "eos_id": 2,
@@ -154,6 +160,9 @@ class TestValidation:
             pytest.param(_set("masked", 0, 10), "position 10", id="masked-beyond-budget"),
             pytest.param(_put("step", 1.5), "step and g", id="step-float"),
             pytest.param(_put("step", "x"), "step and g", id="step-string"),
+            pytest.param(_put("step", 1), "step 1 should be 0", id="step-skips"),
+            pytest.param(_on_line(3, _put("step", 0)), "step 0 should be 1",
+                         id="step-repeats"),
             pytest.param(_set("pred", 0, 2.0), "token 2.0", id="token-float"),
             pytest.param(_set("pred", 0, True), "token True", id="token-bool"),
             pytest.param(_set("conf", 0, "high"), "confidence 'high'", id="conf-string"),
@@ -181,11 +190,12 @@ class TestValidation:
         path = tmp_path / "run.jsonl"
         write_trace(path, result.trace, pred.vocabulary)
         lines = path.read_text().splitlines()
-        obj = json.loads(lines[1])
+        lineno = getattr(edit, "lineno", 2)
+        obj = json.loads(lines[lineno - 1])
         edit(obj)
-        lines[1] = json.dumps(obj)
+        lines[lineno - 1] = json.dumps(obj)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TraceFormatError, match=f"line 2: .*{match}"):
+        with pytest.raises(TraceFormatError, match=f"line {lineno}: .*{match}"):
             read_trace_file(path)
 
     def test_step_line_not_an_object_names_line(self, small_run, tmp_path):

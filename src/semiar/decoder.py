@@ -20,15 +20,14 @@ Cache policies are modelled as evaluation scopes over prediction frames:
 The policies change which predictions are fresh and what evaluation work is
 charged, never which tokens may be sampled.
 
-What is charged is not always what is computed.  A predictor that declares a
-finite :attr:`~semiar.predictors.MaskPredictor.reach` predicts each position
-from the tokens within that distance alone, so a commit at ``c`` can change
-only the predictions at ``c - reach .. c + reach``.  Within the charged scope
-the loop recomputes just the positions a commit has touched since they were
+What is charged is not always what is computed.  After each commit the
+predictor's :meth:`~semiar.predictors.MaskPredictor.invalidated` names the
+positions whose prediction the commit may have changed.  Within the charged
+scope the loop recomputes just the positions invalidated since they were
 last computed and carries the rest from the prior frame, where they already
 hold the very value a recomputation would give.  A value that ``prefix`` or
-``dual`` left stale outside the scope stays marked stale until it is computed
-again: being in the frame is not enough to be reused.  Frames, traces and the
+``dual`` left stale outside the scope stays stale until it is computed again:
+being in the frame is not enough to be reused.  Frames, traces and the
 charged ``evaluated`` sets are the same as if every scope were recomputed.
 """
 
@@ -138,20 +137,16 @@ def decode(
     blocks: list[BlockDecision] = []
     g = 0
     B: int | None = None  # size of the open block; None until a step opens one
-    reach = predictor.reach
-    # stale[p]: a commit within reach of p since p was last computed, so its
-    # frame value may differ from what the predictor would say now
-    stale = [True] * L
+    # invalidated since last computed; computed positions leave it only after
+    # the commit, so "every position" costs one copy, not a removal and re-adding
+    everywhere = frozenset(range(L))
+    stale = set(everywhere)
 
     while g < L and state.step >= 1:
         masked = state.gen_masked()
-        evaluated = sorted(evaluation_scope(config.cache, g, B, masked, L))
-        if reach is None:
-            computed = evaluated
-        else:
-            computed = [p for p in evaluated if stale[p]]
-            for p in computed:
-                stale[p] = False
+        scope = evaluation_scope(config.cache, g, B, masked, L)
+        evaluated = sorted(scope)
+        computed = evaluated if len(stale) == L else sorted(stale & scope)
         try:
             frame = predictor.denoise(state, computed, prior=frame)
         except Exception as exc:
@@ -181,11 +176,13 @@ def decode(
                 cache=config.cache,
             )
         )
-        state = apply_sample(state, frame, sampled)
-        if reach is not None:
-            for c in sampled:
-                lo, hi = max(0, c - reach), min(L, c + reach + 1)
-                stale[lo:hi] = [True] * (hi - lo)
+        before, state = state, apply_sample(state, frame, sampled)
+        changed = predictor.invalidated(before, state, sampled)
+        if changed is None:
+            stale = set(everywhere)
+        else:
+            stale.difference_update(computed)
+            stale.update(*changed)
         if state.gen_masked().isdisjoint(block):
             g, B = g + B, None
 

@@ -14,11 +14,11 @@ Three backends share one interface:
 A predictor is deterministic given its construction arguments, the sequence
 state, and the evaluation scope.  Synthetic and n-gram predictors are pure:
 each memoises values that depend only on its construction arguments and a
-position or context, per instance.  A memo entry is computed from those alone,
-so two sessions filling one entry at once store equal values; the fills are
-idempotent and the predictor is safe to share across concurrent decode
-sessions.  Its memory grows with the distinct positions and contexts it has
-served.  A replay predictor holds a cursor and belongs to exactly one session.
+position or context window, per instance.  A memo entry is computed from those
+alone, so two sessions filling one entry at once store equal values; the fills
+are idempotent and the predictor is safe to share across concurrent decode
+sessions.  Its memory grows with the distinct positions and context windows it
+has served.  A replay predictor holds a cursor and belongs to exactly one session.
 """
 
 from __future__ import annotations
@@ -41,14 +41,6 @@ class PredictorError(RuntimeError):
 class MaskPredictor:
     """Interface: ``denoise(state, eval_positions)`` producing merged frames."""
 
-    #: How far a commit reaches: a predictor with an int ``reach`` predicts
-    #: each generation position from the tokens at most ``reach`` slots away
-    #: (its own included) and from nothing else that a decode changes, so a
-    #: commit at ``c`` can change only the predictions at ``c - reach .. c +
-    #: reach`` and the decoder reuses every other one.  ``None`` means any
-    #: commit may change any prediction, and every evaluation is computed.
-    reach: int | None = None
-
     @property
     def vocabulary(self) -> Vocabulary:
         raise NotImplementedError
@@ -58,6 +50,16 @@ class MaskPredictor:
     ) -> list[tuple[int, float]]:
         """(token, confidence) per generation position, aligned with input order."""
         raise NotImplementedError
+
+    def invalidated(
+        self, before: SequenceState, after: SequenceState, committed: Iterable[int]
+    ) -> Iterable[range] | None:
+        """Ranges of generation positions whose prediction a commit may change.
+
+        ``after`` is ``before`` with ``committed`` committed; every position
+        outside the ranges predicts the same in both.  ``None``: every position.
+        """
+        return None
 
     def denoise(
         self,
@@ -140,11 +142,11 @@ _FILLER_COUNT = 8
 class SyntheticPredictor(MaskPredictor):
     """Generates the three-regime confidence landscape by construction.
 
-    Plateau confidences and whole floor predictions (token and confidence)
-    depend only on (noise seed, position), so each is computed once per
-    instance and memoised; band draws stay keyed by (position, frontier) and
-    are drawn afresh.  Its :attr:`reach` is global: the frontier counts every
-    commit, so a commit anywhere may move any position's regime.
+    Plateau and floor confidences depend only on (noise seed, position), so
+    each is computed once per instance and memoised; band draws stay keyed by
+    (position, frontier) and are drawn afresh.  A commit therefore changes
+    only the committed positions and, when it moves the frontier, the stretch
+    from the old frontier to the later of the two band ends.
     """
 
     def __init__(self, params: SyntheticFieldParams):
@@ -154,7 +156,7 @@ class SyntheticPredictor(MaskPredictor):
         self._delimiter_id = self._vocab.id_of("\n")
         self._filler_ids = tuple(self._vocab.id_of(f) for f in fillers)
         self._plateau: dict[int, float] = {}
-        self._floor: dict[int, tuple[int, float]] = {}
+        self._floor: dict[int, float] = {}
 
     @property
     def vocabulary(self) -> Vocabulary:
@@ -194,14 +196,12 @@ class SyntheticPredictor(MaskPredictor):
             conf = self._plateau[gen_pos] = p.plateau_level + u * (1.0 - p.plateau_level)
         return conf
 
-    def _floor_prediction(self, gen_pos: int) -> tuple[int, float]:
-        out = self._floor.get(gen_pos)
-        if out is None:
-            p = self.params
-            u = unit_draw(p.noise_seed, "floor", gen_pos)
-            out = self._floor[gen_pos] = (self._token(gen_pos, FLOOR),
-                                          p.floor_level * (0.5 + 0.5 * u))
-        return out
+    def _floor_conf(self, gen_pos: int) -> float:
+        conf = self._floor.get(gen_pos)
+        if conf is None:
+            u = unit_draw(self.params.noise_seed, "floor", gen_pos)
+            conf = self._floor[gen_pos] = self.params.floor_level * (0.5 + 0.5 * u)
+        return conf
 
     def _band_conf(self, gen_pos: int, frontier: int) -> float:
         # fresh draw per (position, frontier): the frontier advances every
@@ -215,7 +215,7 @@ class SyntheticPredictor(MaskPredictor):
             return self._plateau_conf(gen_pos)
         if regime == BAND:
             return self._band_conf(gen_pos, frontier)
-        return self._floor_prediction(gen_pos)[1]
+        return self._floor_conf(gen_pos)
 
     def _token(self, gen_pos: int, regime: str) -> int:
         period = self.params.delimiter_period
@@ -231,23 +231,32 @@ class SyntheticPredictor(MaskPredictor):
     def token_at(self, gen_pos: int, frontier: int) -> int:
         return self._token(gen_pos, self.regime_of(gen_pos, frontier))
 
+    def invalidated(
+        self, before: SequenceState, after: SequenceState, committed: Iterable[int]
+    ) -> list[range]:
+        # a masked prediction reads only its position and the frontier, which
+        # never moves back; jitter can shrink the band, hence the max
+        out = [range(c, c + 1) for c in committed]
+        L = before.gen_budget
+        old = self.frontier(before.unmasked_gen_count(), L)
+        new = self.frontier(after.unmasked_gen_count(), L)
+        if new != old:
+            end = max(old + self.band_width(old), new + self.band_width(new))
+            out.append(range(old, min(L, end)))
+        return out
+
     def predict(
         self, state: SequenceState, positions: Sequence[int]
     ) -> list[tuple[int, float]]:
         tokens, mask, lp = state.tokens, state.mask_id, state.prompt_len
         frontier = self.frontier(state.unmasked_gen_count(), state.gen_budget)
         band_end = frontier + self.band_width(frontier)
-        floor = self._floor.get
         out: list[tuple[int, float]] = []
         for gen in positions:
             tok = tokens[lp + gen]
             if tok != mask:
                 # committed tokens keep reading as themselves, scored high
                 out.append((tok, self._plateau_conf(gen)))
-            elif gen >= band_end:
-                # _regime's FLOOR case, inlined and served from the memo:
-                # floor positions are nearly every evaluation of a long decode
-                out.append(floor(gen) or self._floor_prediction(gen))
             else:
                 regime = _regime(gen, frontier, band_end)
                 out.append((self._token(gen, regime),
@@ -289,8 +298,7 @@ class NGramModel:
     ``left[k]`` maps a k-token context immediately preceding a slot to the
     counts of the token filling it and their add-k denominator; ``right[k]``
     does the same for the k tokens immediately following the slot, stored in
-    sentence order.  The tables never change after construction, so
-    :meth:`best_token` memoises its answer per context pair.
+    sentence order.  The tables never change after construction.
     """
 
     order: int
@@ -303,7 +311,6 @@ class NGramModel:
     def __post_init__(self) -> None:
         self._candidates = self.vocab.size - 1  # every token except the mask
         self._unseen: ContextCounts = (Counter(), self.smoothing_k * self._candidates)
-        self._best: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, float]] = {}
 
     def _prob(self, side: ContextCounts, token: int) -> float:
         counts, denom = side
@@ -337,20 +344,7 @@ class NGramModel:
     def best_token(
         self, left_ctx: tuple[int, ...], right_ctx: tuple[int, ...]
     ) -> tuple[int, float]:
-        """Argmax of the blended distribution, lowest token id on ties.
-
-        Memoised per ``(left_ctx, right_ctx)``.  Concurrent callers may both
-        fill one entry; they store equal values, so the fill is idempotent.
-        """
-        key = (left_ctx, right_ctx)
-        best = self._best.get(key)
-        if best is None:
-            best = self._best[key] = self._argmax(left_ctx, right_ctx)
-        return best
-
-    def _argmax(
-        self, left_ctx: tuple[int, ...], right_ctx: tuple[int, ...]
-    ) -> tuple[int, float]:
+        """Argmax of the blended distribution, lowest token id on ties."""
         # Every token unobserved in both context tables sits at the same
         # smoothing baseline, so the lowest of them stands for all of them.
         sides = self._sides(left_ctx, right_ctx)
@@ -382,37 +376,46 @@ class NGramPredictor(MaskPredictor):
     position with no committed neighbour within reach degrades to the blended
     unigram (or uniform) distribution.  That gradient is what produces
     confidence locality around committed text.  Those slots and the
-    position's own token are all a prediction reads, so :attr:`reach` is
-    ``n-1``.
+    position's own token are all a prediction reads, so a commit at ``c``
+    changes only the predictions at ``c - (n-1) .. c + (n-1)``.  Masked
+    predictions are memoised per raw window pair, masks included.
     """
 
     def __init__(self, model: NGramModel):
         self.model = model
+        self._masked: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, float]] = {}
 
     @property
     def vocabulary(self) -> Vocabulary:
         return self.model.vocab
 
-    @property
-    def reach(self) -> int:  # type: ignore[override]
-        return self.model.order - 1
+    def invalidated(
+        self, before: SequenceState, after: SequenceState, committed: Iterable[int]
+    ) -> list[range]:
+        reach, L = self.model.order - 1, before.gen_budget
+        return [range(max(0, c - reach), min(L, c + reach + 1)) for c in committed]
 
     def predict(
         self, state: SequenceState, positions: Sequence[int]
     ) -> list[tuple[int, float]]:
-        model = self.model
+        model, memo = self.model, self._masked
         tokens, mask, lp = state.tokens, state.mask_id, state.prompt_len
         reach = model.order - 1
         out: list[tuple[int, float]] = []
         for g in positions:
             pos = lp + g
-            left = _committed(tokens[max(0, pos - reach) : pos], mask)
-            right = _committed(tokens[pos + 1 : pos + 1 + reach], mask)
+            left = tokens[max(0, pos - reach) : pos]
+            right = tokens[pos + 1 : pos + 1 + reach]
             tok = tokens[pos]
             if tok != mask:
-                out.append((tok, model.blended(left, right, tok)))
-            else:
-                out.append(model.best_token(left, right))
+                out.append((tok, model.blended(_committed(left, mask),
+                                               _committed(right, mask), tok)))
+                continue
+            best = memo.get((left, right))
+            if best is None:
+                best = memo[left, right] = model.best_token(_committed(left, mask),
+                                                            _committed(right, mask))
+            out.append(best)
         return out
 
 
@@ -473,9 +476,9 @@ class TraceReplayPredictor(MaskPredictor):
     Each denoise call is served from the accumulated snapshot of the record
     at the cursor, matching the carry-forward semantics of live frames.
     Each instance owns a cursor, so concurrent sessions need separate
-    instances (see :meth:`fork`).  Its :attr:`reach` is global, so every
-    denoise call asks it for the whole scope and its cursor moves once per
-    step.
+    instances (see :meth:`fork`).  It keeps the default
+    :meth:`~MaskPredictor.invalidated`, every position, so every denoise
+    call asks it for the whole scope and its cursor moves once per step.
     """
 
     def __init__(self, data: "tracefile.TraceFileData"):

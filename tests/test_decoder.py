@@ -389,19 +389,61 @@ class TestOneTop1Rule:
             assert event.forced_pos == forced[event.step]
 
 
-class _AlwaysRecompute(NGramPredictor):
-    """The same n-gram model, declared global: every charged evaluation computes."""
+class _AlwaysRecompute:
+    """Mixed in before a predictor: every commit invalidates every position."""
 
-    reach = None
+    def invalidated(self, before, after, committed):
+        return None
+
+
+class _RecomputingNGram(_AlwaysRecompute, NGramPredictor):
+    pass
+
+
+class _RecomputingSynthetic(_AlwaysRecompute, SyntheticPredictor):
+    pass
+
+
+def _synthetic_interval_mutant(lo_shift, hi_shift):
+    """The synthetic predictor with its frontier interval shifted at either end."""
+
+    class Mutant(SyntheticPredictor):
+        def invalidated(self, before, after, committed):
+            out = [range(c, c + 1) for c in committed]
+            L = before.gen_budget
+            old = self.frontier(before.unmasked_gen_count(), L)
+            new = self.frontier(after.unmasked_gen_count(), L)
+            if new != old:
+                end = max(old + self.band_width(old), new + self.band_width(new))
+                out.append(range(old + lo_shift, min(L, end) + hi_shift))
+            return out
+
+    return Mutant
 
 
 class TestExactReuse:
-    """Reusing predictions outside a commit's reach must equal recomputing them."""
+    """Reusing predictions a commit did not invalidate must equal recomputing them."""
 
-    @settings(max_examples=150, deadline=None)
+    @staticmethod
+    def draw_predictors(kind, data):
+        """A predictor and the same one with every position always invalidated."""
+        if kind == "ngram":
+            corpus = data.draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=40))
+            pred = build_ngram(" ".join(corpus), order=data.draw(st.integers(1, 5)),
+                               smoothing_k=0.01)
+            return pred, _RecomputingNGram(pred.model)
+        params = SyntheticFieldParams(
+            plateau_rate=data.draw(st.floats(0.3, 2.5)),
+            vb_width_mean=data.draw(st.integers(1, 5)),
+            vb_width_jitter=data.draw(st.integers(0, 3)),
+            delimiter_period=data.draw(st.sampled_from([0, 3, 6])),
+            noise_seed=data.draw(st.integers(0, 2**16)),
+        )
+        return SyntheticPredictor(params), _RecomputingSynthetic(params)
+
+    @settings(max_examples=300, deadline=None)
     @given(
-        corpus=st.lists(st.sampled_from("abcde"), min_size=1, max_size=40),
-        order=st.integers(1, 5),
+        kind=st.sampled_from(["ngram", "synthetic"]),
         sampler=st.sampled_from(SAMPLERS),
         scheduler=st.sampled_from(SCHEDULERS),
         cache=st.sampled_from(CACHES),
@@ -413,11 +455,9 @@ class TestExactReuse:
         data=st.data(),
     )
     def test_reuse_equals_recompute(
-        self, corpus, order, sampler, scheduler, cache, L, b0, tau, slack, prompt_len, data
+        self, kind, sampler, scheduler, cache, L, b0, tau, slack, prompt_len, data
     ):
-        pred = build_ngram(" ".join(corpus), order=order, smoothing_k=0.01)
-        full = _AlwaysRecompute(pred.model)
-        assert full.reach is None
+        pred, full = self.draw_predictors(kind, data)
         vocab = pred.vocabulary
         words = [t for t in range(vocab.size) if t != vocab.mask_id]
         prompt = tuple(data.draw(st.lists(st.sampled_from(words), min_size=prompt_len,
@@ -436,8 +476,22 @@ class TestExactReuse:
                 write_trace(path, result.trace, vocab, prompt=prompt, config=config)
             assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("lo_shift, hi_shift", [(1, 0), (0, -1)],
+                             ids=["starts-one-late", "ends-one-early"])
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_a_short_frontier_interval_changes_the_decode(self, lo_shift, hi_shift, sampler):
+        # frontier behind the commits: every move turns a band position into
+        # plateau at the old frontier and a floor position into band at the end
+        params = SyntheticFieldParams(plateau_rate=0.5, vb_width_mean=4)
+        cfg = DecodeConfig(gen_budget=16, max_steps=16, b0=4, sampler=sampler, tau=0.9,
+                           linear_steps=8)
+        mutant = _synthetic_interval_mutant(lo_shift, hi_shift)(params)
+        assert decode(mutant, cfg, (0,)) != decode(_RecomputingSynthetic(params), cfg, (0,))
+        assert decode(SyntheticPredictor(params), cfg, (0,)) == decode(
+            _RecomputingSynthetic(params), cfg, (0,))
+
     def test_reuse_skips_untouched_positions(self):
-        # one step's commits can touch at most (2 * reach + 1) positions each,
+        # one step's commits can touch at most (2 * (order - 1) + 1) positions each,
         # so a long region computes far fewer values than it charges
         pred = build_ngram(CORPUS, order=2, smoothing_k=0.01)
         calls = []

@@ -2,13 +2,22 @@
 
 import json
 from collections import Counter
+from unittest import mock
 
 import pytest
 
-from semiar.core import DecodeConfig, PredictionFrame, Vocabulary, apply_sample, init_state
+from semiar.core import (
+    DecodeConfig,
+    PredictionFrame,
+    SequenceState,
+    Vocabulary,
+    apply_sample,
+    init_state,
+)
 from semiar.decoder import decode
 from semiar.predictors import (
     MaskPredictor,
+    NGramModel,
     PredictorError,
     ReplayExhausted,
     SyntheticFieldParams,
@@ -133,9 +142,35 @@ class TestSyntheticField:
         assert frame.predicted == prior.predicted
         assert frame.confidence == prior.confidence
 
-    def test_reach_is_global(self):
-        # the frontier counts every commit, so any commit may move any value
-        assert build_synthetic(self.params()).reach is None
+    @pytest.mark.parametrize("rate, L, committed, expected", [
+        # frontier 8 -> 9: band [8, 12) becomes [9, 13)
+        (1.0, 24, [8], {8, 9, 10, 11, 12}),
+        # the interval is clipped at the end of the region
+        (1.0, 10, [8], {8, 9}),
+        # 9 commits keep the frontier at 4 (floor of 4.5): only the commit moves
+        (0.5, 24, [20], {20}),
+        # 10 commits move it to 5: band [4, 8) becomes [5, 9)
+        (0.5, 24, [20, 21], {4, 5, 6, 7, 8, 20, 21}),
+    ])
+    def test_invalidated_is_the_commits_and_the_frontier_interval(
+        self, rate, L, committed, expected
+    ):
+        pred = build_synthetic(self.params(plateau_rate=rate))
+        before = gen_state(pred, L, committed=8)
+        after = apply_sample(before, pred.denoise(before, range(L)), committed)
+        assert set().union(*pred.invalidated(before, after, committed)) == expected
+        # every other position predicts the same in both states
+        old, new = pred.predict(before, range(L)), pred.predict(after, range(L))
+        assert {g for g in range(L) if old[g] != new[g]} <= expected
+
+    def test_invalidated_takes_the_wider_band_when_jitter_shrinks_it(self):
+        pred = build_synthetic(self.params(vb_width_jitter=3, noise_seed=0))
+        widths = [pred.band_width(f) for f in range(24)]
+        f = next(f for f in range(23) if widths[f + 1] + 1 < widths[f])
+        before = gen_state(pred, 24, committed=f)
+        after = apply_sample(before, pred.denoise(before, range(24)), [f])
+        assert set().union(*pred.invalidated(before, after, [f])) == set(
+            range(f, f + widths[f]))
 
 
 def brute_force_ngram_prob(corpus, order, k, left_ctx, right_ctx, target):
@@ -170,8 +205,31 @@ class TestNGram:
             build_ngram("a b", order=0, smoothing_k=0.01)
 
     @pytest.mark.parametrize("order", [1, 2, 5])
-    def test_reach_is_the_context_length(self, order):
-        assert build_ngram("a b c", order=order, smoothing_k=0.01).reach == order - 1
+    def test_invalidated_is_order_minus_one_around_each_commit(self, order):
+        pred = build_ngram("a b c", order=order, smoothing_k=0.01)
+        before = gen_state(pred, 12, committed=3)
+        after = apply_sample(before, pred.denoise(before, range(12)), [3, 10])
+        assert pred.invalidated(before, after, [3, 10]) == [
+            range(max(0, 4 - order), min(12, 3 + order)),
+            range(11 - order, min(12, 10 + order)),
+        ]
+
+    def test_raw_window_memo_hit_equals_best_token_on_the_committed_contexts(self):
+        pred = build_ngram(" ".join(["a b c d e"] * 6), order=3, smoothing_k=0.01)
+        model, m = pred.model, pred.vocabulary.mask_id
+        a, c, d = (pred.vocabulary.id_of(t) for t in "acd")
+        tokens = (a, m, c, d, m, m, a, m, c, d)  # prompt a, then 9 generation slots
+        state = SequenceState(tokens=tokens, prompt_len=1, gen_budget=9, step=10, mask_id=m)
+        masked = sorted(state.masked)
+        first = pred.predict(state, masked)
+        # every raw window is now memoised, so the model is not asked again
+        with mock.patch.object(NGramModel, "best_token", side_effect=AssertionError):
+            assert pred.predict(state, masked) == first
+        for g, value in zip(masked, first):
+            pos = 1 + g
+            left = tuple(t for t in tokens[max(0, pos - 2) : pos] if t != m)
+            right = tuple(t for t in tokens[pos + 1 : pos + 3] if t != m)
+            assert value == model.best_token(left, right)
 
     def test_corpus_containing_the_mask_string_is_rejected(self):
         with pytest.raises(ValueError, match=r"'\[MASK\]' at token index 2"):
@@ -362,7 +420,8 @@ class TestTraceReplay:
         write_trace(path, recorded.trace, pred.vocabulary, prompt=prompt, config=cfg)
 
         replayer = load_trace_predictor(path)
-        assert replayer.reach is None
+        start = init_state(prompt, 16, 16, pred.vocabulary.mask_id)
+        assert replayer.invalidated(start, start, ()) is None
         replayed = decode(replayer, cfg, prompt)
         again = tmp_path / "replay.trace.jsonl"
         write_trace(again, replayed.trace, replayer.vocabulary, prompt=prompt, config=cfg)

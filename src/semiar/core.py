@@ -280,14 +280,10 @@ def _parse(tp: Any, raw: str) -> Any:
 def parse_config_value(key: str, raw: str) -> Any:
     """Parse the text form of the :class:`DecodeConfig` field ``key``.
 
-    Raises ``KeyError`` for a name that is not a field and ``ValueError``
-    naming the key for a malformed value.
+    Raises ``KeyError`` for a name that is not a field and ``ValueError`` for
+    a malformed value; callers name the key.
     """
-    tp = _FIELD_TYPES[key]
-    try:
-        return _parse(tp, raw.strip())
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
+    return _parse(_FIELD_TYPES[key], raw.strip())
 
 
 def _format(value: Any) -> str:
@@ -314,7 +310,7 @@ def config_from_text(text: str) -> DecodeConfig:
         try:
             values[key] = parse_config_value(key, raw)
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
     missing = set(REQUIRED_CONFIG_KEYS) - values.keys()
     if missing:
         raise ValueError(f"missing required config keys: {sorted(missing)}")

@@ -40,7 +40,8 @@ import csv
 import itertools
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, get_type_hints
 
@@ -113,18 +114,36 @@ class ExperimentSpec:
     cells: tuple[Cell, ...]
     out_dir: Path
 
-    def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if not self.cells:
-            raise ValueError("an experiment needs at least one cell")
+
+def _section_values(
+    section: str, items: Mapping[str, str], types: dict[str, Callable[[str], Any]]
+) -> dict[str, Any]:
+    """Convert a spec section's values; errors name ``[section] key``."""
+    if unknown := sorted(items.keys() - types.keys()):
+        settable = (key for key, tp in types.items() if not isinstance(tp, _Reserved))
+        raise ValueError(f"[{section}] {unknown[0]}: unknown key; "
+                         f"expected one of {', '.join(sorted(settable))}")
+    values = {}
+    for key, raw in items.items():
+        try:
+            values[key] = types[key](raw)
+        except (KeyError, ValueError) as exc:  # KeyError: Vocabulary.id_of
+            raise ValueError(f"[{section}] {key}: {exc.args[0]}") from None
+    return values
 
 
-# DecodeConfig fields a cell may not set, and where to set them instead
-_RESERVED_CELL_KEYS = {
-    "seed": "runs derive it from [experiment] seed",
-    "delimiters": "name them through delimiter_tokens",
-}
+@dataclass(frozen=True)
+class _Reserved:
+    """The converter of a key its section may not set: it says where to set it."""
+
+    instead: str
+
+    def __call__(self, raw: str) -> Any:
+        raise ValueError(f"reserved key; {self.instead}")
+
+
+def _swept(key: str, raw: str) -> list[Any]:
+    return [parse_config_value(key, value) for value in raw.split(",")]
 
 
 def _parse_cell_section(
@@ -134,65 +153,35 @@ def _parse_cell_section(
 
     A key is any :class:`DecodeConfig` field but the reserved ones: the comma
     separates swept values, so delimiters come from whitespace-separated
-    ``delimiter_tokens``, and each run derives its own seed.  Errors name
-    ``[cell NAME] key``.
+    ``delimiter_tokens``, and each run derives its own seed.  Each key reads
+    as the list of values it sweeps; the combos are their cross-product, and a
+    cell id names the keys that take more than one value.
     """
-    fixed: dict[str, Any] = {}
-    swept: dict[str, list[Any]] = {}
-    where = f"[{section.name}]"
-    for key, raw in section.items():
-        if key in _RESERVED_CELL_KEYS:
-            raise ValueError(f"{where} {key}: reserved key; {_RESERVED_CELL_KEYS[key]}")
-        if key == "delimiter_tokens":
-            try:
-                fixed["delimiters"] = frozenset(
-                    vocab.id_of(tok.replace("\\n", "\n")) for tok in raw.split()
-                )
-            except KeyError as exc:
-                raise ValueError(f"{where} {key}: {exc.args[0]}") from None
-            continue
-        try:
-            values = [parse_config_value(key, v) for v in raw.split(",")]
-        except KeyError:
-            raise ValueError(f"{where} {key}: unknown key; expected a decode config "
-                             "field or delimiter_tokens") from None
-        except ValueError as exc:  # already names the key
-            raise ValueError(f"{where} {exc}") from None
-        if len(values) == 1:
-            fixed[key] = values[0]
-        else:
-            swept[key] = values
+    types: dict[str, Callable[[str], Any]] = {
+        field.name: partial(_swept, field.name) for field in fields(DecodeConfig)
+    }
+    types["seed"] = _Reserved("runs derive it from [experiment] seed")
+    types["delimiters"] = _Reserved("name them through delimiter_tokens")
+    types["delimiter_tokens"] = lambda raw: [
+        frozenset(vocab.id_of(tok.replace("\\n", "\n")) for tok in raw.split())
+    ]
+    values = _section_values(section.name, section, types)
     for key in REQUIRED_CONFIG_KEYS:
-        if key not in fixed and key not in swept:
-            raise ValueError(f"{where} {key}: required")
-
+        if key not in values:
+            raise ValueError(f"[{section.name}] {key}: required")
+    if "delimiter_tokens" in values:
+        values["delimiters"] = values.pop("delimiter_tokens")
+    keys = sorted(values)
     combos: list[tuple[str, DecodeConfig]] = []
-    swept_keys = sorted(swept)
-    for combo in itertools.product(*(swept[k] for k in swept_keys)):
-        suffix = "-".join(f"{k}={v}" for k, v in zip(swept_keys, combo))
+    for combo in itertools.product(*(values[k] for k in keys)):
+        suffix = "-".join(f"{k}={v}" for k, v in zip(keys, combo) if len(values[k]) > 1)
         try:
-            config = DecodeConfig(**fixed, **dict(zip(swept_keys, combo)))
+            config = DecodeConfig(**dict(zip(keys, combo)))
             config.validate_against(vocab)
         except ValueError as exc:
-            raise ValueError(f"{where} {exc}") from None
+            raise ValueError(f"[{section.name}] {exc}") from None
         combos.append((f"{name}.{suffix}" if suffix else name, config))
     return combos
-
-
-def _section_values(
-    section: str, items: Mapping[str, str], types: dict[str, Callable[[str], Any]]
-) -> dict[str, Any]:
-    """Convert a spec section's values; errors name ``[section] key``."""
-    if unknown := sorted(items.keys() - types.keys()):
-        raise ValueError(f"[{section}] {unknown[0]}: unknown key; "
-                         f"expected one of {', '.join(sorted(types))}")
-    values = {}
-    for key, raw in items.items():
-        try:
-            values[key] = types[key](raw)
-        except ValueError as exc:
-            raise ValueError(f"[{section}] {key}: {exc}") from None
-    return values
 
 
 def _boolean(raw: str) -> bool:
@@ -247,16 +236,26 @@ def _prompt_spec(raw: str) -> PromptSpec:
     raise ValueError(f"unknown prompt source {raw!r}")
 
 
+def _repetitions(raw: str) -> int:
+    if (count := int(raw)) < 1:
+        raise ValueError(f"must be >= 1, got {count}")
+    return count
+
+
 #: The [experiment] keys :func:`parse_spec` reads, with their value types.
-_EXPERIMENT_KEYS = {"seed": int, "repetitions": int, "out": Path, "prompt": _prompt_spec}
+_EXPERIMENT_KEYS = {"seed": int, "repetitions": _repetitions, "out": Path,
+                    "prompt": _prompt_spec}
 
 
-def parse_spec(text: str, out_dir: Path | None = None) -> ExperimentSpec:
+def parse_spec(
+    text: str, out_dir: Path | None = None, source: str = "<string>"
+) -> ExperimentSpec:
+    """Parse spec text; ``source`` names it in INI syntax errors."""
     # no section header can name a newline, so [DEFAULT] reads as an ordinary
     # section and is rejected like any other unknown one
     parser = configparser.ConfigParser(default_section="\n", interpolation=None)
     parser.optionxform = str.lower  # type: ignore[assignment]
-    parser.read_string(text)
+    parser.read_string(text, source)
 
     if "experiment" not in parser:
         raise ValueError("spec is missing the [experiment] section")
@@ -278,9 +277,12 @@ def parse_spec(text: str, out_dir: Path | None = None) -> ExperimentSpec:
         raise ValueError(f"[predictor] {required}: required for kind = {pred_kind}")
     predictor = PredictorSpec(pred_kind, options)
 
-    # the prompt and cells are validated against a probe predictor so bad
-    # specs fail up front, not in every run
-    probe = build_predictor(predictor, seed)
+    # the predictor options, prompt and cells are validated against a probe
+    # predictor so bad specs fail up front, not in every run
+    try:
+        probe = build_predictor(predictor, seed)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"[predictor] {exc}") from None
     try:
         why = prompt_error(resolve_prompt(prompt, probe, seed),
                            probe.vocabulary.size, probe.vocabulary.mask_id)
@@ -290,10 +292,8 @@ def parse_spec(text: str, out_dir: Path | None = None) -> ExperimentSpec:
         raise ValueError(f"[experiment] prompt: {why}")
     cells: list[Cell] = []
     section_of: dict[str, str] = {}  # cell id -> the section that yields it
-    section_index = 0
-    for section_name in parser.sections():
-        if section_name in ("experiment", "predictor"):
-            continue
+    others = [name for name in parser.sections() if name not in ("experiment", "predictor")]
+    for section_index, section_name in enumerate(others):
         if not section_name.startswith("cell"):
             raise ValueError(f"unknown section [{section_name}]; "
                              "expected [experiment], [predictor] or [cell NAME]")
@@ -311,7 +311,6 @@ def parse_spec(text: str, out_dir: Path | None = None) -> ExperimentSpec:
                                  "would share files")
             section_of[cell_id] = section_name
             cells.append(Cell(cell_id, config, section_index))
-        section_index += 1
     if not cells:
         raise ValueError("spec defines no [cell] sections")
 
@@ -326,7 +325,7 @@ def parse_spec(text: str, out_dir: Path | None = None) -> ExperimentSpec:
 
 
 def load_spec(path: str | Path, out_dir: Path | None = None) -> ExperimentSpec:
-    return parse_spec(Path(path).read_text(encoding="utf-8"), out_dir)
+    return parse_spec(Path(path).read_text(encoding="utf-8"), out_dir, str(path))
 
 
 def _corpus_prompt(
@@ -396,6 +395,8 @@ def _execute_run(
 
 def run(spec: ExperimentSpec, jobs: int = 1) -> tuple[list[RunOutcome], Path]:
     """Execute every cell and repetition; returns outcomes and the CSV path."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [
         (ci, rep)
@@ -484,7 +485,7 @@ def analyze(
                 len(trace),
                 report.late_overhead_rate,
                 report.premature_rate,
-                sum(widths) / len(widths) if widths else "0",
+                sum(widths) / len(widths),
             ]
         )
 

@@ -187,6 +187,10 @@ class TestDecodeConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_text("gen_budget = 4\nmax_steps = 4\nblocksize = 2\n")
 
+    def test_parse_error_names_line_and_key(self):
+        with pytest.raises(ValueError, match=r"^line 2: b0: invalid literal for int"):
+            config_from_text("gen_budget = 4\nb0 = x\nmax_steps = 4\n")
+
     def test_parse_reports_missing_required(self):
         with pytest.raises(ValueError, match="missing required"):
             config_from_text("tau = 0.5\n")

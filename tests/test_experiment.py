@@ -1,7 +1,11 @@
 """Experiment harness: spec parsing, sweeps, aggregation, analysis, CLI."""
 
+import configparser
 import csv
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +41,8 @@ delimiter_tokens = \\n
 SYNTHETIC_OPTIONS = "kind = synthetic\ndelimiter_period = 4\nvb_high = 0.92"
 # the keys of a cell section that yields one cell, named after its section
 TINY_CELL = "gen_budget = 4\nmax_steps = 4\n"
+# an n-gram corpus that exists wherever the tests run from
+ZONE_CORPUS = Path(__file__).resolve().parent.parent / "specs" / "zone_corpus.txt"
 
 
 def plateau_spec(rate):
@@ -88,6 +94,29 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match=r"\[cell sweep\] block: unknown key"):
             experiment.load_spec(write_spec(tmp_path, text))
 
+    def test_unknown_cell_key_lists_only_settable_keys(self, tmp_path):
+        text = SPEC_TEMPLATE + "block = 9\n"
+        with pytest.raises(ValueError) as info:
+            experiment.load_spec(write_spec(tmp_path, text))
+        listed = str(info.value).partition("expected one of ")[2].split(", ")
+        settable = {f.name for f in fields(DecodeConfig)} - {"seed", "delimiters"}
+        assert listed == sorted(settable | {"delimiter_tokens"})
+
+    @pytest.mark.parametrize(
+        "old, new, line, message",
+        [("seed = 11", "seed = 11\nseed = 12", 4,
+          r"option 'seed' in section 'experiment' already exists"),
+         ("[cell sweep]", f"[cell a]\n{TINY_CELL}[cell a]\n{TINY_CELL}[cell sweep]", 15,
+          r"section 'cell a' already exists"),
+         ("cache = none", "cache = none\nno equals sign", 19, r"parsing errors")],
+        ids=["duplicate-key", "duplicate-section", "no-equals"],
+    )
+    def test_syntax_error_names_spec_file(self, old, new, line, message, tmp_path):
+        path = write_spec(tmp_path, SPEC_TEMPLATE.replace(old, new))
+        with pytest.raises(configparser.Error, match=message) as info:
+            experiment.load_spec(path)
+        assert repr(str(path)) in str(info.value)
+        assert re.search(rf"\[line +{line}\]", str(info.value))
 
     @pytest.mark.parametrize(
         "key, match",
@@ -153,6 +182,18 @@ class TestSpecParsing:
             ("[cell sweep]", "[cell a\\b]", r"\[cell a\\b\]: cell name 'a\\\\b' must be one"),
             ("[cell sweep]", "[cell ..]", r"\[cell \.\.\]: cell name '\.\.' must be one"),
             ("[cell sweep]", "[cell.]", r"\[cell\.\]: cell name '\.' must be one"),
+            ("repetitions = 2", "repetitions = 0",
+             r"\[experiment\] repetitions: must be >= 1, got 0"),
+            ("vb_high = 0.92", "vb_high = 0.92\nfloor_level = 0.9",
+             r"\[predictor\] need 0 < floor_level < vb_low"),
+            (SYNTHETIC_OPTIONS, f"kind = ngram\ncorpus = {ZONE_CORPUS}\norder = 0",
+             r"\[predictor\] order must be >= 1"),
+            (SYNTHETIC_OPTIONS, f"kind = ngram\ncorpus = {ZONE_CORPUS}\nsmoothing = -1",
+             r"\[predictor\] smoothing_k must be >= 0"),
+            (SYNTHETIC_OPTIONS, "kind = ngram\ncorpus = missing-corpus.txt",
+             r"\[predictor\] .*No such file or directory: 'missing-corpus.txt'"),
+            (SYNTHETIC_OPTIONS, "kind = trace\npath = missing.trace.jsonl",
+             r"\[predictor\] .*No such file or directory: 'missing.trace.jsonl'"),
         ],
         ids=["experiment-key", "predictor-key", "other-kind-key", "section", "seed",
              "predictor-value", "prompt", "ngram-corpus", "trace-path", "char-mode",
@@ -162,7 +203,9 @@ class TestSpecParsing:
              "prompt-holds-mask", "prompt-without-corpus", "cell-id-prefix-glued",
              "cell-id-default-name", "cell-id-from-sweep", "cell-id-repeated-value",
              "cell-name-parent-escape", "cell-name-slash", "cell-name-backslash",
-             "cell-name-dotdot", "cell-name-dot"],
+             "cell-name-dotdot", "cell-name-dot", "repetitions-zero",
+             "predictor-field-order", "ngram-order-zero", "ngram-smoothing-negative",
+             "ngram-corpus-missing", "trace-path-missing"],
     )
     def test_malformed_spec_names_section_and_key(self, old, new, message, tmp_path):
         assert old in SPEC_TEMPLATE
@@ -481,6 +524,16 @@ class TestCli:
         reports = {p: p.read_bytes() for p in (out / "analysis").iterdir()}
         assert cli.main(["analyze", "--traces", str(out), *flags]) == 1
         assert {p: p.read_bytes() for p in (out / "analysis").iterdir()} == reports
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_run_rejects_jobs_below_one(self, jobs, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["run", "--spec", str(write_spec(tmp_path)), "--out", str(out),
+                         "--jobs", jobs]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: jobs must be >= 1, got {jobs}"
+        ]
+        assert not out.exists()
 
     def test_malformed_spec_prints_one_error_line(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, SPEC_TEMPLATE.replace("seed = 11", "seed = x"))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 #: Confidence stored for positions that no denoise call has touched yet.
 SENTINEL_CONFIDENCE = -1.0
@@ -207,6 +207,29 @@ def apply_sample(
     return successor
 
 
+#: The range rule of each checked DecodeConfig field, in checking order: a
+#: test the value passes, and what it must be otherwise.
+_FIELD_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "tau": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "tau_d": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "b0": (lambda v: v >= 1, "must be >= 1"),
+    "gen_budget": (lambda v: v >= 1, "must be >= 1"),
+    "max_steps": (lambda v: v >= 1, "must be >= 1"),
+    "window_fraction": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "sampler": (SAMPLERS.__contains__, f"must be one of {SAMPLERS}"),
+    "scheduler": (SCHEDULERS.__contains__, f"must be one of {SCHEDULERS}"),
+    "cache": (CACHES.__contains__, f"must be one of {CACHES}"),
+    "linear_steps": (lambda v: v is None or v >= 1, "must be >= 1"),
+}
+
+
+def config_value_error(key: str, value: Any) -> str | None:
+    """Why ``value`` is out of range for the :class:`DecodeConfig` field
+    ``key``, or None when it is in range."""
+    rule = _FIELD_RULES.get(key)
+    return None if rule is None or rule[0](value) else rule[1]
+
+
 @dataclass(frozen=True)
 class DecodeConfig:
     """All decode hyperparameters.
@@ -229,34 +252,24 @@ class DecodeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
-        if not 0.0 < self.tau_d <= 1.0:
-            raise ValueError("tau_d must lie in (0, 1]")
-        if self.b0 < 1:
-            raise ValueError("b0 must be >= 1")
-        if self.gen_budget < 1:
-            raise ValueError("gen_budget must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if not 0.0 < self.window_fraction <= 1.0:
-            raise ValueError("window_fraction must lie in (0, 1]")
-        if self.sampler not in SAMPLERS:
-            raise ValueError(f"sampler must be one of {SAMPLERS}")
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(f"scheduler must be one of {SCHEDULERS}")
-        if self.cache not in CACHES:
-            raise ValueError(f"cache must be one of {CACHES}")
-        if self.linear_steps is not None and self.linear_steps < 1:
-            raise ValueError("linear_steps must be >= 1")
+        for key in _FIELD_RULES:
+            if why := config_value_error(key, getattr(self, key)):
+                raise ValueError(f"{key} {why}")
 
     def validate_against(self, vocab: Vocabulary) -> None:
         """Check vocabulary-dependent constraints on the delimiter set."""
-        for d in self.delimiters:
-            if not 0 <= d < vocab.size:
-                raise ValueError(f"delimiter id {d} outside the vocabulary")
-            if d == vocab.mask_id:
-                raise ValueError("the mask token cannot be a delimiter")
+        if why := delimiter_error(self.delimiters, vocab):
+            raise ValueError(why)
+
+
+def delimiter_error(delimiters: Iterable[int], vocab: Vocabulary) -> str | None:
+    """Why ``delimiters`` cannot end blocks over ``vocab``, or None when they can."""
+    for d in delimiters:
+        if not 0 <= d < vocab.size:
+            return f"delimiter id {d} outside the vocabulary"
+        if d == vocab.mask_id:
+            return "the mask token cannot be a delimiter"
+    return None
 
 
 # The one DecodeConfig codec: field types drive the text and the JSON forms.
@@ -286,15 +299,6 @@ def parse_config_value(key: str, raw: str) -> Any:
     return _parse(_FIELD_TYPES[key], raw.strip())
 
 
-def _format(value: Any) -> str:
-    """Text form of one field value; :func:`parse_config_value` inverts it."""
-    if value is None:
-        return "none"
-    if isinstance(value, frozenset):
-        return ",".join(str(v) for v in sorted(value))
-    return str(value)
-
-
 def config_from_text(text: str) -> DecodeConfig:
     """Parse a key=value config document (``#`` comments) into a :class:`DecodeConfig`."""
     values: dict = {}
@@ -319,13 +323,6 @@ def config_from_text(text: str) -> DecodeConfig:
 
 def load_config(path: str | Path) -> DecodeConfig:
     return config_from_text(Path(path).read_text(encoding="utf-8"))
-
-
-def config_to_text(config: DecodeConfig) -> str:
-    return "".join(
-        f"{f.name} = {_format(getattr(config, f.name))}\n"
-        for f in fields(DecodeConfig)
-    )
 
 
 def config_to_dict(config: DecodeConfig) -> dict[str, Any]:
@@ -356,8 +353,12 @@ class StepRecord:
     ``block_end`` describe the block in effect on every record so each record
     is self-contained for analysis.  All positions are generation-relative.
     ``predicted``/``confidence`` are the accumulated snapshot after this
-    step's evaluations.  ``block_end``, ``sampled``, ``masked_before`` and
-    ``cache`` are None only for records read from a minimal-schema file.
+    step's evaluations, so they carry forward: a position outside
+    ``evaluated`` holds the previous record's value, and before any step
+    evaluates it the mask id and :data:`SENTINEL_CONFIDENCE`.  The decoder and
+    the trace reader both keep this, and the ``analyze`` passes rely on it to
+    look only at ``evaluated``.  ``block_end``, ``sampled``, ``masked_before``
+    and ``cache`` are None only for records read from a minimal-schema file.
     """
 
     step: int

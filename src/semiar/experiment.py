@@ -50,6 +50,8 @@ from .core import (
     REQUIRED_CONFIG_KEYS,
     DecodeConfig,
     Vocabulary,
+    config_value_error,
+    delimiter_error,
     parse_config_value,
     prompt_error,
 )
@@ -60,6 +62,7 @@ from .predictors import (
     build_ngram,
     build_synthetic,
     load_trace_predictor,
+    ngram_option_error,
 )
 from .seeding import mix_seed, unit_draw
 
@@ -143,7 +146,14 @@ class _Reserved:
 
 
 def _swept(key: str, raw: str) -> list[Any]:
-    return [parse_config_value(key, value) for value in raw.split(",")]
+    """The values a cell key sweeps; a range error names the value."""
+    values = []
+    for text in raw.split(","):
+        value = parse_config_value(key, text)
+        if why := config_value_error(key, value):
+            raise ValueError(f"{text.strip()}: {why}")
+        values.append(value)
+    return values
 
 
 def _parse_cell_section(
@@ -162,9 +172,14 @@ def _parse_cell_section(
     }
     types["seed"] = _Reserved("runs derive it from [experiment] seed")
     types["delimiters"] = _Reserved("name them through delimiter_tokens")
-    types["delimiter_tokens"] = lambda raw: [
-        frozenset(vocab.id_of(tok.replace("\\n", "\n")) for tok in raw.split())
-    ]
+
+    def delimiter_tokens(raw: str) -> list[frozenset[int]]:
+        ids = frozenset(vocab.id_of(tok.replace("\\n", "\n")) for tok in raw.split())
+        if why := delimiter_error(ids, vocab):
+            raise ValueError(why)
+        return [ids]
+
+    types["delimiter_tokens"] = delimiter_tokens
     values = _section_values(section.name, section, types)
     for key in REQUIRED_CONFIG_KEYS:
         if key not in values:
@@ -175,13 +190,18 @@ def _parse_cell_section(
     combos: list[tuple[str, DecodeConfig]] = []
     for combo in itertools.product(*(values[k] for k in keys)):
         suffix = "-".join(f"{k}={v}" for k, v in zip(keys, combo) if len(values[k]) > 1)
-        try:
-            config = DecodeConfig(**dict(zip(keys, combo)))
-            config.validate_against(vocab)
-        except ValueError as exc:
-            raise ValueError(f"[{section.name}] {exc}") from None
-        combos.append((f"{name}.{suffix}" if suffix else name, config))
+        combos.append((f"{name}.{suffix}" if suffix else name,
+                       DecodeConfig(**dict(zip(keys, combo)))))
     return combos
+
+
+def _ngram_option(tp: Callable[[str], Any], name: str) -> Callable[[str], Any]:
+    """A converter to ``tp`` that rejects what :func:`build_ngram` would for ``name``."""
+    def convert(raw: str) -> Any:
+        if why := ngram_option_error(name, value := tp(raw)):
+            raise ValueError(why)
+        return value
+    return convert
 
 
 def _boolean(raw: str) -> bool:
@@ -196,7 +216,8 @@ def _boolean(raw: str) -> bool:
 _PREDICTOR_KEYS: dict[str, dict[str, Callable[[str], Any]]] = {
     "synthetic": {key: tp for key, tp in get_type_hints(SyntheticFieldParams).items()
                   if key != "noise_seed"},
-    "ngram": {"corpus": str, "order": int, "smoothing": float, "char_mode": _boolean},
+    "ngram": {"corpus": str, "order": _ngram_option(int, "order"),
+              "smoothing": _ngram_option(float, "smoothing_k"), "char_mode": _boolean},
     "trace": {"path": str},
 }
 #: The [predictor] key each kind cannot do without.
@@ -281,7 +302,10 @@ def parse_spec(
     # predictor so bad specs fail up front, not in every run
     try:
         probe = build_predictor(predictor, seed)
-    except (OSError, ValueError) as exc:
+    except (OSError, tracefile.TraceFormatError) as exc:
+        # only the file the kind's required key names is ever read
+        raise ValueError(f"[predictor] {required}: {exc}") from None
+    except ValueError as exc:
         raise ValueError(f"[predictor] {exc}") from None
     try:
         why = prompt_error(resolve_prompt(prompt, probe, seed),

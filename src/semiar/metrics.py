@@ -19,6 +19,7 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .core import DecodeTrace, StepRecord
 from .sampling import top1
@@ -70,23 +71,10 @@ class FailureReport:
         return self.premature_steps / self.total_steps
 
 
-def _outside_masked(record: StepRecord) -> list[int]:
-    return [
-        m
-        for m in record.masked_before
-        if not record.block_start <= m < record.block_end
-    ]
-
-
-def _inside_masked(record: StepRecord) -> list[int]:
-    return [
-        m for m in record.masked_before if record.block_start <= m < record.block_end
-    ]
-
-
 def detect_late_overhead(record: StepRecord, tau: float) -> LateOverheadEvent | None:
     """Masked positions outside the block already at or above the threshold."""
-    hits = [j for j in _outside_masked(record) if record.confidence[j] >= tau]
+    start, end, conf = record.block_start, record.block_end, record.confidence
+    hits = [j for j in record.masked_before if conf[j] >= tau and not start <= j < end]
     if not hits:
         return None
     return LateOverheadEvent(
@@ -102,14 +90,15 @@ def detect_premature(record: StepRecord, tau: float) -> PrematureEvent | None:
     The forced position is :func:`~semiar.sampling.top1` over the record's
     snapshot: the sampler's own rule applied to exactly what it saw.
     """
-    inside = _inside_masked(record)
+    start, end, conf = record.block_start, record.block_end, record.confidence
+    inside = [m for m in record.masked_before if start <= m < end]
     if not inside:
         return None
-    top = top1(record.confidence, inside)
-    forced_conf = record.confidence[top]
+    top = top1(conf, inside)
+    forced_conf = conf[top]
     if forced_conf >= tau:
         return None
-    better = [j for j in _outside_masked(record) if record.confidence[j] > forced_conf]
+    better = [j for j in record.masked_before if conf[j] > forced_conf and not start <= j < end]
     if not better:
         return None
     return PrematureEvent(
@@ -158,23 +147,31 @@ def segment_regimes(
     """
     check_regime_params(tau_hi, tau_lo, persistence_k)
 
-    # Per position, the run of consecutive snapshots ending at this step that
-    # reach tau_hi, and the run that stays at or below tau_lo.  The last
-    # min(k, r + 1) snapshots all qualify exactly when the run is that long.
+    # Per position, the step at which its current run of snapshots reaching
+    # tau_hi began, and the same for staying at or below tau_lo; ``never``
+    # while the latest snapshot breaks the run.  A value changes only where a
+    # step evaluates (see StepRecord), so only there can a run begin or break.
+    # The last min(k, r + 1) snapshots all qualify exactly when the run began
+    # at step max(0, r + 1 - k) or earlier.
     L = trace.gen_budget
-    hi_run = [0] * L
-    lo_run = [0] * L
+    never = len(trace.steps)
+    hi_start = [never] * L
+    lo_start = [never] * L
     labels: list[list[Regime]] = []
+    prev: tuple[float, ...] = ()
     for r, rec in enumerate(trace.steps):
         conf = rec.confidence
-        hi_run = [n + 1 if c >= tau_hi else 0 for n, c in zip(hi_run, conf)]
-        lo_run = [n + 1 if c <= tau_lo else 0 for n, c in zip(lo_run, conf)]
-        need = min(persistence_k, r + 1)
+        changed = [i for i in rec.evaluated if conf[i] != prev[i]] if r else range(L)
+        prev = conf
+        for i in changed:
+            hi_start[i] = min(hi_start[i], r) if conf[i] >= tau_hi else never
+            lo_start[i] = min(lo_start[i], r) if conf[i] <= tau_lo else never
+        began_by = max(0, r + 1 - persistence_k)
         row = [Regime.DECODED] * L
         for i in rec.masked_before:
-            if hi_run[i] >= need:
+            if hi_start[i] <= began_by:
                 row[i] = Regime.PLATEAU
-            elif lo_run[i] >= need:
+            elif lo_start[i] <= began_by:
                 row[i] = Regime.FLOOR
             else:
                 row[i] = Regime.VOLATILITY_BAND
@@ -220,18 +217,46 @@ def write_step_report(
             )
 
 
+def _write_matrix(path: str | Path, width: int, rows: Iterable[str]) -> None:
+    """A step-by-position CSV: the ``step,p0,...`` header, then ``rows``.
+
+    No field ever needs quoting, so comma-joined lines ending in CRLF are
+    exactly what csv's excel dialect would write.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(["step", *(f"p{i}" for i in range(width))]) + "\r\n")
+        fh.writelines(rows)
+
+
+def _csv_text(value: object) -> str:
+    """The text csv writes for a non-string field: repr for floats, else str."""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _heatmap_rows(trace: DecodeTrace) -> Iterator[str]:
+    """Each row formats the cells its step evaluated and changed; the others
+    carry the previous row's value (see StepRecord), hence its text."""
+    cells: list[str] = []
+    prev: tuple[float, ...] = ()
+    for rec in trace.steps:
+        conf = rec.confidence
+        if not cells:
+            cells, prev = [_csv_text(c) for c in conf], conf
+        for i in rec.evaluated:
+            c, old = conf[i], prev[i]
+            # equal values may print differently (0.0 and -0.0, 1 and 1.0);
+            # equal nonzero floats never do
+            if c is not old and not (c == old and c and type(c) is type(old) is float):
+                cells[i] = _csv_text(c)
+        prev = conf
+        yield f"{rec.step},{','.join(cells)}\r\n"
+
+
 def write_heatmap(path: str | Path, trace: DecodeTrace) -> None:
     """Step-by-position confidence matrix for landscape plots."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + [f"p{i}" for i in range(trace.gen_budget)])
-        for rec in trace.steps:
-            writer.writerow([rec.step, *rec.confidence])
+    _write_matrix(path, trace.gen_budget, _heatmap_rows(trace))
 
 
 def write_regime_labels(path: str | Path, labels: list[list[Regime]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + [f"p{i}" for i in range(len(labels[0]))])
-        for step, row in enumerate(labels):
-            writer.writerow([step, *row])
+    _write_matrix(path, len(labels[0]),
+                  (f"{step},{','.join(row)}\r\n" for step, row in enumerate(labels)))

@@ -225,12 +225,6 @@ class SyntheticPredictor(MaskPredictor):
             return self._vocab.eos_id
         return self._filler_ids[gen_pos % _FILLER_COUNT]
 
-    def confidence_at(self, gen_pos: int, frontier: int) -> float:
-        return self._confidence(gen_pos, frontier, self.regime_of(gen_pos, frontier))
-
-    def token_at(self, gen_pos: int, frontier: int) -> int:
-        return self._token(gen_pos, self.regime_of(gen_pos, frontier))
-
     def invalidated(
         self, before: SequenceState, after: SequenceState, committed: Iterable[int]
     ) -> list[range]:
@@ -332,15 +326,6 @@ class NGramModel:
     ) -> float:
         return self._blend(self._sides(left_ctx, right_ctx), token)
 
-    def distribution(
-        self, left_ctx: tuple[int, ...], right_ctx: tuple[int, ...]
-    ) -> dict[int, float]:
-        sides = self._sides(left_ctx, right_ctx)
-        mask = self.vocab.mask_id
-        return {
-            tok: self._blend(sides, tok) for tok in range(self.vocab.size) if tok != mask
-        }
-
     def best_token(
         self, left_ctx: tuple[int, ...], right_ctx: tuple[int, ...]
     ) -> tuple[int, float]:
@@ -419,14 +404,20 @@ class NGramPredictor(MaskPredictor):
         return out
 
 
+def ngram_option_error(name: str, value: float) -> str | None:
+    """Why ``value`` is out of range for the :func:`build_ngram` argument
+    ``name`` (``order`` or ``smoothing_k``), or None when it is in range."""
+    least = {"order": 1, "smoothing_k": 0}[name]
+    return None if value >= least else f"must be >= {least}, got {value}"
+
+
 def build_ngram(
     corpus: str, order: int, smoothing_k: float, char_mode: bool = False
 ) -> NGramPredictor:
     """Train the bidirectional count tables from a plain-text corpus."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if smoothing_k < 0:
-        raise ValueError("smoothing_k must be >= 0")
+    for name, value in (("order", order), ("smoothing_k", smoothing_k)):
+        if why := ngram_option_error(name, value):
+            raise ValueError(f"{name} {why}")
     tokens = tokenize(corpus, char_mode)
     if not tokens:
         raise ValueError("corpus is empty after tokenization")

@@ -1,7 +1,7 @@
 """State construction, the sample update rule, and config plumbing."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,12 +18,23 @@ from semiar.core import (
     config_from_dict,
     config_from_text,
     config_to_dict,
-    config_to_text,
     init_state,
 )
 from semiar.experiment import parse_spec
 
 MASK = 9
+
+
+def config_to_text(config):
+    """A config document that sets every field, in the form config_from_text reads."""
+    def text(value):
+        if value is None:
+            return "none"
+        if isinstance(value, frozenset):
+            return ",".join(str(v) for v in sorted(value))
+        return str(value)
+
+    return "".join(f"{f.name} = {text(getattr(config, f.name))}\n" for f in fields(config))
 
 
 def frame_for(state, predicted, confidence=None):

@@ -148,7 +148,7 @@ class TestSpecParsing:
              r"\[predictor\] char_mode: expected true or false, got 'yes'"),
             ("[experiment]", "[DEFAULT]\nb0 = 4\n\n[experiment]", r"unknown section \[DEFAULT\]"),
             ("b0 = 4,8", "b0 = 4,x", r"\[cell sweep\] b0: invalid literal for int"),
-            ("b0 = 4,8", "b0 = 0", r"\[cell sweep\] b0 must be >= 1"),
+            ("b0 = 4,8", "b0 = 0", r"\[cell sweep\] b0: 0: must be >= 1$"),
             ("delimiter_tokens = \\n", "delimiter_tokens = \\n nope",
              r"\[cell sweep\] delimiter_tokens: unknown token 'nope'"),
             ("gen_budget = 24\n", "", r"\[cell sweep\] gen_budget: required"),
@@ -187,13 +187,22 @@ class TestSpecParsing:
             ("vb_high = 0.92", "vb_high = 0.92\nfloor_level = 0.9",
              r"\[predictor\] need 0 < floor_level < vb_low"),
             (SYNTHETIC_OPTIONS, f"kind = ngram\ncorpus = {ZONE_CORPUS}\norder = 0",
-             r"\[predictor\] order must be >= 1"),
+             r"\[predictor\] order: must be >= 1, got 0$"),
             (SYNTHETIC_OPTIONS, f"kind = ngram\ncorpus = {ZONE_CORPUS}\nsmoothing = -1",
-             r"\[predictor\] smoothing_k must be >= 0"),
+             r"\[predictor\] smoothing: must be >= 0, got -1\.0$"),
             (SYNTHETIC_OPTIONS, "kind = ngram\ncorpus = missing-corpus.txt",
-             r"\[predictor\] .*No such file or directory: 'missing-corpus.txt'"),
+             r"\[predictor\] corpus: \[Errno 2\] No such file or directory: "
+             r"'missing-corpus\.txt'$"),
             (SYNTHETIC_OPTIONS, "kind = trace\npath = missing.trace.jsonl",
-             r"\[predictor\] .*No such file or directory: 'missing.trace.jsonl'"),
+             r"\[predictor\] path: \[Errno 2\] No such file or directory: "
+             r"'missing\.trace\.jsonl'$"),
+            (SYNTHETIC_OPTIONS, f"kind = trace\npath = {ZONE_CORPUS}",
+             r"\[predictor\] path: .*zone_corpus\.txt: line 1: invalid JSON"),
+            ("sampler = dynamic", "sampler = dynamic\ntau = 0.5,2",
+             r"\[cell sweep\] tau: 2: must lie in \(0, 1\]$"),
+            ("b0 = 4,8", "b0 = 4,0", r"\[cell sweep\] b0: 0: must be >= 1$"),
+            ("delimiter_tokens = \\n", "delimiter_tokens = \\n [MASK]",
+             r"\[cell sweep\] delimiter_tokens: the mask token cannot be a delimiter$"),
         ],
         ids=["experiment-key", "predictor-key", "other-kind-key", "section", "seed",
              "predictor-value", "prompt", "ngram-corpus", "trace-path", "char-mode",
@@ -205,7 +214,8 @@ class TestSpecParsing:
              "cell-name-parent-escape", "cell-name-slash", "cell-name-backslash",
              "cell-name-dotdot", "cell-name-dot", "repetitions-zero",
              "predictor-field-order", "ngram-order-zero", "ngram-smoothing-negative",
-             "ngram-corpus-missing", "trace-path-missing"],
+             "ngram-corpus-missing", "trace-path-missing", "trace-path-malformed",
+             "cell-swept-tau", "cell-swept-b0", "cell-delimiter-mask"],
     )
     def test_malformed_spec_names_section_and_key(self, old, new, message, tmp_path):
         assert old in SPEC_TEMPLATE

@@ -1,9 +1,21 @@
 """Failure-event detectors and regime segmentation on constructed and live traces."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import csv
+import tempfile
+from pathlib import Path
 
-from semiar.core import DecodeConfig, DecodeTrace, StepRecord
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from semiar.core import (
+    CACHES,
+    SAMPLERS,
+    SCHEDULERS,
+    SENTINEL_CONFIDENCE,
+    DecodeConfig,
+    DecodeTrace,
+    StepRecord,
+)
 from semiar.decoder import decode
 from semiar.metrics import (
     Regime,
@@ -12,8 +24,11 @@ from semiar.metrics import (
     failure_rates,
     segment_regimes,
     vb_width_series,
+    write_heatmap,
+    write_regime_labels,
 )
-from semiar.predictors import SyntheticFieldParams, build_synthetic
+from semiar.predictors import SyntheticFieldParams, build_ngram, build_synthetic
+from semiar.tracefile import read_trace_file, write_trace
 
 
 def record(conf, masked, block=(0, 8), sampled=(), step=0, open_=True):
@@ -233,8 +248,46 @@ def _window_labels(trace, tau_hi, tau_lo, k):
     return labels
 
 
-# thresholds themselves and the never-evaluated sentinel are the edge cases
-_CONFIDENCES = st.sampled_from([-1.0, 0.0, 0.05, 0.1, 0.5, 0.9, 0.95, 1.0])
+def _dense_csv(path, width, rows):
+    """What a plain csv.writer writes for the header and the dense ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step"] + [f"p{i}" for i in range(width)])
+        writer.writerows(rows)
+    return Path(path).read_bytes()
+
+
+def check_against_dense_references(trace, tau_hi, tau_lo, k):
+    """Segmentation and the matrix writers, which look only at what each step
+    evaluated, equal their dense definitions."""
+    labels = segment_regimes(trace, tau_hi, tau_lo, k)
+    assert labels == _window_labels(trace, tau_hi, tau_lo, k)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        L = trace.gen_budget
+        write_heatmap(out / "heatmap.csv", trace)
+        assert (out / "heatmap.csv").read_bytes() == _dense_csv(
+            out / "dense-heatmap.csv", L, ([rec.step, *rec.confidence] for rec in trace.steps))
+        write_regime_labels(out / "regimes.csv", labels)
+        assert (out / "regimes.csv").read_bytes() == _dense_csv(
+            out / "dense-regimes.csv", L, ([step, *row] for step, row in enumerate(labels)))
+
+
+def carried_record(step, evaluated, prev_conf, values, masked):
+    """A record that evaluates ``evaluated`` and carries every other value,
+    as the decoder and the trace reader do (see StepRecord)."""
+    conf = list(prev_conf)
+    for i, c in zip(evaluated, values):
+        conf[i] = c
+    L = len(conf)
+    return StepRecord(step=step, block_start=0, block_end=L, block_size=L if step == 0 else None,
+                      evaluated=tuple(evaluated), predicted=(0,) * L, confidence=tuple(conf),
+                      sampled=(), masked_before=tuple(sorted(masked)), cache="none")
+
+
+# the thresholds themselves, the never-evaluated sentinel and equal values
+# that print differently (0.0 and -0.0, 1 and 1.0) are the edge cases
+_CONFIDENCES = st.sampled_from([-1.0, 0.0, -0.0, 1e-05, 0.05, 0.1, 0.5, 0.9, 0.95, 1.0, 1, 0])
 
 
 class TestSegmentationMatchesDefinition:
@@ -246,13 +299,79 @@ class TestSegmentationMatchesDefinition:
         k=st.integers(1, 4),
     )
     def test_streak_counts_equal_window_scan(self, data, L, steps, k):
-        recs = tuple(
-            record(data.draw(st.lists(_CONFIDENCES, min_size=L, max_size=L)),
-                   masked=data.draw(st.sets(st.integers(0, L - 1))), block=(0, L), step=r)
-            for r in range(steps)
-        )
-        trace = DecodeTrace(prompt_len=0, gen_budget=L, steps=recs)
-        assert segment_regimes(trace, 0.9, 0.1, k) == _window_labels(trace, 0.9, 0.1, k)
+        """Random carry-forward traces; any record, the first included, may
+        evaluate any subset of the positions."""
+        conf = (SENTINEL_CONFIDENCE,) * L
+        recs = []
+        for step in range(steps):
+            evaluated = sorted(data.draw(st.sets(st.integers(0, L - 1))))
+            values = [data.draw(_CONFIDENCES) for _ in evaluated]
+            masked = data.draw(st.sets(st.integers(0, L - 1)))
+            recs.append(carried_record(step, evaluated, conf, values, masked))
+            conf = recs[-1].confidence
+        check_against_dense_references(
+            DecodeTrace(prompt_len=0, gen_budget=L, steps=tuple(recs)), 0.9, 0.1, k)
+
+
+class TestWritersMatchDenseReference:
+    """Hand-built and live traces in which steps evaluate strict subsets."""
+
+    def test_equal_values_with_different_text(self):
+        L = 3
+        conf = (SENTINEL_CONFIDENCE,) * L
+        recs = []
+        # position 0 stays evaluated through equal-but-differently-printed
+        # values, position 1 is evaluated only at the start, and position 2
+        # keeps the sentinel because no step ever evaluates it
+        for step, c in enumerate([-1.0, 0.0, -0.0, 1e-05, 1.0, 1, 1, 1.0, 0.0]):
+            evaluated = (0, 1) if step == 0 else (0,)
+            values = (c, 0.5) if step == 0 else (c,)
+            recs.append(carried_record(step, evaluated, conf, values, range(L)))
+            conf = recs[-1].confidence
+        trace = DecodeTrace(prompt_len=0, gen_budget=L, steps=tuple(recs))
+        for k in (1, 2, 3):
+            check_against_dense_references(trace, 0.9, 0.1, k)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_heatmap(Path(tmp) / "h.csv", trace)
+            column = [line.split(",")[1]
+                      for line in (Path(tmp) / "h.csv").read_text().splitlines()[1:]]
+        assert column == ["-1.0", "0.0", "-0.0", "1e-05", "1.0", "1", "1", "1.0", "0.0"]
+
+    PREDICTORS = {
+        "synthetic": lambda: build_synthetic(SyntheticFieldParams(
+            noise_seed=3, delimiter_period=4, vb_width_mean=3, vb_low=0.4, vb_high=0.85)),
+        "ngram": lambda: build_ngram(" . ".join(["a b c d e", "f g h i j"] * 4),
+                                     order=3, smoothing_k=0.01),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(PREDICTORS)),
+        sampler=st.sampled_from(SAMPLERS),
+        scheduler=st.sampled_from(SCHEDULERS),
+        cache=st.sampled_from(CACHES),
+        L=st.integers(2, 20),
+        b0=st.integers(1, 8),
+        tau=st.floats(0.3, 1.0),
+        thresholds=st.sampled_from([(0.9, 0.1), (0.95, 0.05), (0.6, 0.4)]),
+        k=st.integers(1, 4),
+    )
+    def test_live_and_read_back_decodes(
+        self, kind, sampler, scheduler, cache, L, b0, tau, thresholds, k
+    ):
+        pred = self.PREDICTORS[kind]()
+        delims = frozenset({pred.vocabulary.id_of(".") if kind == "ngram"
+                            else pred.delimiter_id})
+        config = DecodeConfig(gen_budget=L, max_steps=2 * L, b0=b0, tau=tau,
+                              sampler=sampler, scheduler=scheduler, cache=cache,
+                              delimiters=delims, linear_steps=max(1, L // 2))
+        trace = decode(pred, config, (0, 1)).trace
+        assume(any(len(rec.evaluated) < L for rec in trace.steps))
+        check_against_dense_references(trace, *thresholds, k)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_trace(Path(tmp) / "t.trace.jsonl", trace, pred.vocabulary)
+            read_back = read_trace_file(Path(tmp) / "t.trace.jsonl").trace
+        check_against_dense_references(read_back, *thresholds, k)
 
 
 class TestWidthSeries:

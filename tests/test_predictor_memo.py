@@ -22,6 +22,8 @@ from semiar.predictors import (
 )
 from semiar.seeding import unit_draw
 
+from test_predictors import distribution
+
 SETTINGS = settings(
     max_examples=150,
     deadline=None,
@@ -114,7 +116,7 @@ def reference_ngram_predict(model, state, positions):
             assert model.blended(left, right, tok) == blended(left, right, tok)
             out.append((tok, blended(left, right, tok)))
         else:
-            dist = model.distribution(left, right)
+            dist = distribution(model, left, right)
             assert dist == {t: blended(left, right, t) for t in dist}
             best = max(dist.values())
             out.append((min(t for t, p in dist.items() if p == best), best))
@@ -159,8 +161,27 @@ random_fields = st.builds(
 )
 
 
+def field_value(pred, gen, frontier):
+    """The synthetic field's (token, confidence) at a masked slot, from its definition."""
+    p, vocab = pred.params, pred.vocabulary
+    regime = pred.regime_of(gen, frontier)
+    if regime == "plateau":
+        u = unit_draw(p.noise_seed, "plateau", gen)
+        conf = p.plateau_level + u * (1.0 - p.plateau_level)
+    elif regime == "band":
+        u = unit_draw(p.noise_seed, "band", gen, frontier)
+        conf = p.vb_low + u * (p.vb_high - p.vb_low)
+    else:
+        conf = p.floor_level * (0.5 + 0.5 * unit_draw(p.noise_seed, "floor", gen))
+    if p.delimiter_period > 0 and gen % p.delimiter_period == p.delimiter_period - 1:
+        return pred.delimiter_id, conf
+    if regime == "floor":
+        return vocab.eos_id, conf
+    return vocab.id_of(f"w{gen % 8}"), conf
+
+
 def reference_synthetic_predict(pred, state, positions):
-    """Public per-position methods for masked slots, a direct draw for committed ones."""
+    """The field's definition for masked slots, a direct draw for committed ones."""
     p = pred.params
     lp = state.prompt_len
     committed = sum(1 for t in state.tokens[lp:] if t != state.mask_id)
@@ -172,7 +193,7 @@ def reference_synthetic_predict(pred, state, positions):
             u = unit_draw(p.noise_seed, "plateau", gen)
             out.append((state.tokens[pos], p.plateau_level + u * (1.0 - p.plateau_level)))
         else:
-            out.append((pred.token_at(gen, frontier), pred.confidence_at(gen, frontier)))
+            out.append(field_value(pred, gen, frontier))
     return out
 
 

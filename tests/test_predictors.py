@@ -44,6 +44,13 @@ def gen_state(predictor, L, committed=0, prompt=(0,)):
     )
 
 
+def distribution(model, left_ctx, right_ctx):
+    """The blended probability of every token but the mask next to two contexts."""
+    mask = model.vocab.mask_id
+    return {tok: model.blended(left_ctx, right_ctx, tok)
+            for tok in range(model.vocab.size) if tok != mask}
+
+
 class TestSyntheticField:
     def params(self, **kw):
         base = dict(plateau_rate=1.0, vb_width_mean=4, floor_level=0.05,
@@ -265,7 +272,7 @@ class TestNGram:
         vocab = pred.vocabulary
         # both neighbours masked: zero-length contexts exist (unigram), so
         # isolate with an impossible context instead
-        dist = pred.model.distribution((vocab.eos_id,), (vocab.eos_id,))
+        dist = distribution(pred.model, (vocab.eos_id,), (vocab.eos_id,))
         values = set(dist.values())
         assert values == {1.0 / (vocab.size - 1)}
 
@@ -282,7 +289,7 @@ class TestNGram:
         vocab = pred.vocabulary
         a = vocab.id_of("a")
         for ctx in ((), (a,), (a, vocab.id_of("b"))):
-            dist = pred.model.distribution(ctx, ())
+            dist = distribution(pred.model, ctx, ())
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_confidence_locality_statistic(self):

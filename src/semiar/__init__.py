@@ -4,6 +4,7 @@ from .core import (
     DecodeConfig,
     DecodeTrace,
     PredictionFrame,
+    Regime,
     SequenceState,
     StepRecord,
     Vocabulary,
@@ -12,7 +13,7 @@ from .core import (
     load_config,
 )
 from .decoder import DecodeResult, decode, evaluation_scope
-from .metrics import FailureReport, Regime, failure_rates, segment_regimes, vb_width_series
+from .metrics import FailureReport, failure_rates, segment_regimes, vb_width_series
 from .predictors import (
     MaskPredictor,
     NGramPredictor,

@@ -10,7 +10,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import experiment
+from . import experiment, metrics
 from .decoder import decode, result_summary
 from .predictors import load_trace_predictor
 
@@ -97,9 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="post-process stored traces into reports")
     p_an.add_argument("--traces", required=True, help="directory holding *.trace.jsonl")
     p_an.add_argument("--out", default=None, help="report directory (default: traces/analysis)")
-    p_an.add_argument("--tau-hi", type=float, default=0.9, dest="tau_hi")
-    p_an.add_argument("--tau-lo", type=float, default=0.1, dest="tau_lo")
-    p_an.add_argument("--persistence", type=int, default=3)
+    p_an.add_argument("--tau-hi", type=float, default=metrics.TAU_HI, dest="tau_hi")
+    p_an.add_argument("--tau-lo", type=float, default=metrics.TAU_LO, dest="tau_lo")
+    p_an.add_argument("--persistence", type=int, default=metrics.PERSISTENCE_K)
     p_an.set_defaults(func=_cmd_analyze)
 
     p_rep = sub.add_parser("replay", help="re-decode a recorded trace")

@@ -8,6 +8,7 @@ absolutely, where ``g`` sits at ``tokens[prompt_len + g]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
 
@@ -17,6 +18,20 @@ SENTINEL_CONFIDENCE = -1.0
 SAMPLERS = ("vanilla", "linear", "dynamic")
 SCHEDULERS = ("fixed", "adaptive")
 CACHES = ("none", "prefix", "dual")
+
+
+class Regime(str, Enum):
+    """The confidence regime of a generation position: the synthetic field's
+    ground truth and the label :func:`~semiar.metrics.segment_regimes` gives.
+
+    A member equals and hashes as its value, which reports write; ``str()``
+    and f-strings give ``Regime.NAME`` instead.
+    """
+
+    PLATEAU = "plateau"
+    VOLATILITY_BAND = "band"
+    FLOOR = "floor"
+    DECODED = "decoded"
 
 
 @dataclass(frozen=True)
@@ -312,7 +327,9 @@ def config_from_text(text: str) -> DecodeConfig:
         if key not in _FIELD_TYPES:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         try:
-            values[key] = parse_config_value(key, raw)
+            values[key] = value = parse_config_value(key, raw)
+            if why := config_value_error(key, value):
+                raise ValueError(why)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
     missing = set(REQUIRED_CONFIG_KEYS) - values.keys()

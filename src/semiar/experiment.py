@@ -36,7 +36,6 @@ re-running a spec reproduces the files byte for byte.
 from __future__ import annotations
 
 import configparser
-import csv
 import itertools
 import logging
 from concurrent.futures import ThreadPoolExecutor
@@ -417,6 +416,17 @@ def _execute_run(
         return RunOutcome(cell, repetition, run_seed, None, None, error=str(exc))
 
 
+def _aggregate_row(oc: RunOutcome) -> list[Any]:
+    """A successful run's ``aggregate.csv`` row, in :data:`AGGREGATE_COLUMNS` order."""
+    cfg, result, report = oc.cell.config, oc.result, oc.report
+    blocks = result.blocks
+    return [oc.cell.cell_id, cfg.scheduler, cfg.sampler, cfg.cache, cfg.b0, cfg.tau_d,
+            oc.run_seed, result.steps_used, result.denoise_calls,
+            result.position_evaluations, report.late_overhead_rate, report.premature_rate,
+            sum(d.block_size for d in blocks) / len(blocks) if blocks else 0.0,
+            int(result.completed)]
+
+
 def run(spec: ExperimentSpec, jobs: int = 1) -> tuple[list[RunOutcome], Path]:
     """Execute every cell and repetition; returns outcomes and the CSV path."""
     if jobs < 1:
@@ -434,48 +444,25 @@ def run(spec: ExperimentSpec, jobs: int = 1) -> tuple[list[RunOutcome], Path]:
         outcomes = [_execute_run(spec, *t) for t in tasks]
 
     csv_path = spec.out_dir / "aggregate.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGGREGATE_COLUMNS)
-        for oc in outcomes:
-            if oc.result is None or oc.report is None:
-                continue
-            cfg = oc.cell.config
-            blocks = oc.result.blocks
-            mean_b = sum(d.block_size for d in blocks) / len(blocks) if blocks else 0.0
-            writer.writerow(
-                [
-                    oc.cell.cell_id,
-                    cfg.scheduler,
-                    cfg.sampler,
-                    cfg.cache,
-                    cfg.b0,
-                    cfg.tau_d,
-                    oc.run_seed,
-                    oc.result.steps_used,
-                    oc.result.denoise_calls,
-                    oc.result.position_evaluations,
-                    oc.report.late_overhead_rate,
-                    oc.report.premature_rate,
-                    mean_b,
-                    int(oc.result.completed),
-                ]
-            )
+    metrics.write_csv(csv_path, AGGREGATE_COLUMNS,
+                      (_aggregate_row(oc) for oc in outcomes if oc.error is None))
     return outcomes, csv_path
 
 
 def analyze(
     trace_dir: str | Path,
     out_dir: str | Path | None = None,
-    tau_hi: float = 0.9,
-    tau_lo: float = 0.1,
-    persistence_k: int = 3,
+    tau_hi: float = metrics.TAU_HI,
+    tau_lo: float = metrics.TAU_LO,
+    persistence_k: int = metrics.PERSISTENCE_K,
 ) -> Path:
     """Post-process every trace file under ``trace_dir`` into report CSVs.
 
     Failure events are detected at each trace's recorded ``tau``, as the run
     that wrote it did for ``aggregate.csv``; a trace without a recorded config
-    uses :class:`DecodeConfig`'s default.
+    uses :class:`DecodeConfig`'s default.  A trace's reports are named after
+    its path with ``/`` as ``__``; two traces that would share a name raise
+    ``ValueError`` before anything is written.
     """
     metrics.check_regime_params(tau_hi, tau_lo, persistence_k)
     trace_dir = Path(trace_dir)
@@ -483,10 +470,19 @@ def analyze(
     paths = sorted(trace_dir.rglob("*.trace.jsonl"))
     if not paths:
         raise FileNotFoundError(f"no trace files under {trace_dir}")
+    stems: dict[str, Path] = {}  # report name -> the trace it belongs to
+    for path in paths:
+        rel = path.relative_to(trace_dir)
+        name = str(rel).replace("/", "__").replace(".trace.jsonl", "")
+        if name in stems:
+            raise ValueError(f"{rel}: report name {name!r} is already taken by "
+                             f"{stems[name]}; their reports would share files")
+        stems[name] = rel
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for path in paths:
+    for name, rel in stems.items():
+        path = trace_dir / rel
         try:
             data = tracefile.read_trace_file(path)
             trace = tracefile.trace_from_file(data)
@@ -497,14 +493,13 @@ def analyze(
             log.warning("skipping %s: %s", path, exc)
             continue
         widths = metrics.vb_width_series(labels)
-        rel = path.relative_to(trace_dir)
-        stem = out / str(rel).replace("/", "__").replace(".trace.jsonl", "")
+        stem = out / name
         metrics.write_step_report(f"{stem}.steps.csv", trace, report, widths)
         metrics.write_heatmap(f"{stem}.heatmap.csv", trace)
         metrics.write_regime_labels(f"{stem}.regimes.csv", labels)
         rows.append(
             [
-                str(path.relative_to(trace_dir)),
+                str(rel),
                 *((cfg.scheduler, cfg.sampler, cfg.cache, cfg.b0) if cfg else [""] * 4),
                 len(trace),
                 report.late_overhead_rate,
@@ -514,20 +509,7 @@ def analyze(
         )
 
     summary_path = out / "failures.csv"
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "trace",
-                "scheduler",
-                "sampler",
-                "cache",
-                "b0",
-                "steps",
-                "late_overhead_rate",
-                "premature_rate",
-                "mean_vb_width",
-            ]
-        )
-        writer.writerows(rows)
+    metrics.write_csv(summary_path, ["trace", "scheduler", "sampler", "cache", "b0", "steps",
+                                     "late_overhead_rate", "premature_rate", "mean_vb_width"],
+                      rows)
     return summary_path

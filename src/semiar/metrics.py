@@ -17,19 +17,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .core import DecodeTrace, StepRecord
+from .core import DecodeTrace, Regime, StepRecord
 from .sampling import top1
-
-
-class Regime(str, Enum):
-    PLATEAU = "plateau"
-    VOLATILITY_BAND = "band"
-    FLOOR = "floor"
-    DECODED = "decoded"
 
 
 @dataclass(frozen=True)
@@ -123,6 +115,11 @@ def failure_rates(trace: DecodeTrace, tau: float) -> FailureReport:
     return FailureReport(total_steps=len(trace), late_overhead=late, premature=early)
 
 
+#: The labelling thresholds :func:`segment_regimes`, ``experiment.analyze`` and
+#: ``semiar analyze`` use unless given others.
+TAU_HI, TAU_LO, PERSISTENCE_K = 0.9, 0.1, 3
+
+
 def check_regime_params(tau_hi: float, tau_lo: float, persistence_k: int) -> None:
     """Reject thresholds :func:`segment_regimes` cannot label with."""
     if tau_lo >= tau_hi:
@@ -133,9 +130,9 @@ def check_regime_params(tau_hi: float, tau_lo: float, persistence_k: int) -> Non
 
 def segment_regimes(
     trace: DecodeTrace,
-    tau_hi: float = 0.9,
-    tau_lo: float = 0.1,
-    persistence_k: int = 3,
+    tau_hi: float = TAU_HI,
+    tau_lo: float = TAU_LO,
+    persistence_k: int = PERSISTENCE_K,
 ) -> list[list[Regime]]:
     """Label every (step, position) pair from the trace's confidence snapshots.
 
@@ -188,6 +185,16 @@ def vb_width_series(labels: list[list[Regime]]) -> list[int]:
 # Report files
 # ---------------------------------------------------------------------------
 
+def write_csv(
+    path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]
+) -> None:
+    """A report CSV in csv's excel dialect, utf-8: ``header``, then ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_step_report(
     path: str | Path,
     trace: DecodeTrace,
@@ -201,20 +208,10 @@ def write_step_report(
     """
     late = {ev.step for ev in report.late_overhead}
     premature = {ev.step for ev in report.premature}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "g", "B", "late_overhead", "premature", "vb_width"])
-        for rec, width in zip(trace.steps, widths):
-            writer.writerow(
-                [
-                    rec.step,
-                    rec.block_start,
-                    rec.block_end - rec.block_start,
-                    int(rec.step in late),
-                    int(rec.step in premature),
-                    width,
-                ]
-            )
+    write_csv(path, ["step", "g", "B", "late_overhead", "premature", "vb_width"],
+              ([rec.step, rec.block_start, rec.block_end - rec.block_start,
+                int(rec.step in late), int(rec.step in premature), width]
+               for rec, width in zip(trace.steps, widths)))
 
 
 def _write_matrix(path: str | Path, width: int, rows: Iterable[str]) -> None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import SENTINEL_CONFIDENCE, PredictionFrame, SequenceState, Vocabulary
+from .core import SENTINEL_CONFIDENCE, PredictionFrame, Regime, SequenceState, Vocabulary
 from .seeding import unit_draw
 from . import tracefile
 
@@ -132,11 +132,10 @@ class SyntheticFieldParams:
             raise ValueError("delimiter_period must be >= 0")
 
 
-PLATEAU = "plateau"
-BAND = "band"
-FLOOR = "floor"
-
 _FILLER_COUNT = 8
+# predict reads these per position; on Python 3.11 each Regime.NAME read costs
+# ~150 ns (EnumType.__getattr__ puts class attribute reads on a slow path)
+_PLATEAU, _BAND, _FLOOR = Regime.PLATEAU, Regime.VOLATILITY_BAND, Regime.FLOOR
 
 
 class SyntheticPredictor(MaskPredictor):
@@ -183,10 +182,12 @@ class SyntheticPredictor(MaskPredictor):
         offset = round((2.0 * u - 1.0) * p.vb_width_jitter)
         return max(1, p.vb_width_mean + offset)
 
-    def regime_of(self, gen_pos: int, frontier: int) -> str:
+    def regime_of(self, gen_pos: int, frontier: int) -> Regime:
         return _regime(gen_pos, frontier, frontier + self.band_width(frontier))
 
     # -- field values ---------------------------------------------------------
+    # The draw keys stay plain strings: unit_draw hashes str(key), and
+    # str(Regime.PLATEAU) is 'Regime.PLATEAU', so a member would move every draw.
 
     def _plateau_conf(self, gen_pos: int) -> float:
         conf = self._plateau.get(gen_pos)
@@ -210,18 +211,18 @@ class SyntheticPredictor(MaskPredictor):
         u = unit_draw(p.noise_seed, "band", gen_pos, frontier)
         return p.vb_low + u * (p.vb_high - p.vb_low)
 
-    def _confidence(self, gen_pos: int, frontier: int, regime: str) -> float:
-        if regime == PLATEAU:
+    def _confidence(self, gen_pos: int, frontier: int, regime: Regime) -> float:
+        if regime is _PLATEAU:
             return self._plateau_conf(gen_pos)
-        if regime == BAND:
+        if regime is _BAND:
             return self._band_conf(gen_pos, frontier)
         return self._floor_conf(gen_pos)
 
-    def _token(self, gen_pos: int, regime: str) -> int:
+    def _token(self, gen_pos: int, regime: Regime) -> int:
         period = self.params.delimiter_period
         if period > 0 and gen_pos % period == period - 1:
             return self._delimiter_id
-        if regime == FLOOR:
+        if regime is _FLOOR:
             return self._vocab.eos_id
         return self._filler_ids[gen_pos % _FILLER_COUNT]
 
@@ -258,12 +259,12 @@ class SyntheticPredictor(MaskPredictor):
         return out
 
 
-def _regime(gen_pos: int, frontier: int, band_end: int) -> str:
+def _regime(gen_pos: int, frontier: int, band_end: int) -> Regime:
     if gen_pos < frontier:
-        return PLATEAU
+        return _PLATEAU
     if gen_pos < band_end:
-        return BAND
-    return FLOOR
+        return _BAND
+    return _FLOOR
 
 
 def build_synthetic(params: SyntheticFieldParams) -> SyntheticPredictor:

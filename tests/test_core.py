@@ -202,6 +202,18 @@ class TestDecodeConfig:
         with pytest.raises(ValueError, match=r"^line 2: b0: invalid literal for int"):
             config_from_text("gen_budget = 4\nb0 = x\nmax_steps = 4\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("tau = 2", "line 3: tau: must lie in (0, 1]"),
+         ("b0 = 0", "line 3: b0: must be >= 1"),
+         ("sampler = greedy", "line 3: sampler: must be one of ('vanilla', 'linear', 'dynamic')")],
+        ids=["tau", "b0", "sampler"],
+    )
+    def test_range_error_names_line_and_key(self, line, message):
+        with pytest.raises(ValueError) as info:
+            config_from_text(f"gen_budget = 4\nmax_steps = 4\n{line}\n")
+        assert str(info.value) == message
+
     def test_parse_reports_missing_required(self):
         with pytest.raises(ValueError, match="missing required"):
             config_from_text("tau = 0.5\n")

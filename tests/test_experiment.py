@@ -2,14 +2,16 @@
 
 import configparser
 import csv
+import inspect
 import json
 import re
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from semiar import cli, experiment
+from semiar import cli, experiment, metrics
 from semiar.core import DecodeConfig
 from semiar.decoder import decode
 from semiar.predictors import SyntheticFieldParams, build_synthetic
@@ -420,6 +422,39 @@ class TestAnalyze:
         rows = list(csv.DictReader(summary.open()))
         assert len(rows) == 8  # the broken file is skipped, not fatal
 
+    def test_fields_that_need_quoting_read_back(self, tmp_path):
+        # a cell id holding a comma is quoted in both summary CSVs
+        out = tmp_path / "out"
+        text = SPEC_TEMPLATE.replace("[cell sweep]", "[cell a,b]").replace("b0 = 4,8", "b0 = 4")
+        _, csv_path = experiment.run(experiment.load_spec(write_spec(tmp_path, text), out))
+        summary = experiment.analyze(out)
+        assert b'\r\n"a,b.scheduler=fixed",fixed,' in csv_path.read_bytes()
+        assert b'\r\n"a,b.scheduler=fixed/rep000.trace.jsonl",fixed,' in summary.read_bytes()
+        cells = [row["cell"] for row in csv.DictReader(csv_path.open(newline=""))]
+        assert cells == ["a,b.scheduler=fixed"] * 2 + ["a,b.scheduler=adaptive"] * 2
+        traces = [row["trace"] for row in csv.DictReader(summary.open(newline=""))]
+        assert traces == [f"a,b.scheduler={s}/rep00{r}.trace.jsonl"
+                          for s in ("adaptive", "fixed") for r in (0, 1)]
+
+    def test_colliding_report_names_rejected(self, tmp_path, capsys):
+        # both traces would write x__a__rep000.*.csv; neither may overwrite the other
+        spec = experiment.load_spec(write_spec(tmp_path), tmp_path / "run")
+        experiment.run(spec)
+        trace = sorted((tmp_path / "run").rglob("*.trace.jsonl"))[0]
+        traces = tmp_path / "traces"
+        for rel in ("x/a__rep000.trace.jsonl", "x__a/rep000.trace.jsonl"):
+            (traces / rel).parent.mkdir(parents=True)
+            shutil.copy(trace, traces / rel)
+        message = ("x__a/rep000.trace.jsonl: report name 'x__a__rep000' is already taken "
+                   "by x/a__rep000.trace.jsonl; their reports would share files")
+        with pytest.raises(ValueError) as info:
+            experiment.analyze(traces)
+        assert str(info.value) == message
+        assert not (traces / "analysis").exists()
+        assert cli.main(["analyze", "--traces", str(traces)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (traces / "analysis").exists()
+
 
 class TestCli:
     def test_run_then_analyze_then_replay(self, tmp_path, capsys):
@@ -534,6 +569,14 @@ class TestCli:
         reports = {p: p.read_bytes() for p in (out / "analysis").iterdir()}
         assert cli.main(["analyze", "--traces", str(out), *flags]) == 1
         assert {p: p.read_bytes() for p in (out / "analysis").iterdir()} == reports
+
+    def test_analyze_defaults_agree(self):
+        args = cli.build_parser().parse_args(["analyze", "--traces", "t"])
+        flags = {"tau_hi": args.tau_hi, "tau_lo": args.tau_lo,
+                 "persistence_k": args.persistence}
+        for func in (experiment.analyze, metrics.segment_regimes):
+            params = inspect.signature(func).parameters
+            assert {name: params[name].default for name in flags} == flags, func.__name__
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_run_rejects_jobs_below_one(self, jobs, tmp_path, capsys):

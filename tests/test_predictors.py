@@ -9,6 +9,7 @@ import pytest
 from semiar.core import (
     DecodeConfig,
     PredictionFrame,
+    Regime,
     SequenceState,
     Vocabulary,
     apply_sample,
@@ -74,6 +75,14 @@ class TestSyntheticField:
             assert 0.4 <= frame.confidence[i] <= 0.85
         for i in range(12, 24):  # floor beyond
             assert frame.confidence[i] <= 0.05
+
+    def test_regime_of_returns_regime_members(self):
+        # plateau behind the frontier, a band of width 4 at it, floor beyond
+        pred = build_synthetic(self.params())
+        assert pred.regime_of(7, 8) is Regime.PLATEAU
+        assert pred.regime_of(8, 8) is Regime.VOLATILITY_BAND
+        assert pred.regime_of(11, 8) is Regime.VOLATILITY_BAND
+        assert pred.regime_of(12, 8) is Regime.FLOOR
 
     def test_plateau_positions_all_high(self):
         pred = build_synthetic(self.params())

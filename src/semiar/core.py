@@ -376,6 +376,13 @@ class StepRecord:
     the trace reader both keep this, and the ``analyze`` passes rely on it to
     look only at ``evaluated``.  ``block_end``, ``sampled``, ``masked_before``
     and ``cache`` are None only for records read from a minimal-schema file.
+
+    ``computed`` narrows that further: the positions whose predicted or
+    confidence value may differ from the previous record's, a subset of
+    ``evaluated``.  The decoder stores the positions it recomputed, the trace
+    reader the positions whose values changed, sign of zero included.
+    ``None`` means unknown, so every ``evaluated`` position counts as changed.
+    It is an account of work, not an output, so records compare without it.
     """
 
     step: int
@@ -388,10 +395,17 @@ class StepRecord:
     sampled: tuple[int, ...] | None
     masked_before: tuple[int, ...] | None
     cache: str | None
+    computed: tuple[int, ...] | None = field(default=None, compare=False)
 
     @property
     def is_block_open(self) -> bool:
         return self.block_size is not None
+
+    @property
+    def changed(self) -> tuple[int, ...]:
+        """The positions whose values may differ from the previous record's:
+        ``computed``, or every ``evaluated`` position where that is unknown."""
+        return self.evaluated if self.computed is None else self.computed
 
 
 @dataclass(frozen=True)

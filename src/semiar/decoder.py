@@ -29,6 +29,9 @@ hold the very value a recomputation would give.  A value that ``prefix`` or
 ``dual`` left stale outside the scope stays stale until it is computed again:
 being in the frame is not enough to be reused.  Frames, traces and the
 charged ``evaluated`` sets are the same as if every scope were recomputed.
+Each record keeps the positions its step computed
+(:attr:`~semiar.core.StepRecord.computed`), so the trace writer re-formats
+only those values and a replay of the trace recomputes only them.
 """
 
 from __future__ import annotations
@@ -145,8 +148,8 @@ def decode(
     while g < L and state.step >= 1:
         masked = state.gen_masked()
         scope = evaluation_scope(config.cache, g, B, masked, L)
-        evaluated = sorted(scope)
-        computed = evaluated if len(stale) == L else sorted(stale & scope)
+        evaluated = tuple(sorted(scope))
+        computed = evaluated if len(stale) == L else tuple(sorted(stale & scope))
         try:
             frame = predictor.denoise(state, computed, prior=frame)
         except Exception as exc:
@@ -168,12 +171,13 @@ def decode(
                 block_start=g,
                 block_end=g + B,
                 block_size=B if opens else None,
-                evaluated=tuple(evaluated),
+                evaluated=evaluated,
                 predicted=frame.predicted,
                 confidence=frame.confidence,
                 sampled=tuple(sorted(sampled)),
                 masked_before=tuple(sorted(masked)),
                 cache=config.cache,
+                computed=computed,
             )
         )
         before, state = state, apply_sample(state, frame, sampled)

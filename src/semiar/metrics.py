@@ -146,32 +146,33 @@ def segment_regimes(
 
     # Per position, the step at which its current run of snapshots reaching
     # tau_hi began, and the same for staying at or below tau_lo; ``never``
-    # while the latest snapshot breaks the run.  A value changes only where a
-    # step evaluates (see StepRecord), so only there can a run begin or break.
-    # The last min(k, r + 1) snapshots all qualify exactly when the run began
-    # at step max(0, r + 1 - k) or earlier.
+    # while the latest snapshot breaks the run.  A value changes only at a
+    # record's changed positions (see StepRecord), so only there can a run
+    # begin or break; revisiting an unchanged value leaves both starts as they
+    # are.  The last min(k, r + 1) snapshots all qualify exactly when the run
+    # began at step max(0, r + 1 - k) or earlier.
     L = trace.gen_budget
     never = len(trace.steps)
     hi_start = [never] * L
     lo_start = [never] * L
+    # members bound once: each Regime.NAME read is a slow enum class lookup
+    decoded, plateau, floor, band = (
+        Regime.DECODED, Regime.PLATEAU, Regime.FLOOR, Regime.VOLATILITY_BAND)
     labels: list[list[Regime]] = []
-    prev: tuple[float, ...] = ()
     for r, rec in enumerate(trace.steps):
         conf = rec.confidence
-        changed = [i for i in rec.evaluated if conf[i] != prev[i]] if r else range(L)
-        prev = conf
-        for i in changed:
+        for i in rec.changed if r else range(L):
             hi_start[i] = min(hi_start[i], r) if conf[i] >= tau_hi else never
             lo_start[i] = min(lo_start[i], r) if conf[i] <= tau_lo else never
         began_by = max(0, r + 1 - persistence_k)
-        row = [Regime.DECODED] * L
+        row = [decoded] * L
         for i in rec.masked_before:
             if hi_start[i] <= began_by:
-                row[i] = Regime.PLATEAU
+                row[i] = plateau
             elif lo_start[i] <= began_by:
-                row[i] = Regime.FLOOR
+                row[i] = floor
             else:
-                row[i] = Regime.VOLATILITY_BAND
+                row[i] = band
         labels.append(row)
     return labels
 
@@ -231,21 +232,16 @@ def _csv_text(value: object) -> str:
 
 
 def _heatmap_rows(trace: DecodeTrace) -> Iterator[str]:
-    """Each row formats the cells its step evaluated and changed; the others
-    carry the previous row's value (see StepRecord), hence its text."""
+    """Each row formats the cells its step changed; the others carry the
+    previous row's value (see StepRecord), hence its text."""
     cells: list[str] = []
-    prev: tuple[float, ...] = ()
     for rec in trace.steps:
         conf = rec.confidence
         if not cells:
-            cells, prev = [_csv_text(c) for c in conf], conf
-        for i in rec.evaluated:
-            c, old = conf[i], prev[i]
-            # equal values may print differently (0.0 and -0.0, 1 and 1.0);
-            # equal nonzero floats never do
-            if c is not old and not (c == old and c and type(c) is type(old) is float):
-                cells[i] = _csv_text(c)
-        prev = conf
+            cells = [_csv_text(c) for c in conf]
+        else:
+            for i in rec.changed:
+                cells[i] = _csv_text(conf[i])
         yield f"{rec.step},{','.join(cells)}\r\n"
 
 

@@ -53,11 +53,12 @@ class MaskPredictor:
 
     def invalidated(
         self, before: SequenceState, after: SequenceState, committed: Iterable[int]
-    ) -> Iterable[range] | None:
-        """Ranges of generation positions whose prediction a commit may change.
+    ) -> Iterable[Iterable[int]] | None:
+        """Ranges (or other groups) of generation positions whose prediction a
+        commit may change.
 
         ``after`` is ``before`` with ``committed`` committed; every position
-        outside the ranges predicts the same in both.  ``None``: every position.
+        outside the groups predicts the same in both.  ``None``: every position.
         """
         return None
 
@@ -468,9 +469,14 @@ class TraceReplayPredictor(MaskPredictor):
     Each denoise call is served from the accumulated snapshot of the record
     at the cursor, matching the carry-forward semantics of live frames.
     Each instance owns a cursor, so concurrent sessions need separate
-    instances (see :meth:`fork`).  It keeps the default
-    :meth:`~MaskPredictor.invalidated`, every position, so every denoise
-    call asks it for the whole scope and its cursor moves once per step.
+    instances (see :meth:`fork`).  The cursor moves once per denoise call,
+    so once per step, however few positions the call asks for.
+
+    :meth:`invalidated` names the next record's
+    :attr:`~semiar.core.StepRecord.computed` positions: a recorded value
+    changes only there, so every other position still holds the value it
+    was last served, under any replay config.  Where a record does not know
+    them, or the trace is exhausted, it answers every position.
     """
 
     def __init__(self, data: "tracefile.TraceFileData"):
@@ -492,6 +498,14 @@ class TraceReplayPredictor(MaskPredictor):
     def fork(self) -> "TraceReplayPredictor":
         """Fresh replayer over the same parsed data, cursor rewound."""
         return TraceReplayPredictor(self._data)
+
+    def invalidated(
+        self, before: SequenceState, after: SequenceState, committed: Iterable[int]
+    ) -> list[tuple[int, ...]] | None:
+        steps = self._data.trace.steps
+        if self._cursor < len(steps) and (computed := steps[self._cursor].computed) is not None:
+            return [computed]
+        return None
 
     def predict(
         self, state: SequenceState, positions: Sequence[int]

@@ -14,21 +14,30 @@ The reader rejects, naming the line, a ``vocab`` that repeats a token, a
 ``step`` other than the number of step lines before it (blank lines do not
 count), a ``g`` outside ``[0, gen_budget)``, and, where present, a
 ``block_end`` outside ``(g, gen_budget]``, a ``B`` outside ``[1, gen_budget -
-g]`` or a ``cache`` that names no cache policy.
+g]`` or a ``cache`` that names no cache policy.  Every value of every line
+is checked, even one that repeats the value its position already holds.
+
+The format holds no record of which values changed, and needs none: a line
+repeats every evaluated value.  Both sides recover the changes instead.  The writer keeps
+each position's formatted text and re-formats only a record's
+:attr:`~semiar.core.StepRecord.computed` positions; the reader sets
+``computed`` to the positions whose value differs from the running snapshot,
+so a replay, ``analyze`` and a rewrite look only at those.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import copysign, isfinite
 from pathlib import Path
 from typing import Any
 
 from .core import (
     CACHES,
+    SENTINEL_CONFIDENCE,
     DecodeConfig,
     DecodeTrace,
-    PredictionFrame,
     StepRecord,
     Vocabulary,
     prompt_error,
@@ -105,6 +114,28 @@ def _invalid(values: list, lo: float, hi: float, types: frozenset[type]) -> list
     return [v for v in values if type(v) not in types or not lo <= v <= hi]
 
 
+def _merge_line(
+    pred_row: list[int], conf_row: list[float], positions: list[int], pred: list[int],
+    conf: list[float],
+) -> tuple[int, ...]:
+    """Write one step line's values into the running rows and return the
+    positions whose value changed, in line order.
+
+    An equal value is no change, except a zero whose sign flipped: ``0.0 ==
+    -0.0``, yet the two print differently.  A repeated position keeps its
+    last value, as it would in :meth:`~semiar.core.PredictionFrame.merge`.
+    Most values repeat the running row's, so a plain loop that writes only
+    the changes beats C-level comparisons of the whole line.
+    """
+    changed = []
+    for p, token, c in zip(positions, pred, conf):
+        old = conf_row[p]
+        if c != old or token != pred_row[p] or not c and copysign(1.0, c) != copysign(1.0, old):
+            changed.append(p)
+            pred_row[p], conf_row[p] = token, float(c)
+    return tuple(changed)
+
+
 def read_trace_file(path: str | Path) -> TraceFileData:
     """Parse a trace file eagerly, reporting the first malformed line.
 
@@ -142,7 +173,9 @@ def read_trace_file(path: str | Path) -> TraceFileData:
         raise bad(1, f"invalid config ({exc})") from exc
     L = header["gen_budget"]
 
-    frame = PredictionFrame.sentinel(L, vocab.mask_id)
+    # the running rows, and the last record's snapshot of them
+    pred_row, conf_row = [vocab.mask_id] * L, [SENTINEL_CONFIDENCE] * L
+    predicted, confidence = tuple(pred_row), tuple(conf_row)
     records: list[StepRecord] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -184,7 +217,9 @@ def read_trace_file(path: str | Path) -> TraceFileData:
             raise bad(lineno, f"token {wrong[0]!r} is not an integer in [0, {vocab.size})")
         if wrong := _invalid(conf, 0.0, 1.0, _NUMBER):
             raise bad(lineno, f"confidence {wrong[0]!r} is not a number in [0, 1]")
-        frame = frame.merge(positions, zip(pred, map(float, conf)))
+        computed = _merge_line(pred_row, conf_row, positions, pred, conf)
+        if computed:
+            predicted, confidence = tuple(pred_row), tuple(conf_row)
         records.append(
             StepRecord(
                 step=obj["step"],
@@ -192,16 +227,25 @@ def read_trace_file(path: str | Path) -> TraceFileData:
                 block_end=end,
                 block_size=size,
                 evaluated=tuple(positions),
-                predicted=frame.predicted,
-                confidence=frame.confidence,
+                predicted=predicted,
+                confidence=confidence,
                 sampled=tuple(obj["sampled"]) if "sampled" in obj else None,
                 masked_before=tuple(obj["masked"]) if "masked" in obj else None,
                 cache=cache,
+                computed=computed,
             )
         )
 
     trace = DecodeTrace(prompt_len=header["prompt_len"], gen_budget=L, steps=tuple(records))
     return TraceFileData(vocab, trace, prompt, config)
+
+
+def _json_text(value: object) -> str:
+    """``json.dumps(value)``, with ints and finite floats printed directly."""
+    kind = type(value)
+    if kind is int or kind is float and isfinite(value):
+        return repr(value)
+    return json.dumps(value)
 
 
 def write_trace(
@@ -225,21 +269,31 @@ def write_trace(
         header["config"] = config_to_dict(config)
 
     lines = [json.dumps(header)]
+    # each position's value as the last record that changed it prints it
+    pred_text: list[str] = []
+    conf_text: list[str] = []
     for rec in trace.steps:
-        positions = list(rec.evaluated)
-        obj: dict[str, Any] = {
-            "step": rec.step,
-            "g": rec.block_start,
-            "positions": positions,
-            "pred": [rec.predicted[p] for p in positions],
-            "conf": [rec.confidence[p] for p in positions],
+        if not pred_text:
+            pred_text = list(map(_json_text, rec.predicted))
+            conf_text = list(map(_json_text, rec.confidence))
+        else:
+            for p in rec.changed:
+                pred_text[p] = _json_text(rec.predicted[p])
+                conf_text[p] = _json_text(rec.confidence[p])
+        # json.dumps of the step's object, with "pred" and "conf" spliced in
+        # between the keys before and after them
+        positions = rec.evaluated
+        head = json.dumps({"step": rec.step, "g": rec.block_start, "positions": positions})
+        tail = json.dumps({
             "B": rec.block_size,
             "block_end": rec.block_end,
             "sampled": list(rec.sampled),
             "masked": list(rec.masked_before),
             "cache": rec.cache,
-        }
-        lines.append(json.dumps(obj))
+        })
+        pred = ", ".join(map(pred_text.__getitem__, positions))
+        conf = ", ".join(map(conf_text.__getitem__, positions))
+        lines.append(f'{head[:-1]}, "pred": [{pred}], "conf": [{conf}], {tail[1:]}')
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -45,6 +45,14 @@ def gen_state(predictor, L, committed=0, prompt=(0,)):
     )
 
 
+def changed_positions(trace, r):
+    """Positions whose value, as printed, differs between records r - 1 and r."""
+    old, new = trace.steps[r - 1], trace.steps[r]
+    return tuple(p for p in range(trace.gen_budget)
+                 if (old.predicted[p], repr(old.confidence[p]))
+                 != (new.predicted[p], repr(new.confidence[p])))
+
+
 def distribution(model, left_ctx, right_ctx):
     """The blended probability of every token but the mask next to two contexts."""
     mask = model.vocab.mask_id
@@ -425,8 +433,9 @@ class TestTraceReplay:
 
     @pytest.mark.parametrize("cache", ["none", "prefix", "dual"])
     def test_ngram_trace_replays_to_its_own_bytes(self, cache, tmp_path):
-        # the n-gram decode computes only what its commits touched; replay is
-        # global, so its cursor still moves once per step
+        # the n-gram decode computes only what its commits touched; the replay
+        # recomputes only what the next record changed, and its cursor still
+        # moves once per step
         pred = build_ngram(" . ".join(["a b c d e", "f g h i j"] * 4), order=3,
                            smoothing_k=0.01)
         cfg = DecodeConfig(gen_budget=16, max_steps=16, b0=4, cache=cache, tau=0.5)
@@ -437,7 +446,9 @@ class TestTraceReplay:
 
         replayer = load_trace_predictor(path)
         start = init_state(prompt, 16, 16, pred.vocabulary.mask_id)
-        assert replayer.invalidated(start, start, ()) is None
+        probe = replayer.fork()
+        probe.predict(start, [])  # serve record 0; record 1 is next
+        assert probe.invalidated(start, start, ()) == [changed_positions(recorded.trace, 1)]
         replayed = decode(replayer, cfg, prompt)
         again = tmp_path / "replay.trace.jsonl"
         write_trace(again, replayed.trace, replayer.vocabulary, prompt=prompt, config=cfg)

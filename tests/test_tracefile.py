@@ -1,12 +1,22 @@
 """Trace file round-trips and schema validation."""
 
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from semiar.core import DecodeConfig
+from semiar.core import CACHES, SAMPLERS, SCHEDULERS, DecodeConfig, DecodeTrace
 from semiar.decoder import decode
-from semiar.predictors import SyntheticFieldParams, build_synthetic
+from semiar.metrics import write_heatmap
+from semiar.predictors import (
+    SyntheticFieldParams,
+    TraceReplayPredictor,
+    build_ngram,
+    build_synthetic,
+)
 from semiar.tracefile import (
     TraceFormatError,
     config_from_dict,
@@ -50,10 +60,84 @@ class TestRoundTrip:
         write_trace(b, result.trace, pred.vocabulary, prompt=prompt, config=cfg)
         assert a.read_bytes() == b.read_bytes()
 
+    PREDICTORS = {
+        "synthetic": lambda: build_synthetic(SyntheticFieldParams(
+            noise_seed=4, delimiter_period=4, vb_width_mean=3, vb_low=0.4, vb_high=0.85)),
+        "ngram": lambda: build_ngram(" . ".join(["a b c d e", "f g h i j"] * 4),
+                                     order=3, smoothing_k=0.01),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(PREDICTORS)),
+        sampler=st.sampled_from(SAMPLERS),
+        scheduler=st.sampled_from(SCHEDULERS),
+        cache=st.sampled_from(CACHES),
+        L=st.integers(1, 20),
+        b0=st.integers(1, 8),
+        tau=st.floats(0.3, 1.0),
+        slack=st.integers(0, 12),
+    )
+    def test_decode_write_read_replay_write(self, kind, sampler, scheduler, cache, L, b0,
+                                            tau, slack):
+        """Replay recomputes only the positions each record changed, yet its
+        trace, and every trace written without ``computed``, has the same bytes."""
+        pred = self.PREDICTORS[kind]()
+        vocab = pred.vocabulary
+        delims = frozenset({vocab.id_of(".") if kind == "ngram" else pred.delimiter_id})
+        config = DecodeConfig(gen_budget=L, max_steps=max(1, L - slack), b0=b0, tau=tau,
+                              sampler=sampler, scheduler=scheduler, cache=cache,
+                              delimiters=delims, linear_steps=max(1, L // 2))
+        prompt = (0, 1)
+        recorded = decode(pred, config, prompt).trace
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / f"{name}.jsonl"
+                     for name in ("recorded", "replayed", "unknown", "read-unknown")]
+            write_trace(paths[0], recorded, vocab, prompt=prompt, config=config)
+            data = read_trace_file(paths[0])
+            replayed = decode(TraceReplayPredictor(data), config, prompt).trace
+            write_trace(paths[1], replayed, vocab, prompt=prompt, config=config)
+            for path, trace in zip(paths[2:], (recorded, data.trace)):
+                write_trace(path, _without_computed(trace), vocab, prompt=prompt,
+                            config=config)
+            texts = {path.read_bytes() for path in paths}
+        assert len(texts) == 1
+        assert replayed == recorded
+        for trace in (recorded, data.trace, replayed):
+            for rec in trace.steps:
+                assert set(rec.computed) <= set(rec.evaluated)
+
+    def test_zero_changing_sign_is_a_change(self, tmp_path):
+        # 0.0 == -0.0, but they print differently: the reader must count the
+        # flip as a change, so the snapshot, the heatmap and a rewrite keep it
+        header = {"vocab": ["a", "[MASK]", "<EOS>"], "mask_id": 1, "prompt_len": 1,
+                  "gen_budget": 2, "eos_id": 2}
+        lines = [json.dumps(header)]
+        for step, text in enumerate(["0.0", "-0.0", "0.0", "-0.0"]):
+            lines.append(
+                f'{{"step": {step}, "g": 0, "positions": [0, 1], "pred": [0, 0], '
+                f'"conf": [{text}, 0.5], "B": {"2" if step == 0 else "null"}, '
+                f'"block_end": 2, "sampled": [], "masked": [0, 1], "cache": "none"}}')
+        path = tmp_path / "zero.trace.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        trace = read_trace_file(path).trace
+        assert [rec.computed for rec in trace.steps] == [(0, 1), (0,), (0,), (0,)]
+        assert [str(rec.confidence[0]) for rec in trace.steps] == ["0.0", "-0.0", "0.0", "-0.0"]
+        write_trace(tmp_path / "again.trace.jsonl", trace, read_trace_file(path).vocab)
+        assert (tmp_path / "again.trace.jsonl").read_bytes() == path.read_bytes()
+        write_heatmap(tmp_path / "heatmap.csv", trace)
+        assert (tmp_path / "heatmap.csv").read_bytes() == (
+            b"step,p0,p1\r\n0,0.0,0.5\r\n1,-0.0,0.5\r\n2,0.0,0.5\r\n3,-0.0,0.5\r\n")
+
     def test_config_dict_round_trip(self):
         cfg = DecodeConfig(gen_budget=8, max_steps=9, delimiters=frozenset({1, 4}),
                            scheduler="adaptive", linear_steps=3)
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def _without_computed(trace):
+    return DecodeTrace(trace.prompt_len, trace.gen_budget, tuple(
+        dataclasses.replace(rec, computed=None) for rec in trace.steps))
 
 
 def _set(key, index, value):
@@ -169,6 +253,9 @@ class TestValidation:
             pytest.param(_set("conf", 0, 1.5), "confidence 1.5", id="conf-above-one"),
             pytest.param(_set("conf", 0, -0.1), "confidence -0.1", id="conf-negative"),
             pytest.param(_set("conf", 0, float("nan")), "confidence nan", id="conf-nan"),
+            pytest.param(_set("conf", 0, float("inf")), "confidence inf", id="conf-infinity"),
+            # the sentinel equals the running value of a position no line set yet
+            pytest.param(_set("conf", 0, -1.0), "confidence -1.0", id="conf-sentinel"),
             pytest.param(_drop("conf"), "missing key 'conf'", id="lacks-conf"),
             pytest.param(_put("sampled", 3), "'sampled' must be a JSON array",
                          id="sampled-not-list"),
@@ -196,6 +283,24 @@ class TestValidation:
         lines[lineno - 1] = json.dumps(obj)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceFormatError, match=f"line {lineno}: .*{match}"):
+            read_trace_file(path)
+
+    def test_token_equal_to_running_value_still_checked(self, small_run, tmp_path):
+        # a float token equal to the int the position already holds changes
+        # nothing in the snapshot, but it is still not a token id
+        pred, cfg, prompt, result = small_run
+        path = tmp_path / "run.jsonl"
+        write_trace(path, result.trace, pred.vocabulary)
+        lines = path.read_text().splitlines()
+        first, second = json.loads(lines[1]), json.loads(lines[2])
+        held = dict(zip(first["positions"], first["pred"]))
+        index = next(i for i, (p, t) in enumerate(zip(second["positions"], second["pred"]))
+                     if held.get(p) == t)
+        second["pred"][index] = float(second["pred"][index])
+        lines[2] = json.dumps(second)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError,
+                           match=f"line 3: token {second['pred'][index]!r} is not an integer"):
             read_trace_file(path)
 
     def test_step_line_not_an_object_names_line(self, small_run, tmp_path):

@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import (
+    Any, Callable, Collection, Iterable, Sequence, get_args, get_origin, get_type_hints,
+)
 
 #: Confidence stored for positions that no denoise call has touched yet.
 SENTINEL_CONFIDENCE = -1.0
@@ -143,13 +145,26 @@ class PredictionFrame:
     def merge(
         self, positions: Sequence[int], values: Iterable[tuple[int, float]]
     ) -> "PredictionFrame":
-        """New frame with ``positions`` overwritten by ``values``."""
-        pred = list(self.predicted)
+        """New frame with ``positions`` overwritten by ``values``.
+
+        This very frame when ``positions`` is empty, and this frame's
+        ``predicted`` tuple when every token written is the very object
+        already there, so an unchanged row is shared rather than copied.
+        """
+        if not positions:
+            return self
+        predicted, pred = self.predicted, None
         conf = list(self.confidence)
         for p, (tok, c) in zip(positions, values, strict=True):
-            pred[p] = tok
             conf[p] = c
-        return PredictionFrame(tuple(pred), tuple(conf))
+            if pred is None:
+                # identity, not equality: an equal token of another type
+                # (True for 1) prints differently in a trace, so it is stored
+                if predicted[p] is tok:
+                    continue
+                pred = list(predicted)
+            pred[p] = tok
+        return PredictionFrame(predicted if pred is None else tuple(pred), tuple(conf))
 
 
 def prompt_error(prompt: Sequence[int], vocab_size: int, mask_id: int) -> str | None:
@@ -185,21 +200,21 @@ def init_state(
 
 
 def apply_sample(
-    state: SequenceState, frame: PredictionFrame, selected: Iterable[int]
+    state: SequenceState, frame: PredictionFrame, selected: Collection[int]
 ) -> SequenceState:
     """Commit predicted tokens at the ``selected`` generation positions.
 
-    Every selected position must currently be masked; all other positions are
-    untouched and the step counter decreases by one.  The empty selection is a
-    legal no-op step.  The successor's masked set is the current one minus the
-    committed positions, so the step costs O(selected), not a rescan.
+    ``selected`` holds distinct positions, each of which must currently be
+    masked; all other positions are untouched and the step counter decreases
+    by one.  The empty selection is a legal no-op step.  The successor's
+    masked set is the current one minus the committed positions, so the step
+    rescans nothing: it copies the token tuple and the masked set once each.
     """
     if state.step < 1:
         raise ValueError("step budget exhausted; cannot advance")
-    sel = sorted(set(selected))
     tokens = list(state.tokens)
     lp = state.prompt_len
-    for g in sel:
+    for g in selected:
         if not 0 <= g < state.gen_budget:
             raise ValueError(f"selected position {g} out of range")
         if tokens[lp + g] != state.mask_id:
@@ -211,7 +226,7 @@ def apply_sample(
     changed = {
         "tokens": tuple(tokens),
         "step": state.step - 1,
-        "masked": state.masked.difference(sel),
+        "masked": state.masked.difference(selected),
     }
     # Built field by field: not through __init__, so the masked set is not
     # rescanned (the checks above keep __post_init__'s invariants), and not
@@ -383,6 +398,12 @@ class StepRecord:
     reader the positions whose values changed, sign of zero included.
     ``None`` means unknown, so every ``evaluated`` position counts as changed.
     It is an account of work, not an output, so records compare without it.
+
+    Records may share tuple objects.  Under the ``none`` cache a decoder
+    record's ``evaluated`` between block opens is its ``masked_before``, and a
+    record whose step computed nothing holds the previous record's
+    ``predicted`` and ``confidence`` (its ``predicted`` alone when no token
+    changed).  Treat every field as a value: compare with ``==``, not ``is``.
     """
 
     step: int

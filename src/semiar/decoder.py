@@ -32,14 +32,25 @@ charged ``evaluated`` sets are the same as if every scope were recomputed.
 Each record keeps the positions its step computed
 (:attr:`~semiar.core.StepRecord.computed`), so the trace writer re-formats
 only those values and a replay of the trace recomputes only them.
+
+No step sorts or scans the generation region.  The loop keeps one ascending
+list of the masked positions and deletes each commit from it by bisection;
+the step's ``masked_before`` is one tuple of that list, every scope is a
+slice of it or of the region, and ``computed`` is drawn from the positions
+invalidated since they were last computed.  What is left of O(L) are
+C-level copies: that tuple, the confidence tuple of a denoise that computed
+something (and its predicted tuple when a token changed), and the token tuple
+and masked set of the successor state.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     DecodeConfig,
@@ -60,27 +71,51 @@ class DecodeError(RuntimeError):
     """Raised when a decode session cannot continue."""
 
 
+@lru_cache(maxsize=8)
+def _region(gen_budget: int) -> tuple[int, ...]:
+    """Every generation position, ascending: the tuple region scopes slice."""
+    return tuple(range(gen_budget))
+
+
 def evaluation_scope(
     policy: str,
     g: int,
     block_size: int | None,
-    masked: Iterable[int],
+    masked: tuple[int, ...],
     gen_budget: int,
-) -> frozenset[int]:
-    """Generation positions one denoise call must evaluate under ``policy``.
+) -> tuple[int, ...]:
+    """Generation positions one denoise call must evaluate under ``policy``,
+    ascending.
 
-    ``block_size`` is None for the block-opening call, whose block is not yet
-    sized.
+    ``masked`` is the ascending tuple of masked positions; under ``none`` the
+    scope between block opens is that very tuple.  ``block_size`` is None for
+    the block-opening call, whose block is not yet sized.  Every scope is a
+    run of the region or the masked positions of one, which
+    :func:`_stale_in_scope` relies on.
     """
     if policy == "none":
-        return frozenset(range(gen_budget) if block_size is None else masked)
+        return _region(gen_budget) if block_size is None else masked
     if policy == "prefix":
-        return frozenset(range(g, gen_budget))
+        return _region(gen_budget)[g:]
     if policy == "dual":
         if block_size is None:
-            return frozenset(range(gen_budget))
-        return frozenset(masked).intersection(range(g, g + block_size))
+            return _region(gen_budget)
+        return masked[bisect_left(masked, g) : bisect_left(masked, g + block_size)]
     raise ValueError(f"unknown cache policy {policy!r}")
+
+
+def _stale_in_scope(
+    stale: set[int], scope: tuple[int, ...], masked: frozenset[int]
+) -> tuple[int, ...]:
+    """The ``stale`` positions in ``scope``, ascending, found without walking
+    the scope: a scope with gaps holds exactly the masked positions of its
+    span, and one without holds every position of it."""
+    if not scope:
+        return ()
+    if scope[-1] - scope[0] + 1 != len(scope):
+        stale = stale.intersection(masked)
+    ordered = sorted(stale)
+    return tuple(ordered[bisect_left(ordered, scope[0]) : bisect_right(ordered, scope[-1])])
 
 
 @dataclass(frozen=True)
@@ -140,16 +175,19 @@ def decode(
     blocks: list[BlockDecision] = []
     g = 0
     B: int | None = None  # size of the open block; None until a step opens one
+    region = _region(L)
+    masked = list(region)  # the masked generation positions, ascending
     # invalidated since last computed; computed positions leave it only after
     # the commit, so "every position" costs one copy, not a removal and re-adding
-    everywhere = frozenset(range(L))
-    stale = set(everywhere)
+    stale = set(region)
 
     while g < L and state.step >= 1:
-        masked = state.gen_masked()
-        scope = evaluation_scope(config.cache, g, B, masked, L)
-        evaluated = tuple(sorted(scope))
-        computed = evaluated if len(stale) == L else tuple(sorted(stale & scope))
+        masked_before = tuple(masked)
+        evaluated = evaluation_scope(config.cache, g, B, masked_before, L)
+        if len(stale) == L:
+            computed = evaluated
+        else:
+            computed = _stale_in_scope(stale, evaluated, state.masked)
         try:
             frame = predictor.denoise(state, computed, prior=frame)
         except Exception as exc:
@@ -162,20 +200,20 @@ def decode(
             decision = decide_block(frame, config, g)
             blocks.append(decision)
             B = decision.block_size
-        block = range(g, g + B)
+        end = g + B
 
-        sampled = sample_step(state, frame, config, block)
+        sampled = tuple(sorted(sample_step(state, frame, config, range(g, end))))
         records.append(
             StepRecord(
                 step=len(records),
                 block_start=g,
-                block_end=g + B,
+                block_end=end,
                 block_size=B if opens else None,
                 evaluated=evaluated,
                 predicted=frame.predicted,
                 confidence=frame.confidence,
-                sampled=tuple(sorted(sampled)),
-                masked_before=tuple(sorted(masked)),
+                sampled=sampled,
+                masked_before=masked_before,
                 cache=config.cache,
                 computed=computed,
             )
@@ -183,12 +221,15 @@ def decode(
         before, state = state, apply_sample(state, frame, sampled)
         changed = predictor.invalidated(before, state, sampled)
         if changed is None:
-            stale = set(everywhere)
+            stale = set(region)
         else:
             stale.difference_update(computed)
             stale.update(*changed)
-        if state.gen_masked().isdisjoint(block):
-            g, B = g + B, None
+        for p in sampled:
+            del masked[bisect_left(masked, p)]
+        i = bisect_left(masked, g)
+        if i == len(masked) or masked[i] >= end:
+            g, B = end, None
 
     return DecodeResult(
         final_tokens=state.tokens,

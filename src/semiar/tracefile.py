@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass
 from math import copysign, isfinite
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from .core import (
     CACHES,
@@ -107,10 +107,12 @@ def _header_error(header: dict) -> str | None:
 def _invalid(values: list, lo: float, hi: float, types: frozenset[type]) -> list:
     """The values whose type is not in ``types`` or that lie outside
     ``[lo, hi]``, NaN included."""
-    if types is _INT and set(map(type, values)) <= _INT and (
-        not values or lo <= min(values) and max(values) <= hi
+    # the common case, checked at C speed: min and max pass over a NaN, but
+    # once they hold the sum is bounded, so it is not finite only for a NaN
+    if set(map(type, values)) <= types and (
+        not values or lo <= min(values) and max(values) <= hi and isfinite(sum(values))
     ):
-        return []  # the common case, checked at C speed
+        return []
     return [v for v in values if type(v) not in types or not lo <= v <= hi]
 
 
@@ -204,9 +206,9 @@ def read_trace_file(path: str | Path) -> TraceFileData:
         g, end, size, cache = obj["g"], obj.get("block_end"), obj.get("B"), obj.get("cache")
         if not 0 <= g < L:
             raise bad(lineno, f"g {g} is not in [0, {L})")
-        if end is not None and _invalid([end], g + 1, L, _INT):
+        if end is not None and not (type(end) is int and g < end <= L):
             raise bad(lineno, f"block_end {end!r} is not an integer in ({g}, {L}]")
-        if size is not None and _invalid([size], 1, L - g, _INT):
+        if size is not None and not (type(size) is int and 1 <= size <= L - g):
             raise bad(lineno, f"B {size!r} is not an integer in [1, {L - g}]")
         if cache not in (None, *CACHES):
             raise bad(lineno, f"cache {cache!r} is not one of {', '.join(CACHES)}")
@@ -245,7 +247,18 @@ def _json_text(value: object) -> str:
     kind = type(value)
     if kind is int or kind is float and isfinite(value):
         return repr(value)
-    return json.dumps(value)
+    return "null" if value is None else json.dumps(value)
+
+
+def _int_array_text(values: Sequence[int], texts: dict[int, str]) -> str:
+    """``json.dumps(list(values))``, joined from ``texts`` when every value is
+    an int (a bool, which hashes as one, is not) that ``texts`` holds."""
+    if set(map(type, values)) <= _INT:
+        try:
+            return f"[{', '.join(map(texts.__getitem__, values))}]"
+        except KeyError:
+            pass
+    return json.dumps(list(values))
 
 
 def write_trace(
@@ -269,6 +282,7 @@ def write_trace(
         header["config"] = config_to_dict(config)
 
     lines = [json.dumps(header)]
+    position_text = {p: str(p) for p in range(trace.gen_budget)}
     # each position's value as the last record that changed it prints it
     pred_text: list[str] = []
     conf_text: list[str] = []
@@ -280,20 +294,20 @@ def write_trace(
             for p in rec.changed:
                 pred_text[p] = _json_text(rec.predicted[p])
                 conf_text[p] = _json_text(rec.confidence[p])
-        # json.dumps of the step's object, with "pred" and "conf" spliced in
-        # between the keys before and after them
+        # json.dumps of the step's object, one value text at a time
         positions = rec.evaluated
-        head = json.dumps({"step": rec.step, "g": rec.block_start, "positions": positions})
-        tail = json.dumps({
-            "B": rec.block_size,
-            "block_end": rec.block_end,
-            "sampled": list(rec.sampled),
-            "masked": list(rec.masked_before),
-            "cache": rec.cache,
-        })
         pred = ", ".join(map(pred_text.__getitem__, positions))
         conf = ", ".join(map(conf_text.__getitem__, positions))
-        lines.append(f'{head[:-1]}, "pred": [{pred}], "conf": [{conf}], {tail[1:]}')
+        evaluated = _int_array_text(positions, position_text)
+        masked = (evaluated if rec.masked_before is positions
+                  else _int_array_text(rec.masked_before, position_text))
+        lines.append(
+            f'{{"step": {_json_text(rec.step)}, "g": {_json_text(rec.block_start)}, '
+            f'"positions": {evaluated}, "pred": [{pred}], "conf": [{conf}], '
+            f'"B": {_json_text(rec.block_size)}, "block_end": {_json_text(rec.block_end)}, '
+            f'"sampled": {_int_array_text(rec.sampled, position_text)}, '
+            f'"masked": {masked}, "cache": {_json_text(rec.cache)}}}'
+        )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

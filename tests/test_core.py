@@ -155,6 +155,26 @@ class TestPredictionFrame:
         assert f2.predicted == (5, MASK, 7)
         assert f2.confidence == (0.9, SENTINEL_CONFIDENCE, 0.7)
 
+    def test_merge_of_nothing_is_the_same_frame(self):
+        f = PredictionFrame((4, 5), (0.5, 0.6))
+        assert f.merge((), []) is f
+
+    def test_merge_shares_an_unchanged_token_row(self):
+        f = PredictionFrame((4, 5), (0.5, 0.6))
+        same = f.merge([1], [(5, 0.7)])
+        assert same.predicted is f.predicted and same.confidence == (0.5, 0.7)
+        # an equal token of another type is a change
+        assert type(f.merge([0], [(4.0, 0.5)]).predicted[0]) is float
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=8))
+    def test_merge_keeps_the_last_value_of_a_repeated_position(self, writes):
+        f = PredictionFrame((0, 1, 2, 0), (0.5,) * 4)
+        merged = f.merge([p for p, _ in writes], [(tok, 0.25 * tok) for _, tok in writes])
+        pred, conf = list(f.predicted), list(f.confidence)
+        for p, tok in writes:
+            pred[p], conf[p] = tok, 0.25 * tok
+        assert merged.predicted == tuple(pred) and merged.confidence == tuple(conf)
+
 
 class TestDecodeConfig:
     def test_defaults_match_documentation(self):

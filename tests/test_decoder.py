@@ -10,20 +10,37 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from semiar import decoder as decoder_module
-from semiar.core import CACHES, SAMPLERS, SCHEDULERS, DecodeConfig, apply_sample
-from semiar.decoder import DecodeError, decode, evaluation_scope, result_summary
+from semiar.core import (
+    CACHES,
+    SAMPLERS,
+    SCHEDULERS,
+    DecodeConfig,
+    DecodeTrace,
+    PredictionFrame,
+    StepRecord,
+    apply_sample,
+    init_state,
+)
+from semiar.decoder import (
+    DecodeError,
+    DecodeResult,
+    decode,
+    evaluation_scope,
+    result_summary,
+)
 from semiar.metrics import failure_rates
 from semiar.predictors import (
     MaskPredictor,
     NGramPredictor,
     SyntheticFieldParams,
     SyntheticPredictor,
+    TraceReplayPredictor,
     build_ngram,
     build_synthetic,
 )
-from semiar.sampling import top1
-from semiar.scheduler import DELIMITER
-from semiar.tracefile import write_trace
+from semiar.sampling import sample_step, top1
+from semiar.scheduler import DELIMITER, decide_block
+from semiar.tracefile import read_trace_file, write_trace
 
 CORPUS = " . ".join(["a b c d e", "f g h i j", "k l m n o"] * 6)
 
@@ -65,28 +82,31 @@ def check_invariants(result, config):
 
 
 class TestEvaluationScope:
+    """Scopes are ascending tuples, taken from the masked tuple or the region."""
+
     def test_none_open_is_full_region(self):
-        assert evaluation_scope("none", 4, None, {5, 9}, 16) == frozenset(range(16))
+        assert evaluation_scope("none", 4, None, (5, 9), 16) == tuple(range(16))
 
     def test_none_in_block_is_every_masked_position(self):
-        assert evaluation_scope("none", 4, 4, {5, 6, 9}, 16) == {5, 6, 9}
+        masked = (5, 6, 9)
+        assert evaluation_scope("none", 4, 4, masked, 16) is masked
 
     def test_prefix_is_suffix_from_block_start(self):
-        assert evaluation_scope("prefix", 32, None, set(), 64) == frozenset(range(32, 64))
-        assert evaluation_scope("prefix", 32, 8, {33}, 64) == frozenset(range(32, 64))
+        assert evaluation_scope("prefix", 32, None, (), 64) == tuple(range(32, 64))
+        assert evaluation_scope("prefix", 32, 8, (33,), 64) == tuple(range(32, 64))
 
     def test_dual_freezes_out_of_block(self):
-        scope = evaluation_scope("dual", 4, 4, {5, 6, 9}, 16)
-        assert scope == {5, 6}
+        scope = evaluation_scope("dual", 4, 4, (5, 6, 9), 16)
+        assert scope == (5, 6)
 
     def test_dual_open_is_full_region(self):
-        assert evaluation_scope("dual", 4, None, {5}, 16) == frozenset(range(16))
+        assert evaluation_scope("dual", 4, None, (5,), 16) == tuple(range(16))
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown cache policy"):
-            evaluation_scope("block", 0, None, set(), 4)
+            evaluation_scope("block", 0, None, (), 4)
         with pytest.raises(ValueError, match="unknown cache policy"):
-            evaluation_scope("block", 0, 1, set(), 4)
+            evaluation_scope("block", 0, 1, (), 4)
 
 
 class TestDecodeLoop:
@@ -508,3 +528,138 @@ class TestExactReuse:
         assert calls[0] == 40
         assert all(n <= 3 for n in calls[1:])
         assert sum(calls) < result.position_evaluations / 4
+
+
+def _scope_set(policy, g, block_size, masked, gen_budget):
+    """The scope rule as a set, the form the sorted-scope loop below takes."""
+    if policy == "none":
+        return frozenset(range(gen_budget) if block_size is None else masked)
+    if policy == "prefix":
+        return frozenset(range(g, gen_budget))
+    if block_size is None:
+        return frozenset(range(gen_budget))
+    return frozenset(masked).intersection(range(g, g + block_size))
+
+
+def _sorted_scope_decode(predictor, config, prompt):
+    """The decode loop that sorts the scope and the masked set every step,
+    kept as the oracle the incremental loop must reproduce."""
+    vocab = predictor.vocabulary
+    state = init_state(prompt, config.gen_budget, config.max_steps, vocab.mask_id)
+    L = config.gen_budget
+    frame = PredictionFrame.sentinel(L, vocab.mask_id)
+    records, blocks = [], []
+    g, B = 0, None
+    everywhere = frozenset(range(L))
+    stale = set(everywhere)
+    while g < L and state.step >= 1:
+        masked = state.gen_masked()
+        scope = _scope_set(config.cache, g, B, masked, L)
+        evaluated = tuple(sorted(scope))
+        computed = evaluated if len(stale) == L else tuple(sorted(stale & scope))
+        try:
+            frame = predictor.denoise(state, computed, prior=frame)
+        except Exception as exc:
+            raise DecodeError(
+                f"predictor failed at denoise call {len(records)}: {exc}"
+            ) from exc
+        opens = B is None
+        if opens:
+            decision = decide_block(frame, config, g)
+            blocks.append(decision)
+            B = decision.block_size
+        block = range(g, g + B)
+        sampled = sample_step(state, frame, config, block)
+        records.append(StepRecord(
+            step=len(records), block_start=g, block_end=g + B,
+            block_size=B if opens else None, evaluated=evaluated,
+            predicted=frame.predicted, confidence=frame.confidence,
+            sampled=tuple(sorted(sampled)), masked_before=tuple(sorted(masked)),
+            cache=config.cache, computed=computed,
+        ))
+        before, state = state, apply_sample(state, frame, sampled)
+        changed = predictor.invalidated(before, state, sampled)
+        if changed is None:
+            stale = set(everywhere)
+        else:
+            stale.difference_update(computed)
+            stale.update(*changed)
+        if state.gen_masked().isdisjoint(block):
+            g, B = g + B, None
+    return DecodeResult(
+        final_tokens=state.tokens,
+        trace=DecodeTrace(prompt_len=state.prompt_len, gen_budget=L, steps=tuple(records)),
+        blocks=tuple(blocks),
+        remaining_masks=len(state.gen_masked()),
+    )
+
+
+def _outcome(run, predictor, config, prompt):
+    try:
+        return run(predictor, config, prompt)
+    except DecodeError as exc:
+        return str(exc)
+
+
+class TestIncrementalLoop:
+    """The loop that keeps one sorted masked list equals the sorted-scope loop."""
+
+    @staticmethod
+    def _config(L, slack, sampler, scheduler, cache, b0, tau, delims):
+        return DecodeConfig(gen_budget=L, max_steps=max(1, L - slack), b0=b0, tau=tau,
+                            sampler=sampler, scheduler=scheduler, cache=cache,
+                            delimiters=delims, linear_steps=max(1, L // 2))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(["synthetic", "ngram", "replay"]),
+        sampler=st.sampled_from(SAMPLERS),
+        scheduler=st.sampled_from(SCHEDULERS),
+        cache=st.sampled_from(CACHES),
+        recorded_sampler=st.sampled_from(SAMPLERS),
+        recorded_cache=st.sampled_from(CACHES),
+        L=st.integers(1, 24),
+        b0=st.integers(1, 8),
+        tau=st.floats(0.3, 1.0),
+        slack=st.integers(0, 12),
+    )
+    def test_equals_sorted_scope_loop(self, kind, sampler, scheduler, cache,
+                                      recorded_sampler, recorded_cache, L, b0, tau, slack):
+        source = build_ngram(CORPUS, order=3, smoothing_k=0.01) if kind == "ngram" else (
+            synthetic(delimiter_period=4, vb_width_jitter=1))
+        vocab = source.vocabulary
+        delims = frozenset({vocab.id_of("." if kind == "ngram" else "\n")})
+        config = self._config(L, slack, sampler, scheduler, cache, b0, tau, delims)
+        prompt = (0, 1)
+        if kind == "replay":
+            recorded = self._config(L, slack, recorded_sampler, scheduler, recorded_cache,
+                                    b0, tau, delims)
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "recorded.jsonl"
+                write_trace(path, decode(source, recorded, prompt).trace, vocab)
+                data = read_trace_file(path)
+            new, old = TraceReplayPredictor(data), TraceReplayPredictor(data)
+        else:
+            new = old = source
+
+        result = _outcome(decode, new, config, prompt)
+        expected = _outcome(_sorted_scope_decode, old, config, prompt)
+        if isinstance(expected, str):
+            assert result == expected
+            return
+        assert result == expected
+        for rec, want in zip(result.trace.steps, expected.trace.steps, strict=True):
+            assert rec == want
+            assert rec.computed == want.computed
+            for seq in (rec.evaluated, rec.masked_before, rec.computed, rec.sampled):
+                assert list(seq) == sorted(set(seq))
+            assert set(rec.computed) <= set(rec.evaluated)
+            if cache == "none" and not rec.is_block_open:
+                assert rec.evaluated is rec.masked_before
+        with tempfile.TemporaryDirectory() as tmp:
+            texts = []
+            for name, res in (("new", result), ("old", expected)):
+                path = Path(tmp) / f"{name}.jsonl"
+                write_trace(path, res.trace, vocab, prompt=prompt, config=config)
+                texts.append(path.read_bytes())
+        assert texts[0] == texts[1]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiar.core import CACHES, SAMPLERS, SCHEDULERS, DecodeConfig, DecodeTrace
+from semiar.core import CACHES, SAMPLERS, SCHEDULERS, DecodeConfig, DecodeTrace, StepRecord
 from semiar.decoder import decode
 from semiar.metrics import write_heatmap
 from semiar.predictors import (
@@ -128,6 +128,47 @@ class TestRoundTrip:
         write_heatmap(tmp_path / "heatmap.csv", trace)
         assert (tmp_path / "heatmap.csv").read_bytes() == (
             b"step,p0,p1\r\n0,0.0,0.5\r\n1,-0.0,0.5\r\n2,0.0,0.5\r\n3,-0.0,0.5\r\n")
+
+    @staticmethod
+    def _written_step_line(rec, tmp):
+        vocab = build_synthetic(SyntheticFieldParams()).vocabulary
+        path = Path(tmp) / "one.jsonl"
+        write_trace(path, DecodeTrace(1, len(rec.predicted), (rec,)), vocab)
+        return path.read_text().splitlines()[1]
+
+    @staticmethod
+    def _dumped(rec):
+        return json.dumps({
+            "step": rec.step, "g": rec.block_start, "positions": list(rec.evaluated),
+            "pred": [rec.predicted[p] for p in rec.evaluated],
+            "conf": [rec.confidence[p] for p in rec.evaluated],
+            "B": rec.block_size, "block_end": rec.block_end, "sampled": list(rec.sampled),
+            "masked": list(rec.masked_before), "cache": rec.cache,
+        })
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        evaluated=st.lists(st.integers(0, 5), max_size=6),
+        sampled=st.lists(st.one_of(st.integers(-3, 9), st.booleans()), max_size=6),
+        masked=st.lists(st.one_of(st.integers(-3, 9), st.booleans()), max_size=6),
+    )
+    def test_int_arrays_print_as_json_dumps(self, evaluated, sampled, masked):
+        """Position arrays joined from per-value texts read as ``json.dumps``
+        reads them, bools and out-of-range values included."""
+        rec = StepRecord(step=0, block_start=0, block_end=6, block_size=6,
+                         evaluated=tuple(evaluated), predicted=(0, 1, 2, 3, 4, 5),
+                         confidence=(0.5, 1.0, 0.25, 0.125, 1e-07, 0.75),
+                         sampled=tuple(sampled), masked_before=tuple(masked), cache="none")
+        with tempfile.TemporaryDirectory() as tmp:
+            assert self._written_step_line(rec, tmp) == self._dumped(rec)
+
+    def test_bool_in_sampled_prints_true(self, tmp_path):
+        rec = StepRecord(step=0, block_start=0, block_end=2, block_size=2, evaluated=(0, 1),
+                         predicted=(0, 1), confidence=(0.5, 0.5), sampled=(True, 1),
+                         masked_before=(0, 1), cache="none")
+        line = self._written_step_line(rec, tmp_path)
+        assert line == self._dumped(rec)
+        assert '"sampled": [true, 1]' in line
 
     def test_config_dict_round_trip(self):
         cfg = DecodeConfig(gen_budget=8, max_steps=9, delimiters=frozenset({1, 4}),
@@ -253,6 +294,8 @@ class TestValidation:
             pytest.param(_set("conf", 0, 1.5), "confidence 1.5", id="conf-above-one"),
             pytest.param(_set("conf", 0, -0.1), "confidence -0.1", id="conf-negative"),
             pytest.param(_set("conf", 0, float("nan")), "confidence nan", id="conf-nan"),
+            # min and max pass over a NaN that is not first
+            pytest.param(_set("conf", 1, float("nan")), "confidence nan", id="conf-nan-later"),
             pytest.param(_set("conf", 0, float("inf")), "confidence inf", id="conf-infinity"),
             # the sentinel equals the running value of a position no line set yet
             pytest.param(_set("conf", 0, -1.0), "confidence -1.0", id="conf-sentinel"),

@@ -15,7 +15,13 @@ The reader rejects, naming the line, a ``vocab`` that repeats a token, a
 count), a ``g`` outside ``[0, gen_budget)``, and, where present, a
 ``block_end`` outside ``(g, gen_budget]``, a ``B`` outside ``[1, gen_budget -
 g]`` or a ``cache`` that names no cache policy.  Every value of every line
-is checked, even one that repeats the value its position already holds.
+is checked, even one that repeats the value its position already holds: a
+text the position held before was checked when it was first read, and a
+value written another way (a float token ``3.0``) is checked anew.
+
+Lines end at a line feed alone: a carriage return before it is JSON
+whitespace, and a character such as U+2028, which a JSON string may hold
+raw, ends no line.
 
 The format holds no record of which values changed, and needs none: a line
 repeats every evaluated value.  Both sides recover the changes instead.  The writer keeps
@@ -23,15 +29,26 @@ each position's formatted text and re-formats only a record's
 :attr:`~semiar.core.StepRecord.computed` positions; the reader sets
 ``computed`` to the positions whose value differs from the running snapshot,
 so a replay, ``analyze`` and a rewrite look only at those.
+
+The reader works the writer's way in reverse.  When every step line has the
+writer's exact layout, it keeps each position's last ``pred`` and ``conf``
+text and parses only the texts that differ, accepting a value only in the
+one form the writer prints it.  Any other file, or any line or value that
+does not fit, is parsed in full by ``json.loads``, one line at a time, and
+that loop alone words the errors, so both paths give the same records, or
+the same error, for the same file.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from itertools import compress
 from math import copysign, isfinite
+from operator import lt, ne, or_
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .core import (
     CACHES,
@@ -53,6 +70,19 @@ _HEADER_REQUIRED = ("vocab", "mask_id", "prompt_len", "gen_budget")
 _RECORD_REQUIRED = ("step", "g", "positions", "pred", "conf")
 _INT = frozenset({int})
 _NUMBER = frozenset({int, float})
+
+# a step line exactly as write_trace lays it out: its keys in its order, ", "
+# between values, ints in JSON's form and no string but a cache name; the
+# first read compiles it (re caches the result), not the import
+_ARRAY = r"\[([^\]]*)\]"
+_COUNT = "(0|[1-9][0-9]*)"
+_OPTIONAL_COUNT = "(null|0|[1-9][0-9]*)"
+_WRITTEN_STEP = (
+    rf'\{{"step": {_COUNT}, "g": {_COUNT}, "positions": {_ARRAY}, "pred": {_ARRAY}, '
+    rf'"conf": {_ARRAY}, "B": {_OPTIONAL_COUNT}, "block_end": {_OPTIONAL_COUNT}, '
+    rf'"sampled": {_ARRAY}, "masked": {_ARRAY}, '
+    rf'"cache": (?:null|"({"|".join(map(re.escape, CACHES))})")\}}'
+)
 
 
 @dataclass(frozen=True)
@@ -138,48 +168,108 @@ def _merge_line(
     return tuple(changed)
 
 
-def read_trace_file(path: str | Path) -> TraceFileData:
-    """Parse a trace file eagerly, reporting the first malformed line.
+def _split(text: str) -> list[str]:
+    """The value texts of an array's text as ``write_trace`` joins them."""
+    return text.split(", ") if text else []
 
-    Each step line becomes a :class:`StepRecord` holding the snapshot
-    accumulated over it and every earlier line, as the decoder recorded it.
+
+def _lookup(text: str, value_of: dict[str, int]) -> tuple[int, ...]:
+    """The values of an array's text; a text ``value_of`` lacks raises KeyError."""
+    return tuple(map(value_of.__getitem__, _split(text)))
+
+
+def _text_records(lines: list[str], L: int, vocab: Vocabulary) -> list[StepRecord] | None:
+    """The records of step lines laid out exactly as :func:`write_trace` lays
+    them out, or None when any line or value does not fit that layout.
+
+    Each position keeps the ``pred`` and ``conf`` texts last read there, and
+    only a text that differs is parsed: a token must be the decimal text of a
+    vocabulary id, a confidence the ``repr`` of a float in ``[0, 1]``, which
+    is a JSON number.  So one text is one value, a zero's sign included, and
+    ``computed`` is what :func:`_merge_line` would make of the parsed values.
+    Positions must ascend, as every evaluation scope does, so none repeats.
     """
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise TraceFormatError(f"{path}: line 1: missing header")
-
-    def bad(lineno: int, why: str) -> TraceFormatError:
-        return TraceFormatError(f"{path}: line {lineno}: {why}")
-
+    fullmatch = re.compile(_WRITTEN_STEP).fullmatch
+    position_of = {str(p): p for p in range(L)}
+    token_of = {str(t): t for t in range(vocab.size)}
+    # no array text holds "]", so the first value read at a position differs
+    pred_text, conf_text = ["]"] * L, ["]"] * L
+    pred_row, conf_row = [vocab.mask_id] * L, [SENTINEL_CONFIDENCE] * L
+    predicted, confidence = tuple(pred_row), tuple(conf_row)
+    positions_text, positions = None, ()
+    records: list[StepRecord] = []
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise bad(1, f"invalid JSON ({exc.msg})") from exc
-    if not isinstance(header, dict):
-        raise bad(1, "header must be a JSON object")
-    for key in _HEADER_REQUIRED:
-        if key not in header:
-            raise bad(1, f"header missing key {key!r}")
-    if why := _header_error(header):
-        raise bad(1, why)
+        for line in lines:
+            match = fullmatch(line)
+            if match is None:
+                return None
+            step, g, evaluated, preds, confs, size, end, sampled, masked, cache = match.groups()
+            step, g = int(step), int(g)
+            size = None if size == "null" else int(size)
+            end = None if end == "null" else int(end)
+            if not (step == len(records) and g < L and (end is None or g < end <= L)
+                    and (size is None or 1 <= size <= L - g)):
+                return None
+            if evaluated != positions_text:
+                positions = _lookup(evaluated, position_of)
+                if not all(map(lt, positions, positions[1:])):
+                    return None
+                positions_text = evaluated
+            confs = _split(confs)
+            if len(confs) != len(positions):
+                return None
+            changed = map(ne, confs, map(conf_text.__getitem__, positions))
+            # most lines change no token: one join then stands for every comparison
+            tokens_changed = preds != ", ".join(map(pred_text.__getitem__, positions))
+            if tokens_changed:
+                preds = _split(preds)
+                if len(preds) != len(positions):
+                    return None
+                changed = map(or_, changed, map(ne, preds, map(pred_text.__getitem__, positions)))
+            changed = list(changed)
+            computed = tuple(compress(positions, changed))
+            for p, text in zip(computed, compress(confs, changed)):
+                value = float(text)
+                if not (0.0 <= value <= 1.0 and repr(value) == text):
+                    return None
+                conf_row[p], conf_text[p] = value, text
+            if tokens_changed:
+                for p, token in zip(computed, compress(preds, changed)):
+                    pred_row[p], pred_text[p] = token_of[token], token
+                predicted = tuple(pred_row)
+            if computed:
+                confidence = tuple(conf_row)
+            records.append(
+                StepRecord(
+                    step=step,
+                    block_start=g,
+                    block_end=end,
+                    block_size=size,
+                    evaluated=positions,
+                    predicted=predicted,
+                    confidence=confidence,
+                    sampled=_lookup(sampled, position_of),
+                    masked_before=(positions if masked == evaluated
+                                   else _lookup(masked, position_of)),
+                    cache=cache,
+                    computed=computed,
+                )
+            )
+    except (KeyError, ValueError):  # a position, token or confidence text that does not fit
+        return None
+    return records
 
-    try:
-        vocab = Vocabulary(tuple(header["vocab"]), header["mask_id"], _eos_id(header))
-    except ValueError as exc:
-        raise bad(1, str(exc)) from exc
-    prompt = tuple(header["prompt"]) if header.get("prompt") is not None else None
-    try:
-        config = config_from_dict(header["config"]) if header.get("config") else None
-    except (TypeError, ValueError) as exc:
-        raise bad(1, f"invalid config ({exc})") from exc
-    L = header["gen_budget"]
 
+def _json_records(
+    lines: list[str], L: int, vocab: Vocabulary, bad: Callable[[int, str], TraceFormatError],
+) -> list[StepRecord]:
+    """The records of step lines parsed as JSON, whatever their layout; every
+    malformed line raises ``bad(lineno, why)``.  ``lines`` start at line 2."""
     # the running rows, and the last record's snapshot of them
     pred_row, conf_row = [vocab.mask_id] * L, [SENTINEL_CONFIDENCE] * L
     predicted, confidence = tuple(pred_row), tuple(conf_row)
     records: list[StepRecord] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         try:
@@ -237,7 +327,53 @@ def read_trace_file(path: str | Path) -> TraceFileData:
                 computed=computed,
             )
         )
+    return records
 
+
+def read_trace_file(path: str | Path) -> TraceFileData:
+    """Parse a trace file eagerly, reporting the first malformed line.
+
+    Each step line becomes a :class:`StepRecord` holding the snapshot
+    accumulated over it and every earlier line, as the decoder recorded it.
+    """
+    path = Path(path)
+    # no newline translation: a line ends at "\n" alone, and json reads a "\r"
+    # before it as whitespace
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the newline that ends the last line
+    if not lines:
+        raise TraceFormatError(f"{path}: line 1: missing header")
+
+    def bad(lineno: int, why: str) -> TraceFormatError:
+        return TraceFormatError(f"{path}: line {lineno}: {why}")
+
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise bad(1, f"invalid JSON ({exc.msg})") from exc
+    if not isinstance(header, dict):
+        raise bad(1, "header must be a JSON object")
+    for key in _HEADER_REQUIRED:
+        if key not in header:
+            raise bad(1, f"header missing key {key!r}")
+    if why := _header_error(header):
+        raise bad(1, why)
+
+    try:
+        vocab = Vocabulary(tuple(header["vocab"]), header["mask_id"], _eos_id(header))
+    except ValueError as exc:
+        raise bad(1, str(exc)) from exc
+    prompt = tuple(header["prompt"]) if header.get("prompt") is not None else None
+    try:
+        config = config_from_dict(header["config"]) if header.get("config") else None
+    except (TypeError, ValueError) as exc:
+        raise bad(1, f"invalid config ({exc})") from exc
+    L = header["gen_budget"]
+
+    records = _text_records(lines[1:], L, vocab)
+    if records is None:
+        records = _json_records(lines[1:], L, vocab, bad)
     trace = DecodeTrace(prompt_len=header["prompt_len"], gen_budget=L, steps=tuple(records))
     return TraceFileData(vocab, trace, prompt, config)
 

@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semiar import tracefile
 from semiar.core import CACHES, SAMPLERS, SCHEDULERS, DecodeConfig, DecodeTrace, StepRecord
 from semiar.decoder import decode
 from semiar.metrics import write_heatmap
@@ -81,7 +84,9 @@ class TestRoundTrip:
     def test_decode_write_read_replay_write(self, kind, sampler, scheduler, cache, L, b0,
                                             tau, slack):
         """Replay recomputes only the positions each record changed, yet its
-        trace, and every trace written without ``computed``, has the same bytes."""
+        trace, and every trace written without ``computed``, has the same bytes.
+        A written file is read by text comparison, into the records the JSON
+        loop reads from it."""
         pred = self.PREDICTORS[kind]()
         vocab = pred.vocabulary
         delims = frozenset({vocab.id_of(".") if kind == "ngram" else pred.delimiter_id})
@@ -94,7 +99,10 @@ class TestRoundTrip:
             paths = [Path(tmp) / f"{name}.jsonl"
                      for name in ("recorded", "replayed", "unknown", "read-unknown")]
             write_trace(paths[0], recorded, vocab, prompt=prompt, config=config)
-            data = read_trace_file(paths[0])
+            with mock.patch.object(tracefile, "_json_records",
+                                   side_effect=AssertionError("read by the JSON loop")):
+                data = read_trace_file(paths[0])
+            assert _outcome(data) == _outcome(_read_by_json_loop(paths[0]))
             replayed = decode(TraceReplayPredictor(data), config, prompt).trace
             write_trace(paths[1], replayed, vocab, prompt=prompt, config=config)
             for path, trace in zip(paths[2:], (recorded, data.trace)):
@@ -174,6 +182,18 @@ class TestRoundTrip:
         cfg = DecodeConfig(gen_budget=8, max_steps=9, delimiters=frozenset({1, 4}),
                            scheduler="adaptive", linear_steps=3)
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def _read_by_json_loop(path):
+    """``read_trace_file(path)`` with every step line parsed by ``json.loads``."""
+    with mock.patch.object(tracefile, "_text_records", return_value=None):
+        return read_trace_file(path)
+
+
+def _outcome(data):
+    """What a read gave, ``computed`` and the sign of each zero included."""
+    return data.vocab, data.prompt, data.config, [
+        (rec, rec.computed, tuple(map(repr, rec.confidence))) for rec in data.trace.steps]
 
 
 def _without_computed(trace):
@@ -380,3 +400,82 @@ class TestValidation:
         path.write_text(path.read_text().replace("\n", "\n\n"))
         data = read_trace_file(path)
         assert len(data.trace) == len(result.trace)
+
+
+def _value(key, text):
+    """Replace the first value of the array ``key`` by ``text``."""
+    return lambda line: re.sub(rf'("{key}": \[)[^,\]]*', rf"\g<1>{text}", line, count=1)
+
+
+def _repeat_first_position(line):
+    return re.sub(r'("positions": \[)(\d+), \d+', r"\1\2, \2", line, count=1)
+
+
+def _later_pred_key(line):
+    count = len(json.loads(line)["positions"])
+    return f'{line[:-1]}, "pred": [{", ".join(["0"] * count)}]}}'
+
+
+class TestTwoReadPaths:
+    """A line in the writer's layout whose text the text comparison will not
+    take reads exactly as the JSON loop reads it, error included."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(_value("conf", "1"), id="conf-int"),
+            pytest.param(_value("conf", "0.50"), id="conf-trailing-zero"),
+            pytest.param(_value("conf", "1.0E0"), id="conf-capital-exponent"),
+            pytest.param(_value("conf", "5e-1"), id="conf-exponent"),
+            pytest.param(_value("pred", "3.0"), id="token-float"),
+            pytest.param(_repeat_first_position, id="position-repeated"),
+            pytest.param(_later_pred_key, id="pred-key-repeated"),
+            pytest.param(lambda line: line.replace(", ", ",", 1), id="comma-without-space"),
+            pytest.param(lambda line: line + "\r", id="crlf-ending"),
+        ],
+    )
+    def test_json_loop_reads_what_the_text_path_refuses(self, edit, small_run, tmp_path):
+        pred, cfg, prompt, result = small_run
+        path = tmp_path / "run.jsonl"
+        write_trace(path, result.trace, pred.vocabulary, prompt=prompt, config=cfg)
+        lines = path.read_text().split("\n")
+        edited = edit(lines[1])
+        assert edited != lines[1]
+        lines[1] = edited
+        path.write_text("\n".join(lines))
+        outcomes = []
+        for read in (read_trace_file, _read_by_json_loop):
+            with mock.patch.object(tracefile, "_json_records",
+                                   wraps=tracefile._json_records) as loop:
+                try:
+                    outcomes.append(_outcome(read(path)))
+                except TraceFormatError as exc:
+                    outcomes.append(str(exc))
+            assert loop.called
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_lines_end_at_newline_only(self, separator, tmp_path):
+        # JSON strings may hold these raw; str.splitlines would break the line there
+        pred = build_synthetic(SyntheticFieldParams(noise_seed=2, vb_width_mean=3))
+        tokens = list(pred.vocabulary.tokens)
+        tokens[0] = f"a{separator}b"
+        vocab = dataclasses.replace(pred.vocabulary, tokens=tuple(tokens))
+        cfg = DecodeConfig(gen_budget=10, max_steps=10, b0=5, cache="dual")
+        trace = decode(pred, cfg, (0, 1)).trace
+        path = tmp_path / "run.jsonl"
+        write_trace(path, trace, vocab, prompt=(0, 1), config=cfg)
+        lines = path.read_text().split("\n")
+        lines[0] = json.dumps(json.loads(lines[0]), ensure_ascii=False)
+        assert separator in lines[0]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        data = read_trace_file(path)
+        assert data.vocab == vocab
+        assert data.trace == trace
+
+    def test_crlf_file_reads_as_its_lf_twin(self, small_run, tmp_path):
+        pred, cfg, prompt, result = small_run
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        write_trace(lf, result.trace, pred.vocabulary, prompt=prompt, config=cfg)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert _outcome(read_trace_file(crlf)) == _outcome(read_trace_file(lf))

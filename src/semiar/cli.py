@@ -54,6 +54,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         tau_hi=args.tau_hi,
         tau_lo=args.tau_lo,
         persistence_k=args.persistence,
+        jobs=args.jobs,
     )
     print(f"reports -> {summary.parent}")
     return 0
@@ -80,6 +81,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_jobs(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker processes; 1 works in this process "
+                             "(default: the usable CPUs, at most one per task)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semiar",
@@ -91,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--spec", required=True, help="experiment spec file")
     p_run.add_argument("--out", default=None, help="output directory override")
     p_run.add_argument("--seed", type=int, default=None, help="experiment seed override")
-    p_run.add_argument("--jobs", type=int, default=1, help="max parallel decode sessions")
+    _add_jobs(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_an = sub.add_parser("analyze", help="post-process stored traces into reports")
@@ -100,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--tau-hi", type=float, default=metrics.TAU_HI, dest="tau_hi")
     p_an.add_argument("--tau-lo", type=float, default=metrics.TAU_LO, dest="tau_lo")
     p_an.add_argument("--persistence", type=int, default=metrics.PERSISTENCE_K)
+    _add_jobs(p_an)
     p_an.set_defaults(func=_cmd_analyze)
 
     p_rep = sub.add_parser("replay", help="re-decode a recorded trace")

@@ -31,6 +31,15 @@ repetition indices, so paired comparisons across cells reuse identical
 streams.  Aggregate rows are ordered by cell then repetition regardless of
 worker scheduling, and nothing in the outputs depends on wall-clock time, so
 re-running a spec reproduces the files byte for byte.
+
+:func:`run` and :func:`analyze` share one ``jobs`` parameter.  At ``1`` they
+work in this process; above it, in a pool of that many worker processes; at
+``None``, on as many workers as this process may use CPUs, never more than
+there are tasks.  A worker gets only plain data (the spec, paths, floats),
+writes its run's or its trace's files itself and returns only what the parent
+aggregates: a run's counts and failure report, never its trace, and a trace's
+``failures.csv`` row.  The parent logs failed runs and skipped traces in task
+order, so the outputs and the log are the same at every ``jobs``.
 """
 
 from __future__ import annotations
@@ -38,11 +47,11 @@ from __future__ import annotations
 import configparser
 import itertools
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Mapping, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, Mapping, get_type_hints
 
 from . import metrics, tracefile
 from .core import (
@@ -63,6 +72,7 @@ from .predictors import (
     load_trace_predictor,
     ngram_option_error,
 )
+from .scheduler import BlockDecision
 from .seeding import mix_seed, unit_draw
 
 log = logging.getLogger("semiar.experiment")
@@ -373,11 +383,23 @@ def resolve_prompt(
 
 
 @dataclass(frozen=True)
+class RunCounts:
+    """What the parent of a run reads of its decode: the counts, blocks and
+    completion, without the trace, which stays in the run's trace file."""
+
+    steps_used: int
+    denoise_calls: int
+    position_evaluations: int
+    blocks: tuple[BlockDecision, ...]
+    completed: bool
+
+
+@dataclass(frozen=True)
 class RunOutcome:
     cell: Cell
     repetition: int
     run_seed: int
-    result: DecodeResult | None
+    result: RunCounts | None
     report: metrics.FailureReport | None
     error: str | None = None
 
@@ -400,6 +422,8 @@ def write_run(
 def _execute_run(
     spec: ExperimentSpec, cell_index: int, repetition: int
 ) -> RunOutcome:
+    """Decode one run and write its files; a failure becomes the outcome's
+    ``error``, which the caller logs."""
     cell = spec.cells[cell_index]
     run_seed = mix_seed(spec.seed, cell.section_index, repetition)
     try:
@@ -410,9 +434,10 @@ def _execute_run(
         report = metrics.failure_rates(result.trace, config.tau)
         write_run(spec.out_dir / cell.cell_id / f"rep{repetition:03d}",
                   result, predictor.vocabulary, prompt, config)
-        return RunOutcome(cell, repetition, run_seed, result, report)
+        counts = RunCounts(result.steps_used, result.denoise_calls,
+                           result.position_evaluations, result.blocks, result.completed)
+        return RunOutcome(cell, repetition, run_seed, counts, report)
     except Exception as exc:  # cell isolation: one failure must not sink the sweep
-        log.error("cell %s rep %d failed: %s", cell.cell_id, repetition, exc)
         return RunOutcome(cell, repetition, run_seed, None, None, error=str(exc))
 
 
@@ -427,26 +452,74 @@ def _aggregate_row(oc: RunOutcome) -> list[Any]:
             int(result.completed)]
 
 
-def run(spec: ExperimentSpec, jobs: int = 1) -> tuple[list[RunOutcome], Path]:
-    """Execute every cell and repetition; returns outcomes and the CSV path."""
-    if jobs < 1:
+def _workers(jobs: int | None, tasks: int) -> int:
+    """How many processes work on ``tasks``: ``jobs``, or at None the CPUs
+    this process may use, never more than the tasks."""
+    if jobs is None:
+        jobs = len(os.sched_getaffinity(0))
+    elif jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return max(1, min(jobs, tasks))
+
+
+def _map(workers: int, func: Callable[..., Any], *iterables: Iterable[Any]) -> Iterator[Any]:
+    """``map(func, *iterables)``, in this process at one worker, else in a
+    pool of ``workers`` processes; results come in task order either way."""
+    if workers == 1:
+        yield from map(func, *iterables)
+        return
+    # imported here, not with the package, whose import it would slow by tens of ms
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(func, *iterables)
+
+
+def run(spec: ExperimentSpec, jobs: int | None = None) -> tuple[list[RunOutcome], Path]:
+    """Execute every cell and repetition on ``jobs`` workers (see the module
+    docstring); returns outcomes and the CSV path."""
+    tasks = list(itertools.product(range(len(spec.cells)), range(spec.repetitions)))
+    workers = _workers(jobs, len(tasks))
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        (ci, rep)
-        for ci in range(len(spec.cells))
-        for rep in range(spec.repetitions)
-    ]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda t: _execute_run(spec, *t), tasks))
-    else:
-        outcomes = [_execute_run(spec, *t) for t in tasks]
+    outcomes = []
+    for oc in _map(workers, partial(_execute_run, spec), *zip(*tasks)):
+        if oc.error is not None:
+            log.error("cell %s rep %d failed: %s", oc.cell.cell_id, oc.repetition, oc.error)
+        outcomes.append(oc)
 
     csv_path = spec.out_dir / "aggregate.csv"
     metrics.write_csv(csv_path, AGGREGATE_COLUMNS,
                       (_aggregate_row(oc) for oc in outcomes if oc.error is None))
     return outcomes, csv_path
+
+
+def _analyze_one(
+    trace_dir: Path, out: Path, tau_hi: float, tau_lo: float, persistence_k: int,
+    rel: Path, name: str,
+) -> list[Any] | str:
+    """Read the trace at ``trace_dir / rel`` and write its three reports as
+    ``out / name``; returns its ``failures.csv`` row, or why it was skipped."""
+    try:
+        data = tracefile.read_trace_file(trace_dir / rel)
+        trace = tracefile.trace_from_file(data)
+        cfg = data.config
+        report = metrics.failure_rates(trace, cfg.tau if cfg else DecodeConfig.tau)
+        labels = metrics.segment_regimes(trace, tau_hi, tau_lo, persistence_k)
+    except Exception as exc:
+        return str(exc)
+    widths = metrics.vb_width_series(labels)
+    stem = out / name
+    metrics.write_step_report(f"{stem}.steps.csv", trace, report, widths)
+    metrics.write_heatmap(f"{stem}.heatmap.csv", trace)
+    metrics.write_regime_labels(f"{stem}.regimes.csv", labels)
+    return [
+        str(rel),
+        *((cfg.scheduler, cfg.sampler, cfg.cache, cfg.b0) if cfg else [""] * 4),
+        len(trace),
+        report.late_overhead_rate,
+        report.premature_rate,
+        sum(widths) / len(widths),
+    ]
 
 
 def analyze(
@@ -455,19 +528,23 @@ def analyze(
     tau_hi: float = metrics.TAU_HI,
     tau_lo: float = metrics.TAU_LO,
     persistence_k: int = metrics.PERSISTENCE_K,
+    jobs: int | None = None,
 ) -> Path:
-    """Post-process every trace file under ``trace_dir`` into report CSVs.
+    """Post-process every trace file under ``trace_dir`` into report CSVs, on
+    ``jobs`` workers (see the module docstring).
 
     Failure events are detected at each trace's recorded ``tau``, as the run
     that wrote it did for ``aggregate.csv``; a trace without a recorded config
     uses :class:`DecodeConfig`'s default.  A trace's reports are named after
     its path with ``/`` as ``__``; two traces that would share a name raise
-    ``ValueError`` before anything is written.
+    ``ValueError`` before anything is written.  A trace that cannot be read or
+    labelled is logged and skipped.
     """
     metrics.check_regime_params(tau_hi, tau_lo, persistence_k)
     trace_dir = Path(trace_dir)
     out = Path(out_dir) if out_dir is not None else trace_dir / "analysis"
     paths = sorted(trace_dir.rglob("*.trace.jsonl"))
+    workers = _workers(jobs, len(paths))
     if not paths:
         raise FileNotFoundError(f"no trace files under {trace_dir}")
     stems: dict[str, Path] = {}  # report name -> the trace it belongs to
@@ -481,32 +558,12 @@ def analyze(
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for name, rel in stems.items():
-        path = trace_dir / rel
-        try:
-            data = tracefile.read_trace_file(path)
-            trace = tracefile.trace_from_file(data)
-            cfg = data.config
-            report = metrics.failure_rates(trace, cfg.tau if cfg else DecodeConfig.tau)
-            labels = metrics.segment_regimes(trace, tau_hi, tau_lo, persistence_k)
-        except Exception as exc:
-            log.warning("skipping %s: %s", path, exc)
-            continue
-        widths = metrics.vb_width_series(labels)
-        stem = out / name
-        metrics.write_step_report(f"{stem}.steps.csv", trace, report, widths)
-        metrics.write_heatmap(f"{stem}.heatmap.csv", trace)
-        metrics.write_regime_labels(f"{stem}.regimes.csv", labels)
-        rows.append(
-            [
-                str(rel),
-                *((cfg.scheduler, cfg.sampler, cfg.cache, cfg.b0) if cfg else [""] * 4),
-                len(trace),
-                report.late_overhead_rate,
-                report.premature_rate,
-                sum(widths) / len(widths),
-            ]
-        )
+    analyze_one = partial(_analyze_one, trace_dir, out, tau_hi, tau_lo, persistence_k)
+    for rel, row in zip(stems.values(), _map(workers, analyze_one, stems.values(), stems)):
+        if isinstance(row, str):
+            log.warning("skipping %s: %s", trace_dir / rel, row)
+        else:
+            rows.append(row)
 
     summary_path = out / "failures.csv"
     metrics.write_csv(summary_path, ["trace", "scheduler", "sampler", "cache", "b0", "steps",

@@ -188,22 +188,28 @@ def _text_records(lines: list[str], L: int, vocab: Vocabulary) -> list[StepRecor
     is a JSON number.  So one text is one value, a zero's sign included, and
     ``computed`` is what :func:`_merge_line` would make of the parsed values.
     Positions must ascend, as every evaluation scope does, so none repeats.
+    A ``masked`` text equal to the previous line's masked positions less its
+    commits is read as that tuple; only another text is mapped value by value.
     """
     fullmatch = re.compile(_WRITTEN_STEP).fullmatch
     position_of = {str(p): p for p in range(L)}
+    position_text = list(position_of)
     token_of = {str(t): t for t in range(vocab.size)}
     # no array text holds "]", so the first value read at a position differs
     pred_text, conf_text = ["]"] * L, ["]"] * L
     pred_row, conf_row = [vocab.mask_id] * L, [SENTINEL_CONFIDENCE] * L
     predicted, confidence = tuple(pred_row), tuple(conf_row)
     positions_text, positions = None, ()
+    masked_before: tuple[int, ...] = ()
+    sampled: tuple[int, ...] = ()  # the previous line's commits
     records: list[StepRecord] = []
     try:
         for line in lines:
             match = fullmatch(line)
             if match is None:
                 return None
-            step, g, evaluated, preds, confs, size, end, sampled, masked, cache = match.groups()
+            step, g, evaluated, preds, confs, size, end, sampled_text, masked, cache = (
+                match.groups())
             step, g = int(step), int(g)
             size = None if size == "null" else int(size)
             end = None if end == "null" else int(end)
@@ -239,6 +245,21 @@ def _text_records(lines: list[str], L: int, vocab: Vocabulary) -> list[StepRecor
                 predicted = tuple(pred_row)
             if computed:
                 confidence = tuple(conf_row)
+            if masked == evaluated:
+                masked_before = positions
+            else:
+                # the writer's masked positions are the previous line's minus
+                # its commits, so one join stands for mapping every text
+                expected = list(masked_before)
+                for p in sampled:
+                    if p in expected:
+                        expected.remove(p)
+                masked_before = (
+                    tuple(expected)
+                    if masked == ", ".join(map(position_text.__getitem__, expected))
+                    else _lookup(masked, position_of)
+                )
+            sampled = _lookup(sampled_text, position_of)
             records.append(
                 StepRecord(
                     step=step,
@@ -248,9 +269,8 @@ def _text_records(lines: list[str], L: int, vocab: Vocabulary) -> list[StepRecor
                     evaluated=positions,
                     predicted=predicted,
                     confidence=confidence,
-                    sampled=_lookup(sampled, position_of),
-                    masked_before=(positions if masked == evaluated
-                                   else _lookup(masked, position_of)),
+                    sampled=sampled,
+                    masked_before=masked_before,
                     cache=cache,
                     computed=computed,
                 )

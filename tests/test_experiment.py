@@ -1,9 +1,12 @@
 """Experiment harness: spec parsing, sweeps, aggregation, analysis, CLI."""
 
+import concurrent.futures
 import configparser
 import csv
 import inspect
 import json
+import multiprocessing
+import os
 import re
 import shutil
 from dataclasses import fields
@@ -12,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from semiar import cli, experiment, metrics
-from semiar.core import DecodeConfig
+from semiar.core import DecodeConfig, DecodeTrace
 from semiar.decoder import decode
 from semiar.predictors import SyntheticFieldParams, build_synthetic
 from semiar.seeding import mix_seed
@@ -66,6 +69,17 @@ def write_spec(tmp_path, text=SPEC_TEMPLATE):
     path = tmp_path / "exp.spec"
     path.write_text(text)
     return path
+
+
+def file_tree(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+#: jobs values whose outputs and logs must agree: in-process, a pool of two,
+#: and the default, the CPUs this process may use
+JOBS = (1, 2, None)
 
 
 class TestSpecParsing:
@@ -286,18 +300,18 @@ class TestRun:
     def test_jobs_do_not_change_results(self, rate, nonzero, tmp_path):
         trees = []
         spec_path = write_spec(tmp_path, plateau_spec(rate))
-        for jobs in (1, 2):
+        for jobs in JOBS:
             out = tmp_path / f"jobs{jobs}"
             experiment.run(experiment.load_spec(spec_path, out), jobs=jobs)
-            experiment.analyze(out)
-            trees.append({path.relative_to(out).as_posix(): path.read_bytes()
-                          for path in sorted(out.rglob("*")) if path.is_file()})
+            experiment.analyze(out, jobs=jobs)
+            trees.append(file_tree(out))
         names = sorted(trees[0])
         # 8 traces and summaries, the aggregate, 8 x 3 analysis reports, failures.csv
         assert len(names) == 8 + 8 + 1 + 24 + 1
-        assert sorted(trees[1]) == names
-        for name in names:
-            assert trees[0][name] == trees[1][name], name
+        for tree in trees[1:]:
+            assert sorted(tree) == names
+            for name in names:
+                assert tree[name] == trees[0][name], name
         # the event detector must see something for the comparison to cover it
         rows = list(csv.DictReader(trees[0]["aggregate.csv"].decode().splitlines()))
         assert any(float(row[nonzero]) > 0 for row in rows)
@@ -321,7 +335,8 @@ class TestRun:
             compared += 1
         assert compared == 4
 
-    def test_failing_cell_is_isolated(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_cell_is_isolated(self, jobs, tmp_path, caplog):
         # record a short dynamic decode, then replay it under a sampler that
         # needs more steps than were recorded: that cell fails, others survive
         pred = build_synthetic(SyntheticFieldParams(noise_seed=3, vb_high=0.92))
@@ -354,12 +369,71 @@ b0 = 12
 sampler = vanilla
 """
         spec = experiment.load_spec(write_spec(tmp_path, text), tmp_path / "out")
-        outcomes, csv_path = experiment.run(spec)
+        outcomes, csv_path = experiment.run(spec, jobs=jobs)
         by_cell = {oc.cell.cell_id: oc for oc in outcomes}
         assert by_cell["ok"].error is None
         assert by_cell["starved"].error is not None
         rows = list(csv.DictReader(csv_path.open()))
         assert [r["cell"] for r in rows] == ["ok"]
+        # the parent logs the error the worker returned
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("ERROR", f"cell starved rep 0 failed: {by_cell['starved'].error}")]
+        assert not (tmp_path / "out" / "starved").exists()
+
+    def test_outcomes_hold_counts_not_traces(self, tmp_path, monkeypatch):
+        # decode is patched inside the run, so the runs stay in this process
+        decoded = []
+
+        def keep(*args):
+            decoded.append(result := decode(*args))
+            return result
+
+        monkeypatch.setattr(experiment, "decode", keep)
+        spec = experiment.load_spec(write_spec(tmp_path), tmp_path / "out")
+        outcomes, _ = experiment.run(spec, jobs=1)
+        assert len(decoded) == len(outcomes) == 8
+        for oc, result in zip(outcomes, decoded):
+            assert type(oc.result) is experiment.RunCounts
+            assert not any(isinstance(getattr(oc.result, f.name), DecodeTrace)
+                           for f in fields(oc.result))
+            assert oc.result == experiment.RunCounts(
+                result.steps_used, result.denoise_calls, result.position_evaluations,
+                result.blocks, result.completed)
+
+    def test_pooled_outcomes_equal_in_process_ones(self, tmp_path):
+        spec = experiment.load_spec(write_spec(tmp_path, PLATEAU_SPEC), tmp_path / "out")
+        first, _ = experiment.run(spec, jobs=1)
+        assert experiment.run(spec, jobs=2)[0] == first
+
+    def test_workers_run_under_spawn(self, tmp_path, monkeypatch):
+        # workers get only module-level callables and plain data, so a start
+        # method that imports the package afresh gives the same files
+        spawn = multiprocessing.get_context("spawn")
+        pools = []
+
+        def spawning_pool(max_workers):
+            pools.append(max_workers)
+            return pool_class(max_workers=max_workers, mp_context=spawn)
+
+        pool_class = concurrent.futures.ProcessPoolExecutor
+        spec_path = write_spec(tmp_path, PLATEAU_SPEC)
+        trees = []
+        for jobs in (1, 2):
+            if jobs == 2:
+                monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawning_pool)
+            out = tmp_path / f"jobs{jobs}"
+            experiment.run(experiment.load_spec(spec_path, out), jobs=jobs)
+            experiment.analyze(out, jobs=jobs)
+            trees.append(file_tree(out))
+        assert pools == [2, 2]  # run's and analyze's
+        assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize("jobs, tasks, workers", [
+        (1, 8, 1), (2, 8, 2), (3, 2, 2), (2, 0, 1),
+        (None, 1, 1), (None, 10**6, len(os.sched_getaffinity(0))),
+    ])
+    def test_workers_per_jobs(self, jobs, tasks, workers):
+        assert experiment._workers(jobs, tasks) == workers
 
 
 class TestAnalyze:
@@ -413,14 +487,51 @@ class TestAnalyze:
         for suffix in ("steps", "heatmap", "regimes"):
             assert len(list(summary.parent.glob(f"*.{suffix}.csv"))) == 4
 
-    def test_malformed_trace_skipped(self, tmp_path):
-        spec = experiment.load_spec(write_spec(tmp_path), tmp_path / "out")
-        experiment.run(spec)
-        bad = tmp_path / "out" / "broken.trace.jsonl"
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_malformed_trace_skipped(self, jobs, tmp_path, caplog):
+        out = tmp_path / "out"
+        experiment.run(experiment.load_spec(write_spec(tmp_path), out), jobs=jobs)
+        # sorted among the good traces, not first or last
+        bad = out / "sweep.b0=4-scheduler=fixed" / "broken.trace.jsonl"
         bad.write_text("not json\n")
-        summary = experiment.analyze(tmp_path / "out")
+        summary = experiment.analyze(out, jobs=jobs)
         rows = list(csv.DictReader(summary.open()))
         assert len(rows) == 8  # the broken file is skipped, not fatal
+        assert "broken" not in {row["trace"] for row in rows}
+        for suffix in ("steps", "heatmap", "regimes"):
+            reports = sorted(p.name for p in summary.parent.glob(f"*.{suffix}.csv"))
+            assert len(reports) == 8
+            assert not any("broken" in name for name in reports)
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", f"skipping {bad}: {bad}: line 1: invalid JSON (Expecting value)")]
+
+    def test_logs_do_not_depend_on_jobs(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        experiment.run(experiment.load_spec(write_spec(tmp_path), out), jobs=1)
+        for name in ("a", "m", "z"):
+            (out / f"{name}.trace.jsonl").write_text(f"{name}\n")
+        logs = []
+        for jobs in JOBS:
+            caplog.clear()
+            experiment.analyze(out, jobs=jobs)
+            logs.append([r.getMessage() for r in caplog.records])
+        # in path order, which puts the cells' traces between a and z
+        assert [len(log) for log in logs] == [3, 3, 3]
+        assert all(f"{name}.trace.jsonl: line 1" in message
+                   for name, message in zip("amz", logs[0]))
+        assert logs[1] == logs[0] and logs[2] == logs[0]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected_before_writing(self, jobs, tmp_path, capsys):
+        out = tmp_path / "out"
+        experiment.run(experiment.load_spec(write_spec(tmp_path), out), jobs=1)
+        with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+            experiment.analyze(out, jobs=jobs)
+        assert not (out / "analysis").exists()
+        assert cli.main(["analyze", "--traces", str(out), "--jobs", str(jobs)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: jobs must be >= 1, got {jobs}"]
+        assert not (out / "analysis").exists()
 
     def test_fields_that_need_quoting_read_back(self, tmp_path):
         # a cell id holding a comma is quoted in both summary CSVs
@@ -577,6 +688,12 @@ class TestCli:
         for func in (experiment.analyze, metrics.segment_regimes):
             params = inspect.signature(func).parameters
             assert {name: params[name].default for name in flags} == flags, func.__name__
+
+    def test_jobs_default_to_the_usable_cpus(self):
+        for argv in (["run", "--spec", "s"], ["analyze", "--traces", "t"]):
+            assert cli.build_parser().parse_args(argv).jobs is None
+        for func in (experiment.run, experiment.analyze):
+            assert inspect.signature(func).parameters["jobs"].default is None
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_run_rejects_jobs_below_one(self, jobs, tmp_path, capsys):

@@ -454,6 +454,40 @@ class TestTwoReadPaths:
             assert loop.called
         assert outcomes[0] == outcomes[1]
 
+    @pytest.mark.parametrize("masked", ["", "9", "5, 6, 7, 8, 9"])
+    def test_masked_read_where_it_does_not_follow_the_commits(self, masked, small_run,
+                                                              tmp_path):
+        # another writer's masked array need not be the previous one less its
+        # commits; the text path still reads it, as the JSON loop does
+        pred, cfg, prompt, result = small_run
+        path = tmp_path / "run.jsonl"
+        write_trace(path, result.trace, pred.vocabulary, prompt=prompt, config=cfg)
+        lines = path.read_text().split("\n")
+        edited = re.sub(r'"masked": \[[^\]]*\]', f'"masked": [{masked}]', lines[3])
+        assert edited != lines[3]
+        lines[3] = edited
+        path.write_text("\n".join(lines))
+        with mock.patch.object(tracefile, "_json_records",
+                               side_effect=AssertionError("read by the JSON loop")):
+            data = read_trace_file(path)
+        assert data.trace.steps[2].masked_before == tuple(json.loads(f"[{masked}]"))
+        assert _outcome(data) == _outcome(_read_by_json_loop(path))
+
+    def test_commit_that_was_not_masked_is_read(self, small_run, tmp_path):
+        pred, cfg, prompt, result = small_run
+        path = tmp_path / "run.jsonl"
+        write_trace(path, result.trace, pred.vocabulary, prompt=prompt, config=cfg)
+        lines = path.read_text().split("\n")
+        committed = json.loads(lines[1])["sampled"][0]
+        lines[2] = re.sub(r'"sampled": \[[^\]]*\]', f'"sampled": [{committed}]', lines[2])
+        path.write_text("\n".join(lines))
+        assert json.loads(lines[3])["masked"] != json.loads(lines[3])["positions"]
+        with mock.patch.object(tracefile, "_json_records",
+                               side_effect=AssertionError("read by the JSON loop")):
+            data = read_trace_file(path)
+        assert data.trace.steps[1].sampled == (committed,)
+        assert _outcome(data) == _outcome(_read_by_json_loop(path))
+
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
     def test_lines_end_at_newline_only(self, separator, tmp_path):
         # JSON strings may hold these raw; str.splitlines would break the line there

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import (
-    Any, Callable, Collection, Iterable, Sequence, get_args, get_origin, get_type_hints,
+    Any, Callable, Collection, Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints,
 )
 
 #: Confidence stored for positions that no denoise call has touched yet.
@@ -43,15 +43,18 @@ class Vocabulary:
     tokens: tuple[str, ...]
     mask_id: int
     eos_id: int
+    _ids: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.tokens)) != len(self.tokens):
+        ids = {token: i for i, token in enumerate(self.tokens)}
+        if len(ids) != len(self.tokens):
             raise ValueError("duplicate token strings break the token<->id bijection")
         for name, tid in (("mask_id", self.mask_id), ("eos_id", self.eos_id)):
             if not 0 <= tid < len(self.tokens):
                 raise ValueError(f"{name}={tid} outside [0, {len(self.tokens)})")
         if self.mask_id == self.eos_id:
             raise ValueError("mask_id and eos_id must be distinct")
+        object.__setattr__(self, "_ids", ids)
 
     @property
     def size(self) -> int:
@@ -59,8 +62,8 @@ class Vocabulary:
 
     def id_of(self, token: str) -> int:
         try:
-            return self.tokens.index(token)
-        except ValueError:
+            return self._ids[token]
+        except KeyError:
             raise KeyError(f"unknown token {token!r}") from None
 
     def token_of(self, token_id: int) -> str:
@@ -119,52 +122,40 @@ class SequenceState:
 _STATE_FIELDS = tuple(f.name for f in fields(SequenceState))
 
 
-@dataclass(frozen=True)
+@dataclass
 class PredictionFrame:
     """Per-position greedy predictions and confidences over the generation region.
 
-    Positions a denoise call did not evaluate carry values forward from the
-    previous frame; before any call they hold ``mask_id`` /
-    :data:`SENTINEL_CONFIDENCE`.
+    A decode keeps one frame, and :meth:`merge` overwrites its rows in place,
+    so a frame is running state: copy a row to keep it.  Positions a denoise
+    call did not evaluate keep their values; before any call they hold
+    ``mask_id`` / :data:`SENTINEL_CONFIDENCE`.
     """
 
-    predicted: tuple[int, ...]
-    confidence: tuple[float, ...]
+    predicted: list[int]
+    confidence: list[float]
 
     def __post_init__(self) -> None:
+        self.predicted, self.confidence = list(self.predicted), list(self.confidence)
         if len(self.predicted) != len(self.confidence):
             raise ValueError("predicted and confidence must be index-aligned")
 
     @classmethod
     def sentinel(cls, length: int, mask_id: int) -> "PredictionFrame":
-        return cls(
-            predicted=(mask_id,) * length,
-            confidence=(SENTINEL_CONFIDENCE,) * length,
-        )
+        return cls([mask_id] * length, [SENTINEL_CONFIDENCE] * length)
 
     def merge(
         self, positions: Sequence[int], values: Iterable[tuple[int, float]]
     ) -> "PredictionFrame":
-        """New frame with ``positions`` overwritten by ``values``.
+        """Overwrite ``positions`` with ``values`` in place; returns this frame.
 
-        This very frame when ``positions`` is empty, and this frame's
-        ``predicted`` tuple when every token written is the very object
-        already there, so an unchanged row is shared rather than copied.
+        A repeated position keeps its last value.
         """
-        if not positions:
-            return self
-        predicted, pred = self.predicted, None
-        conf = list(self.confidence)
+        predicted, confidence = self.predicted, self.confidence
         for p, (tok, c) in zip(positions, values, strict=True):
-            conf[p] = c
-            if pred is None:
-                # identity, not equality: an equal token of another type
-                # (True for 1) prints differently in a trace, so it is stored
-                if predicted[p] is tok:
-                    continue
-                pred = list(predicted)
-            pred[p] = tok
-        return PredictionFrame(predicted if pred is None else tuple(pred), tuple(conf))
+            predicted[p] = tok
+            confidence[p] = c
+        return self
 
 
 def prompt_error(prompt: Sequence[int], vocab_size: int, mask_id: int) -> str | None:
@@ -384,26 +375,24 @@ class StepRecord:
     ``block_size`` is set only on block-opening records; ``block_start`` and
     ``block_end`` describe the block in effect on every record so each record
     is self-contained for analysis.  All positions are generation-relative.
-    ``predicted``/``confidence`` are the accumulated snapshot after this
-    step's evaluations, so they carry forward: a position outside
-    ``evaluated`` holds the previous record's value, and before any step
-    evaluates it the mask id and :data:`SENTINEL_CONFIDENCE`.  The decoder and
-    the trace reader both keep this, and the ``analyze`` passes rely on it to
-    look only at ``evaluated``.  ``block_end``, ``sampled``, ``masked_before``
-    and ``cache`` are None only for records read from a minimal-schema file.
+    ``block_end``, ``sampled``, ``masked_before`` and ``cache`` are None only
+    for records read from a minimal-schema file.
 
-    ``computed`` narrows that further: the positions whose predicted or
-    confidence value may differ from the previous record's, a subset of
-    ``evaluated``.  The decoder stores the positions it recomputed, the trace
-    reader the positions whose values changed, sign of zero included.
-    ``None`` means unknown, so every ``evaluated`` position counts as changed.
-    It is an account of work, not an output, so records compare without it.
+    ``computed`` names the positions whose predicted or confidence value may
+    differ from the previous record's, a subset of ``evaluated``: the decoder
+    stores the positions it recomputed, the trace reader the positions whose
+    values changed, sign of zero included, and ``None`` means every
+    ``evaluated`` position (:attr:`changed`).  ``predicted``/``confidence``
+    hold the values at :attr:`changed` alone, index-aligned with it as a trace
+    line's ``pred`` and ``conf`` are with its ``positions``; every other
+    position keeps what an earlier record left there (:meth:`DecodeTrace.rows`).
+    Two records of one step may name different changed positions, so records
+    compare without ``computed`` and their values, and traces compare their
+    dense rows.
 
-    Records may share tuple objects.  Under the ``none`` cache a decoder
-    record's ``evaluated`` between block opens is its ``masked_before``, and a
-    record whose step computed nothing holds the previous record's
-    ``predicted`` and ``confidence`` (its ``predicted`` alone when no token
-    changed).  Treat every field as a value: compare with ``==``, not ``is``.
+    Records may share tuple objects: under the ``none`` cache a decoder
+    record's ``evaluated`` between block opens is its ``masked_before``.
+    Treat every field as a value: compare with ``==``, not ``is``.
     """
 
     step: int
@@ -411,8 +400,8 @@ class StepRecord:
     block_end: int | None
     block_size: int | None
     evaluated: tuple[int, ...]
-    predicted: tuple[int, ...]
-    confidence: tuple[float, ...]
+    predicted: tuple[int, ...] = field(compare=False)
+    confidence: tuple[float, ...] = field(compare=False)
     sampled: tuple[int, ...] | None
     masked_before: tuple[int, ...] | None
     cache: str | None
@@ -429,13 +418,38 @@ class StepRecord:
         return self.evaluated if self.computed is None else self.computed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeTrace:
-    """Ordered step records plus the geometry needed to interpret them."""
+    """Ordered step records plus the geometry needed to interpret them; two
+    traces are equal when these and the dense rows of every step are."""
 
     prompt_len: int
     gen_budget: int
+    mask_id: int
     steps: tuple[StepRecord, ...]
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    def rows(self) -> Iterator[tuple[StepRecord, list[int], list[float]]]:
+        """Each record with the dense rows after its step: every position's
+        token and confidence as the latest record that changed it left them,
+        the mask id and :data:`SENTINEL_CONFIDENCE` where none did.  The rows
+        change in place as the cursor moves on: copy them to keep them.
+        """
+        predicted = [self.mask_id] * self.gen_budget
+        confidence = [SENTINEL_CONFIDENCE] * self.gen_budget
+        for rec in self.steps:
+            for p, tok, c in zip(rec.changed, rec.predicted, rec.confidence, strict=True):
+                predicted[p] = tok
+                confidence[p] = c
+            yield rec, predicted, confidence
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DecodeTrace):
+            return NotImplemented
+        return (
+            (self.prompt_len, self.gen_budget, self.mask_id, self.steps)
+            == (other.prompt_len, other.gen_budget, other.mask_id, other.steps)
+            and all(mine[1:] == theirs[1:] for mine, theirs in zip(self.rows(), other.rows()))
+        )

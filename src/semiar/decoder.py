@@ -24,23 +24,23 @@ What is charged is not always what is computed.  After each commit the
 predictor's :meth:`~semiar.predictors.MaskPredictor.invalidated` names the
 positions whose prediction the commit may have changed.  Within the charged
 scope the loop recomputes just the positions invalidated since they were
-last computed and carries the rest from the prior frame, where they already
-hold the very value a recomputation would give.  A value that ``prefix`` or
+last computed and carries the rest in the frame, where they already hold
+the very value a recomputation would give.  A value that ``prefix`` or
 ``dual`` left stale outside the scope stays stale until it is computed again:
 being in the frame is not enough to be reused.  Frames, traces and the
 charged ``evaluated`` sets are the same as if every scope were recomputed.
 Each record keeps the positions its step computed
-(:attr:`~semiar.core.StepRecord.computed`), so the trace writer re-formats
-only those values and a replay of the trace recomputes only them.
+(:attr:`~semiar.core.StepRecord.computed`) and their values, nothing else of
+the frame, so the trace writer re-formats only those values and a replay of
+the trace recomputes only them.
 
-No step sorts or scans the generation region.  The loop keeps one ascending
-list of the masked positions and deletes each commit from it by bisection;
-the step's ``masked_before`` is one tuple of that list, every scope is a
-slice of it or of the region, and ``computed`` is drawn from the positions
-invalidated since they were last computed.  What is left of O(L) are
-C-level copies: that tuple, the confidence tuple of a denoise that computed
-something (and its predicted tuple when a token changed), and the token tuple
-and masked set of the successor state.
+No step sorts or scans the generation region, nor copies the frame.  The
+loop keeps one frame, which each denoise updates in place, and one ascending
+list of the masked positions, from which it deletes each commit by bisection; the step's
+``masked_before`` is one tuple of that list, every scope is a slice of it or
+of the region, and ``computed`` is drawn from the positions invalidated
+since they were last computed.  What is left of O(L) are C-level copies:
+that tuple, and the token tuple and masked set of the successor state.
 """
 
 from __future__ import annotations
@@ -210,8 +210,8 @@ def decode(
                 block_end=end,
                 block_size=B if opens else None,
                 evaluated=evaluated,
-                predicted=frame.predicted,
-                confidence=frame.confidence,
+                predicted=tuple(map(frame.predicted.__getitem__, computed)),
+                confidence=tuple(map(frame.confidence.__getitem__, computed)),
                 sampled=sampled,
                 masked_before=masked_before,
                 cache=config.cache,
@@ -233,7 +233,8 @@ def decode(
 
     return DecodeResult(
         final_tokens=state.tokens,
-        trace=DecodeTrace(prompt_len=state.prompt_len, gen_budget=L, steps=tuple(records)),
+        trace=DecodeTrace(prompt_len=state.prompt_len, gen_budget=L, mask_id=vocab.mask_id,
+                          steps=tuple(records)),
         blocks=tuple(blocks),
         remaining_masks=len(state.gen_masked()),
     )

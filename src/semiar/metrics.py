@@ -63,26 +63,32 @@ class FailureReport:
         return self.premature_steps / self.total_steps
 
 
-def detect_late_overhead(record: StepRecord, tau: float) -> LateOverheadEvent | None:
-    """Masked positions outside the block already at or above the threshold."""
-    start, end, conf = record.block_start, record.block_end, record.confidence
+def detect_late_overhead(
+    record: StepRecord, conf: Sequence[float], tau: float
+) -> LateOverheadEvent | None:
+    """Masked positions outside the block already at or above the threshold
+    in ``conf``, the dense confidence row after the record's step."""
+    start, end = record.block_start, record.block_end
     hits = [j for j in record.masked_before if conf[j] >= tau and not start <= j < end]
     if not hits:
         return None
     return LateOverheadEvent(
         step=record.step,
         positions=tuple(hits),
-        confidences=tuple(record.confidence[j] for j in hits),
+        confidences=tuple(conf[j] for j in hits),
     )
 
 
-def detect_premature(record: StepRecord, tau: float) -> PrematureEvent | None:
+def detect_premature(
+    record: StepRecord, conf: Sequence[float], tau: float
+) -> PrematureEvent | None:
     """A sub-threshold forced commit while a strictly better position waits outside.
 
-    The forced position is :func:`~semiar.sampling.top1` over the record's
-    snapshot: the sampler's own rule applied to exactly what it saw.
+    The forced position is :func:`~semiar.sampling.top1` over ``conf``, the
+    dense confidence row after the record's step: the sampler's own rule
+    applied to exactly what it saw.
     """
-    start, end, conf = record.block_start, record.block_end, record.confidence
+    start, end = record.block_start, record.block_end
     inside = [m for m in record.masked_before if start <= m < end]
     if not inside:
         return None
@@ -98,7 +104,7 @@ def detect_premature(record: StepRecord, tau: float) -> PrematureEvent | None:
         forced_pos=top,
         forced_conf=forced_conf,
         better_positions=tuple(better),
-        better_confidences=tuple(record.confidence[j] for j in better),
+        better_confidences=tuple(conf[j] for j in better),
     )
 
 
@@ -106,13 +112,13 @@ def failure_rates(trace: DecodeTrace, tau: float) -> FailureReport:
     """Count affected sampling steps per event family; a step may count for both."""
     if len(trace) == 0:
         raise ValueError("cannot compute failure rates over an empty trace")
-    late = tuple(
-        ev for rec in trace.steps if (ev := detect_late_overhead(rec, tau)) is not None
-    )
-    early = tuple(
-        ev for rec in trace.steps if (ev := detect_premature(rec, tau)) is not None
-    )
-    return FailureReport(total_steps=len(trace), late_overhead=late, premature=early)
+    late, early = [], []
+    for rec, _, conf in trace.rows():
+        if (ev := detect_late_overhead(rec, conf, tau)) is not None:
+            late.append(ev)
+        if (ev := detect_premature(rec, conf, tau)) is not None:
+            early.append(ev)
+    return FailureReport(len(trace), tuple(late), tuple(early))
 
 
 #: The labelling thresholds :func:`segment_regimes`, ``experiment.analyze`` and
@@ -159,8 +165,7 @@ def segment_regimes(
     decoded, plateau, floor, band = (
         Regime.DECODED, Regime.PLATEAU, Regime.FLOOR, Regime.VOLATILITY_BAND)
     labels: list[list[Regime]] = []
-    for r, rec in enumerate(trace.steps):
-        conf = rec.confidence
+    for r, (rec, _, conf) in enumerate(trace.rows()):
         for i in rec.changed if r else range(L):
             hi_start[i] = min(hi_start[i], r) if conf[i] >= tau_hi else never
             lo_start[i] = min(lo_start[i], r) if conf[i] <= tau_lo else never
@@ -235,8 +240,7 @@ def _heatmap_rows(trace: DecodeTrace) -> Iterator[str]:
     """Each row formats the cells its step changed; the others carry the
     previous row's value (see StepRecord), hence its text."""
     cells: list[str] = []
-    for rec in trace.steps:
-        conf = rec.confidence
+    for rec, _, conf in trace.rows():
         if not cells:
             cells = [_csv_text(c) for c in conf]
         else:

@@ -18,7 +18,8 @@ position or context window, per instance.  A memo entry is computed from those
 alone, so two sessions filling one entry at once store equal values; the fills
 are idempotent and the predictor is safe to share across concurrent decode
 sessions.  Its memory grows with the distinct positions and context windows it
-has served.  A replay predictor holds a cursor and belongs to exactly one session.
+has served, up to :data:`MASKED_MEMO_CAP` windows for the n-gram predictor.
+A replay predictor holds a cursor and belongs to exactly one session.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ class MaskPredictor:
         eval_positions: Iterable[int],
         prior: PredictionFrame | None = None,
     ) -> PredictionFrame:
-        """Evaluate ``eval_positions`` and carry everything else from ``prior``.
+        """Evaluate ``eval_positions`` into ``prior``, in place, and return it;
+        without a ``prior``, into a fresh sentinel frame.
 
         Subclasses implement :meth:`predict`; this validation and merge is
         shared and not overridden.
@@ -87,8 +89,8 @@ class MaskPredictor:
                     raise PredictorError(f"predicted the mask token at {pos}")
                 if not 0.0 < conf <= 1.0:
                     raise PredictorError(f"confidence {conf} at {pos} outside (0, 1]")
-        base = prior or PredictionFrame.sentinel(L, mask_id)
-        return base.merge(positions, values)
+        frame = prior or PredictionFrame.sentinel(L, mask_id)
+        return frame.merge(positions, values)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +347,12 @@ class NGramModel:
         return best, probs[best]
 
 
+#: An :class:`NGramPredictor` empties its masked-prediction memo when a miss
+#: finds it this full: over 4x the ~3,500 window pairs one cycle of perfbench's
+#: ngram-zone fills, and about 18 MB at order 31 (~1.1 KB per entry).
+MASKED_MEMO_CAP = 1 << 14
+
+
 def _committed(window: tuple[int, ...], mask_id: int) -> tuple[int, ...]:
     """The committed tokens of a window slice, in order."""
     masks = window.count(mask_id)
@@ -365,7 +373,8 @@ class NGramPredictor(MaskPredictor):
     confidence locality around committed text.  Those slots and the
     position's own token are all a prediction reads, so a commit at ``c``
     changes only the predictions at ``c - (n-1) .. c + (n-1)``.  Masked
-    predictions are memoised per raw window pair, masks included.
+    predictions are memoised per raw window pair, masks included, in a memo
+    emptied when a miss finds :data:`MASKED_MEMO_CAP` entries in it.
     """
 
     def __init__(self, model: NGramModel):
@@ -400,6 +409,8 @@ class NGramPredictor(MaskPredictor):
                 continue
             best = memo.get((left, right))
             if best is None:
+                if len(memo) >= MASKED_MEMO_CAP:
+                    memo.clear()
                 best = memo[left, right] = model.best_token(_committed(left, mask),
                                                             _committed(right, mask))
             out.append(best)
@@ -466,8 +477,8 @@ class ReplayExhausted(PredictorError):
 class TraceReplayPredictor(MaskPredictor):
     """Replays recorded prediction frames, one per denoise call, in order.
 
-    Each denoise call is served from the accumulated snapshot of the record
-    at the cursor, matching the carry-forward semantics of live frames.
+    Each denoise call is served from the dense rows after the record at the
+    cursor (:meth:`~semiar.core.DecodeTrace.rows`), so under any replay config.
     Each instance owns a cursor, so concurrent sessions need separate
     instances (see :meth:`fork`).  The cursor moves once per denoise call,
     so once per step, however few positions the call asks for.
@@ -482,6 +493,7 @@ class TraceReplayPredictor(MaskPredictor):
     def __init__(self, data: "tracefile.TraceFileData"):
         self._data = data
         self._cursor = 0
+        self._rows = data.trace.rows()
 
     @property
     def vocabulary(self) -> Vocabulary:
@@ -511,24 +523,25 @@ class TraceReplayPredictor(MaskPredictor):
         self, state: SequenceState, positions: Sequence[int]
     ) -> list[tuple[int, float]]:
         trace = self._data.trace
-        if self._cursor >= len(trace):
+        row = next(self._rows, None)
+        if row is None:
             raise ReplayExhausted(
                 f"trace has {len(trace)} recorded steps; "
                 f"denoise call {self._cursor + 1} has nothing to replay"
             )
-        rec = trace.steps[self._cursor]
+        _, predicted, confidence = row
         self._cursor += 1
 
         L = trace.gen_budget
         out: list[tuple[int, float]] = []
         for gen in positions:
-            # a snapshot still holds the sentinel where no record evaluated yet
-            if not 0 <= gen < L or rec.confidence[gen] == SENTINEL_CONFIDENCE:
+            # a row still holds the sentinel where no record evaluated yet
+            if not 0 <= gen < L or confidence[gen] == SENTINEL_CONFIDENCE:
                 raise PredictorError(
                     f"replay step {self._cursor - 1}: position {gen} absent "
                     f"from the recorded frames"
                 )
-            out.append((rec.predicted[gen], rec.confidence[gen]))
+            out.append((predicted[gen], confidence[gen]))
         return out
 
 

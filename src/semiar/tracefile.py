@@ -24,11 +24,13 @@ whitespace, and a character such as U+2028, which a JSON string may hold
 raw, ends no line.
 
 The format holds no record of which values changed, and needs none: a line
-repeats every evaluated value.  Both sides recover the changes instead.  The writer keeps
-each position's formatted text and re-formats only a record's
-:attr:`~semiar.core.StepRecord.computed` positions; the reader sets
-``computed`` to the positions whose value differs from the running snapshot,
-so a replay, ``analyze`` and a rewrite look only at those.
+repeats every evaluated value.  Both sides recover the changes instead.  The
+writer keeps each position's formatted text and re-formats only a record's
+changed positions, read from :meth:`~semiar.core.DecodeTrace.rows`; the
+reader keeps running rows and makes each line a record of the positions whose
+value differs from them, and their values alone (see
+:class:`~semiar.core.StepRecord`), so a replay, ``analyze`` and a rewrite look
+only at those.
 
 The reader works the writer's way in reverse.  When every step line has the
 writer's exact layout, it keeps each position's last ``pred`` and ``conf``
@@ -197,8 +199,7 @@ def _text_records(lines: list[str], L: int, vocab: Vocabulary) -> list[StepRecor
     token_of = {str(t): t for t in range(vocab.size)}
     # no array text holds "]", so the first value read at a position differs
     pred_text, conf_text = ["]"] * L, ["]"] * L
-    pred_row, conf_row = [vocab.mask_id] * L, [SENTINEL_CONFIDENCE] * L
-    predicted, confidence = tuple(pred_row), tuple(conf_row)
+    pred_row = [vocab.mask_id] * L
     positions_text, positions = None, ()
     masked_before: tuple[int, ...] = ()
     sampled: tuple[int, ...] = ()  # the previous line's commits
@@ -234,17 +235,16 @@ def _text_records(lines: list[str], L: int, vocab: Vocabulary) -> list[StepRecor
                 changed = map(or_, changed, map(ne, preds, map(pred_text.__getitem__, positions)))
             changed = list(changed)
             computed = tuple(compress(positions, changed))
+            confidence = []
             for p, text in zip(computed, compress(confs, changed)):
                 value = float(text)
                 if not (0.0 <= value <= 1.0 and repr(value) == text):
                     return None
-                conf_row[p], conf_text[p] = value, text
+                confidence.append(value)
+                conf_text[p] = text
             if tokens_changed:
                 for p, token in zip(computed, compress(preds, changed)):
                     pred_row[p], pred_text[p] = token_of[token], token
-                predicted = tuple(pred_row)
-            if computed:
-                confidence = tuple(conf_row)
             if masked == evaluated:
                 masked_before = positions
             else:
@@ -267,8 +267,8 @@ def _text_records(lines: list[str], L: int, vocab: Vocabulary) -> list[StepRecor
                     block_end=end,
                     block_size=size,
                     evaluated=positions,
-                    predicted=predicted,
-                    confidence=confidence,
+                    predicted=tuple(map(pred_row.__getitem__, computed)),
+                    confidence=tuple(confidence),
                     sampled=sampled,
                     masked_before=masked_before,
                     cache=cache,
@@ -285,9 +285,7 @@ def _json_records(
 ) -> list[StepRecord]:
     """The records of step lines parsed as JSON, whatever their layout; every
     malformed line raises ``bad(lineno, why)``.  ``lines`` start at line 2."""
-    # the running rows, and the last record's snapshot of them
     pred_row, conf_row = [vocab.mask_id] * L, [SENTINEL_CONFIDENCE] * L
-    predicted, confidence = tuple(pred_row), tuple(conf_row)
     records: list[StepRecord] = []
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
@@ -330,8 +328,6 @@ def _json_records(
         if wrong := _invalid(conf, 0.0, 1.0, _NUMBER):
             raise bad(lineno, f"confidence {wrong[0]!r} is not a number in [0, 1]")
         computed = _merge_line(pred_row, conf_row, positions, pred, conf)
-        if computed:
-            predicted, confidence = tuple(pred_row), tuple(conf_row)
         records.append(
             StepRecord(
                 step=obj["step"],
@@ -339,8 +335,8 @@ def _json_records(
                 block_end=end,
                 block_size=size,
                 evaluated=tuple(positions),
-                predicted=predicted,
-                confidence=confidence,
+                predicted=tuple(map(pred_row.__getitem__, computed)),
+                confidence=tuple(map(conf_row.__getitem__, computed)),
                 sampled=tuple(obj["sampled"]) if "sampled" in obj else None,
                 masked_before=tuple(obj["masked"]) if "masked" in obj else None,
                 cache=cache,
@@ -353,8 +349,8 @@ def _json_records(
 def read_trace_file(path: str | Path) -> TraceFileData:
     """Parse a trace file eagerly, reporting the first malformed line.
 
-    Each step line becomes a :class:`StepRecord` holding the snapshot
-    accumulated over it and every earlier line, as the decoder recorded it.
+    Each step line becomes a :class:`StepRecord` of the values it changed,
+    as the decoder records its steps.
     """
     path = Path(path)
     # no newline translation: a line ends at "\n" alone, and json reads a "\r"
@@ -394,7 +390,8 @@ def read_trace_file(path: str | Path) -> TraceFileData:
     records = _text_records(lines[1:], L, vocab)
     if records is None:
         records = _json_records(lines[1:], L, vocab, bad)
-    trace = DecodeTrace(prompt_len=header["prompt_len"], gen_budget=L, steps=tuple(records))
+    trace = DecodeTrace(prompt_len=header["prompt_len"], gen_budget=L,
+                        mask_id=header["mask_id"], steps=tuple(records))
     return TraceFileData(vocab, trace, prompt, config)
 
 
@@ -442,14 +439,14 @@ def write_trace(
     # each position's value as the last record that changed it prints it
     pred_text: list[str] = []
     conf_text: list[str] = []
-    for rec in trace.steps:
+    for rec, predicted, confidence in trace.rows():
         if not pred_text:
-            pred_text = list(map(_json_text, rec.predicted))
-            conf_text = list(map(_json_text, rec.confidence))
+            pred_text = list(map(_json_text, predicted))
+            conf_text = list(map(_json_text, confidence))
         else:
             for p in rec.changed:
-                pred_text[p] = _json_text(rec.predicted[p])
-                conf_text[p] = _json_text(rec.confidence[p])
+                pred_text[p] = _json_text(predicted[p])
+                conf_text[p] = _json_text(confidence[p])
         # json.dumps of the step's object, one value text at a time
         positions = rec.evaluated
         pred = ", ".join(map(pred_text.__getitem__, positions))
@@ -468,7 +465,7 @@ def write_trace(
 
 
 def trace_from_file(data: TraceFileData) -> DecodeTrace:
-    """The decode trace held by a file, accumulated snapshots included.
+    """The decode trace held by a file.
 
     Requires the extended per-step fields; files holding only the required
     schema keys carry too little to reconstruct sampling decisions.

@@ -347,9 +347,9 @@ def test_criterion_7_trace_round_trip(tmp_path):
 def value_view(result):
     """Everything a cache policy must preserve: values and sampling, not cost."""
     return [
-        (r.block_start, r.block_end, r.block_size, r.confidence, r.predicted,
+        (r.block_start, r.block_end, r.block_size, tuple(conf), tuple(pred),
          r.sampled, r.masked_before)
-        for r in result.trace.steps
+        for r, pred, conf in result.trace.rows()
     ], result.final_tokens
 
 
@@ -364,14 +364,12 @@ def test_criterion_8_cache_scope_semantics():
     cfg = DecodeConfig(gen_budget=24, max_steps=24, b0=8, cache="dual")
     result = decode(ngram, cfg, tuple(seq[:3]))
     by_block = {}
-    for rec in result.trace.steps:
-        by_block.setdefault((rec.block_start, rec.block_end), []).append(rec)
-    for (g, end), recs in by_block.items():
+    for rec, _, conf in result.trace.rows():
+        by_block.setdefault((rec.block_start, rec.block_end), []).append(tuple(conf))
+    for (g, end), rows in by_block.items():
         outside = [i for i in range(24) if not g <= i < end]
-        for later in recs[1:]:
-            frozen_ok &= all(
-                later.confidence[i] == recs[0].confidence[i] for i in outside
-            )
+        for later in rows[1:]:
+            frozen_ok &= all(later[i] == rows[0][i] for i in outside)
 
     # (b) with context-sensitive predictions, staleness must be observable
     differing = 0
@@ -381,8 +379,8 @@ def test_criterion_8_cache_scope_semantics():
         prompt = tuple(seq[off : off + 3])
         none_run = decode(ngram, DecodeConfig(cache="none", **base), prompt)
         dual_run = decode(ngram, DecodeConfig(cache="dual", **base), prompt)
-        if [r.confidence for r in none_run.trace.steps] != [
-            r.confidence for r in dual_run.trace.steps
+        if [tuple(conf) for _, _, conf in none_run.trace.rows()] != [
+            tuple(conf) for _, _, conf in dual_run.trace.rows()
         ]:
             differing += 1
 

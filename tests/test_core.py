@@ -1,6 +1,7 @@
 """State construction, the sample update rule, and config plumbing."""
 
 import json
+import time
 from dataclasses import fields, replace
 
 import pytest
@@ -54,6 +55,20 @@ class TestVocabulary:
         v = Vocabulary.build(["x", "y", "z"])
         for i in range(v.size):
             assert v.id_of(v.token_of(i)) == i
+
+    def test_ids_of_a_large_vocabulary(self):
+        # one id_of per corpus token builds an n-gram model: it must not
+        # scan the vocabulary (50,000 lookups over 5,000 tokens take seconds
+        # that way)
+        v = Vocabulary.build([f"t{i}" for i in range(5000)])
+        tokens = [f"t{(7 * i) % 5000}" for i in range(50_000)]
+        start = time.perf_counter()
+        ids = [v.id_of(t) for t in tokens]
+        assert time.perf_counter() - start < 0.5
+        assert ids == [(7 * i) % 5000 for i in range(50_000)]
+        assert v.id_of("[MASK]") == v.mask_id == 5000
+        with pytest.raises(KeyError, match=r"^\"unknown token 't5000'\"$"):
+            v.id_of("t5000")
 
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(ValueError):
@@ -145,35 +160,42 @@ class TestApplySample:
 class TestPredictionFrame:
     def test_sentinel_has_no_evaluated_positions(self):
         f = PredictionFrame.sentinel(4, MASK)
-        assert f.predicted == (MASK,) * 4
+        assert f.predicted == [MASK] * 4
         assert all(c == SENTINEL_CONFIDENCE for c in f.confidence)
 
     def test_merge_carries_old_values(self):
         f = PredictionFrame.sentinel(3, MASK)
         f1 = f.merge([0, 2], [(5, 0.9), (6, 0.8)])
         f2 = f1.merge([2], [(7, 0.7)])
-        assert f2.predicted == (5, MASK, 7)
-        assert f2.confidence == (0.9, SENTINEL_CONFIDENCE, 0.7)
+        assert f2.predicted == [5, MASK, 7]
+        assert f2.confidence == [0.9, SENTINEL_CONFIDENCE, 0.7]
 
     def test_merge_of_nothing_is_the_same_frame(self):
         f = PredictionFrame((4, 5), (0.5, 0.6))
         assert f.merge((), []) is f
+        assert (f.predicted, f.confidence) == ([4, 5], [0.5, 0.6])
 
-    def test_merge_shares_an_unchanged_token_row(self):
+    def test_merge_writes_in_place(self):
         f = PredictionFrame((4, 5), (0.5, 0.6))
-        same = f.merge([1], [(5, 0.7)])
-        assert same.predicted is f.predicted and same.confidence == (0.5, 0.7)
-        # an equal token of another type is a change
+        rows = f.predicted, f.confidence
+        assert f.merge([1], [(5, 0.7)]) is f
+        assert (f.predicted, f.confidence) == ([4, 5], [0.5, 0.7])
+        assert rows[0] is f.predicted and rows[1] is f.confidence
+        # an equal token of another type is stored as given
         assert type(f.merge([0], [(4.0, 0.5)]).predicted[0]) is float
+
+    def test_merge_rejects_misaligned_values(self):
+        with pytest.raises(ValueError):
+            PredictionFrame((4, 5), (0.5, 0.6)).merge([0, 1], [(4, 0.5)])
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=8))
     def test_merge_keeps_the_last_value_of_a_repeated_position(self, writes):
-        f = PredictionFrame((0, 1, 2, 0), (0.5,) * 4)
+        pred, conf = [0, 1, 2, 0], [0.5] * 4
+        f = PredictionFrame(pred, conf)
         merged = f.merge([p for p, _ in writes], [(tok, 0.25 * tok) for _, tok in writes])
-        pred, conf = list(f.predicted), list(f.confidence)
         for p, tok in writes:
             pred[p], conf[p] = tok, 0.25 * tok
-        assert merged.predicted == tuple(pred) and merged.confidence == tuple(conf)
+        assert merged.predicted == pred and merged.confidence == conf
 
 
 class TestDecodeConfig:

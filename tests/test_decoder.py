@@ -1,8 +1,10 @@
 """Decode-loop behaviour: scopes, invariants, counters, cache semantics."""
 
 import dataclasses
+import gc
 import itertools
 import tempfile
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -210,15 +212,15 @@ class TestCacheSemantics:
         cfg = DecodeConfig(gen_budget=16, max_steps=16, b0=8, cache="dual")
         result = decode(synthetic(), cfg, (0, 1))
         by_block = {}
-        for rec in result.trace.steps:
-            by_block.setdefault(rec.block_start, []).append(rec)
+        for rec, _, conf in result.trace.rows():
+            by_block.setdefault(rec.block_start, []).append((rec, tuple(conf)))
         checked = 0
         for start, recs in by_block.items():
-            end = recs[0].block_end
+            end = recs[0][0].block_end
             outside = [i for i in range(16) if not start <= i < end]
-            for later in recs[1:]:
+            for _, later in recs[1:]:
                 for i in outside:
-                    assert later.confidence[i] == recs[0].confidence[i]
+                    assert later[i] == recs[0][1][i]
                     checked += 1
         assert checked > 0
 
@@ -228,8 +230,8 @@ class TestCacheSemantics:
         prompt = tuple(pred.model.corpus_ids[:3])
         r_none = decode(pred, DecodeConfig(cache="none", **base), prompt)
         r_dual = decode(pred, DecodeConfig(cache="dual", **base), prompt)
-        snaps_none = [r.confidence for r in r_none.trace.steps]
-        snaps_dual = [r.confidence for r in r_dual.trace.steps]
+        snaps_none = [tuple(conf) for _, _, conf in r_none.trace.rows()]
+        snaps_dual = [tuple(conf) for _, _, conf in r_dual.trace.rows()]
         assert snaps_none != snaps_dual
 
     def test_nocache_equals_dualcache_for_narrow_progress_field(self):
@@ -240,9 +242,11 @@ class TestCacheSemantics:
         r_none = decode(pred, DecodeConfig(cache="none", **cfg), (0, 1))
         r_dual = decode(pred, DecodeConfig(cache="dual", **cfg), (0, 1))
         assert r_none.final_tokens == r_dual.final_tokens
-        for a, b in zip(r_none.trace.steps, r_dual.trace.steps):
-            assert a.confidence == b.confidence
-            assert a.predicted == b.predicted
+        assert len(r_none.trace) == len(r_dual.trace)
+        for (a, a_pred, a_conf), (b, b_pred, b_conf) in zip(r_none.trace.rows(),
+                                                            r_dual.trace.rows()):
+            assert a_conf == b_conf
+            assert a_pred == b_pred
             assert a.sampled == b.sampled
             assert a.masked_before == b.masked_before
             assert (a.block_start, a.block_end, a.block_size) == (
@@ -340,6 +344,43 @@ class _StripedSynthetic(SyntheticPredictor):
                 for (tok, _), g in zip(super().predict(state, positions), positions)]
 
 
+class TestRetention:
+    """A record keeps only what its step changed, and a decode's records are
+    freed by reference counting alone."""
+
+    @pytest.mark.parametrize("cache", CACHES)
+    @pytest.mark.parametrize("kind", ["synthetic", "ngram"])
+    def test_records_hold_values_only_at_changed_positions(self, kind, cache, tmp_path):
+        pred = synthetic() if kind == "synthetic" else build_ngram(CORPUS, order=3,
+                                                                   smoothing_k=0.01)
+        config = DecodeConfig(gen_budget=48, max_steps=48, b0=8, cache=cache)
+        trace = decode(pred, config, (0, 1)).trace
+        path = tmp_path / "t.trace.jsonl"
+        write_trace(path, trace, pred.vocabulary)
+        with mock.patch("semiar.tracefile._text_records", return_value=None):
+            by_json = read_trace_file(path).trace
+        for held in (trace, read_trace_file(path).trace, by_json):
+            changed = sum(len(rec.changed) for rec in held.steps)
+            assert sum(len(rec.predicted) for rec in held.steps) == changed
+            assert sum(len(rec.confidence) for rec in held.steps) == changed
+            assert changed < sum(len(rec.evaluated) for rec in held.steps)
+        assert by_json == trace
+
+    def test_dropped_result_frees_its_trace_without_the_cycle_collector(self):
+        config = DecodeConfig(gen_budget=32, max_steps=32, b0=8)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = decode(synthetic(), config, (0, 1))
+            trace = weakref.ref(result.trace)
+            record = weakref.ref(result.trace.steps[-1])
+            del result
+            assert trace() is None and record() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
 class TestOneTop1Rule:
     """The sampler, the scheduler and the premature detector pick the same top-1."""
 
@@ -386,24 +427,25 @@ class TestOneTop1Rule:
                               window_fraction=0.5, sampler=sampler, scheduler=scheduler,
                               cache=cache, delimiters=delims, linear_steps=max(1, L // 2))
         result = decode(pred, config, tuple(prompt))
-        steps = result.trace.steps
         forced = {}
-        for rec in steps:
+        openers = []
+        for rec, predicted, confidence in result.trace.rows():
             inside = [m for m in rec.masked_before if rec.block_start <= m < rec.block_end]
-            forced[rec.step] = self.checked_top1(rec.confidence, inside)
+            forced[rec.step] = self.checked_top1(confidence, inside)
             assert forced[rec.step] in rec.sampled
+            if rec.is_block_open:
+                openers.append((tuple(predicted), tuple(confidence)))
 
-        openers = [rec for rec in steps if rec.is_block_open]
         assert len(openers) == len(result.blocks)
-        for rec, decision in zip(openers, result.blocks):
+        for (predicted, confidence), decision in zip(openers, result.blocks):
             window = range(decision.window_start, decision.window_start + decision.window_len)
-            candidates = [i for i in window if rec.predicted[i] in delims]
+            candidates = [i for i in window if predicted[i] in delims]
             if decision.source == DELIMITER:
-                pos = self.checked_top1(rec.confidence, candidates)
+                pos = self.checked_top1(confidence, candidates)
                 assert (decision.delimiter_pos, decision.delimiter_conf) == (
-                    pos, rec.confidence[pos])
+                    pos, confidence[pos])
             elif scheduler == "adaptive" and candidates:
-                assert rec.confidence[top1(rec.confidence, candidates)] < tau_d
+                assert confidence[top1(confidence, candidates)] < tau_d
 
         for event in failure_rates(result.trace, tau).premature:
             assert event.forced_pos == forced[event.step]
@@ -573,7 +615,8 @@ def _sorted_scope_decode(predictor, config, prompt):
         records.append(StepRecord(
             step=len(records), block_start=g, block_end=g + B,
             block_size=B if opens else None, evaluated=evaluated,
-            predicted=frame.predicted, confidence=frame.confidence,
+            predicted=tuple(frame.predicted[p] for p in computed),
+            confidence=tuple(frame.confidence[p] for p in computed),
             sampled=tuple(sorted(sampled)), masked_before=tuple(sorted(masked)),
             cache=config.cache, computed=computed,
         ))
@@ -588,7 +631,8 @@ def _sorted_scope_decode(predictor, config, prompt):
             g, B = g + B, None
     return DecodeResult(
         final_tokens=state.tokens,
-        trace=DecodeTrace(prompt_len=state.prompt_len, gen_budget=L, steps=tuple(records)),
+        trace=DecodeTrace(prompt_len=state.prompt_len, gen_budget=L, mask_id=vocab.mask_id,
+                          steps=tuple(records)),
         blocks=tuple(blocks),
         remaining_masks=len(state.gen_masked()),
     )
@@ -651,6 +695,7 @@ class TestIncrementalLoop:
         for rec, want in zip(result.trace.steps, expected.trace.steps, strict=True):
             assert rec == want
             assert rec.computed == want.computed
+            assert (rec.predicted, rec.confidence) == (want.predicted, want.confidence)
             for seq in (rec.evaluated, rec.masked_before, rec.computed, rec.sampled):
                 assert list(seq) == sorted(set(seq))
             assert set(rec.computed) <= set(rec.evaluated)

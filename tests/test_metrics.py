@@ -31,6 +31,9 @@ from semiar.predictors import SyntheticFieldParams, build_ngram, build_synthetic
 from semiar.tracefile import read_trace_file, write_trace
 
 
+MASK = 9
+
+
 def record(conf, masked, block=(0, 8), sampled=(), step=0, open_=True):
     L = len(conf)
     return StepRecord(
@@ -52,31 +55,31 @@ class TestLateOverhead:
         conf = [0.5] * 12
         conf[9] = 0.93
         rec = record(conf, masked=range(12), block=(0, 8))
-        ev = detect_late_overhead(rec, 0.9)
+        ev = detect_late_overhead(rec, rec.confidence, 0.9)
         assert ev is not None and ev.positions == (9,)
         assert ev.confidences == (0.93,)
 
     def test_floor_outside_stays_quiet(self):
         conf = [0.5] * 8 + [0.05] * 4
         rec = record(conf, masked=range(12), block=(0, 8))
-        assert detect_late_overhead(rec, 0.9) is None
+        assert detect_late_overhead(rec, rec.confidence, 0.9) is None
 
     def test_final_block_has_no_outside(self):
         conf = [0.99] * 8
         rec = record(conf, masked=range(8), block=(0, 8))
-        assert detect_late_overhead(rec, 0.9) is None
+        assert detect_late_overhead(rec, rec.confidence, 0.9) is None
 
     def test_unmasked_outside_positions_ignored(self):
         conf = [0.5] * 8 + [0.99] * 4
         rec = record(conf, masked=range(8), block=(0, 8))
-        assert detect_late_overhead(rec, 0.9) is None
+        assert detect_late_overhead(rec, rec.confidence, 0.9) is None
 
 
 class TestPremature:
     def test_forced_low_top_with_better_outside(self):
         conf = [0.4, 0.3, 0.2, 0.1] + [0.92] + [0.05] * 3
         rec = record(conf, masked=range(8), block=(0, 4))
-        ev = detect_premature(rec, 0.9)
+        ev = detect_premature(rec, rec.confidence, 0.9)
         assert ev is not None
         assert ev.forced_pos == 0 and ev.forced_conf == 0.4
         assert ev.better_positions == (4,)
@@ -84,34 +87,34 @@ class TestPremature:
     def test_no_event_when_top_reaches_threshold(self):
         conf = [0.95, 0.3] + [0.99] * 2
         rec = record(conf, masked=range(4), block=(0, 2))
-        assert detect_premature(rec, 0.9) is None
+        assert detect_premature(rec, rec.confidence, 0.9) is None
 
     def test_no_event_without_strictly_better_outside(self):
         conf = [0.4, 0.3] + [0.4, 0.2]
         rec = record(conf, masked=range(4), block=(0, 2))
-        assert detect_premature(rec, 0.9) is None
+        assert detect_premature(rec, rec.confidence, 0.9) is None
 
     def test_tie_break_picks_lowest_forced_position(self):
         conf = [0.4, 0.4] + [0.6]
         rec = record(conf, masked=range(3), block=(0, 2))
-        ev = detect_premature(rec, 0.9)
+        ev = detect_premature(rec, rec.confidence, 0.9)
         assert ev.forced_pos == 0
 
     def test_empty_block_yields_nothing(self):
         conf = [0.4] * 4
         rec = record(conf, masked=[2, 3], block=(0, 2))
-        assert detect_premature(rec, 0.9) is None
+        assert detect_premature(rec, rec.confidence, 0.9) is None
 
 
 class TestFailureRates:
     def test_empty_trace_rejected(self):
-        trace = DecodeTrace(prompt_len=1, gen_budget=4, steps=())
+        trace = DecodeTrace(prompt_len=1, gen_budget=4, mask_id=MASK, steps=())
         with pytest.raises(ValueError):
             failure_rates(trace, 0.9)
 
     def test_single_clean_step(self):
         rec = record([0.95] * 4, masked=range(4), block=(0, 4))
-        trace = DecodeTrace(prompt_len=1, gen_budget=4, steps=(rec,))
+        trace = DecodeTrace(prompt_len=1, gen_budget=4, mask_id=MASK, steps=(rec,))
         report = failure_rates(trace, 0.9)
         assert (report.late_overhead_steps, report.premature_steps) == (0, 0)
         assert report.late_overhead_rate == 0.0
@@ -119,7 +122,7 @@ class TestFailureRates:
     def test_step_can_count_for_both(self):
         conf = [0.4, 0.3, 0.95, 0.05]
         rec = record(conf, masked=range(4), block=(0, 2))
-        trace = DecodeTrace(prompt_len=1, gen_budget=4, steps=(rec,))
+        trace = DecodeTrace(prompt_len=1, gen_budget=4, mask_id=MASK, steps=(rec,))
         report = failure_rates(trace, 0.9)
         assert report.late_overhead_steps == 1
         assert report.premature_steps == 1
@@ -184,7 +187,7 @@ class TestSegmentation:
         conf = [0.5] * 6
         rec = record(conf, masked=range(6), block=(0, 6))
         labels = segment_regimes(
-            DecodeTrace(prompt_len=0, gen_budget=6, steps=(rec,)),
+            DecodeTrace(prompt_len=0, gen_budget=6, mask_id=MASK, steps=(rec,)),
             tau_hi=0.9, tau_lo=0.1, persistence_k=1,
         )
         assert labels == [[Regime.VOLATILITY_BAND] * 6]
@@ -192,7 +195,7 @@ class TestSegmentation:
     def test_decoded_positions_label_decoded(self):
         rec = record([0.01] * 4, masked=[2, 3], block=(0, 4))
         labels = segment_regimes(
-            DecodeTrace(prompt_len=0, gen_budget=4, steps=(rec,)),
+            DecodeTrace(prompt_len=0, gen_budget=4, mask_id=MASK, steps=(rec,)),
             tau_hi=0.9, tau_lo=0.1, persistence_k=1,
         )
         assert labels[0][:2] == [Regime.DECODED, Regime.DECODED]
@@ -201,17 +204,17 @@ class TestSegmentation:
     def test_persistence_requires_consecutive_snapshots(self):
         flicker = record([0.95, 0.5], masked=range(2), block=(0, 2), step=0)
         steady = record([0.95, 0.5], masked=range(2), block=(0, 2), step=1)
-        trace = DecodeTrace(prompt_len=0, gen_budget=2, steps=(flicker, steady))
+        trace = DecodeTrace(prompt_len=0, gen_budget=2, mask_id=MASK, steps=(flicker, steady))
         labels = segment_regimes(trace, tau_hi=0.9, tau_lo=0.1, persistence_k=2)
         assert labels[1][0] is Regime.PLATEAU
         dip = record([0.3, 0.5], masked=range(2), block=(0, 2), step=0)
-        trace = DecodeTrace(prompt_len=0, gen_budget=2, steps=(dip, steady))
+        trace = DecodeTrace(prompt_len=0, gen_budget=2, mask_id=MASK, steps=(dip, steady))
         labels = segment_regimes(trace, tau_hi=0.9, tau_lo=0.1, persistence_k=2)
         assert labels[1][0] is Regime.VOLATILITY_BAND
 
     def test_invalid_thresholds_rejected(self):
         rec = record([0.5], masked=[0], block=(0, 1))
-        trace = DecodeTrace(prompt_len=0, gen_budget=1, steps=(rec,))
+        trace = DecodeTrace(prompt_len=0, gen_budget=1, mask_id=MASK, steps=(rec,))
         with pytest.raises(ValueError):
             segment_regimes(trace, tau_hi=0.1, tau_lo=0.9)
         with pytest.raises(ValueError):
@@ -230,12 +233,13 @@ class TestSegmentation:
 
 def _window_labels(trace, tau_hi, tau_lo, k):
     """Regime labels straight from the definition: the last k snapshots."""
+    rows = [tuple(conf) for _, _, conf in trace.rows()]
     labels = []
     for r, rec in enumerate(trace.steps):
-        window = trace.steps[max(0, r - k + 1) : r + 1]
+        window = rows[max(0, r - k + 1) : r + 1]
         row = []
         for i in range(trace.gen_budget):
-            history = [w.confidence[i] for w in window]
+            history = [w[i] for w in window]
             if i not in rec.masked_before:
                 row.append(Regime.DECODED)
             elif all(c >= tau_hi for c in history):
@@ -267,22 +271,20 @@ def check_against_dense_references(trace, tau_hi, tau_lo, k):
         L = trace.gen_budget
         write_heatmap(out / "heatmap.csv", trace)
         assert (out / "heatmap.csv").read_bytes() == _dense_csv(
-            out / "dense-heatmap.csv", L, ([rec.step, *rec.confidence] for rec in trace.steps))
+            out / "dense-heatmap.csv", L, ([rec.step, *conf] for rec, _, conf in trace.rows()))
         write_regime_labels(out / "regimes.csv", labels)
         assert (out / "regimes.csv").read_bytes() == _dense_csv(
             out / "dense-regimes.csv", L, ([step, *row] for step, row in enumerate(labels)))
 
 
-def carried_record(step, evaluated, prev_conf, values, masked):
-    """A record that evaluates ``evaluated`` and carries every other value,
-    as the decoder and the trace reader do (see StepRecord)."""
-    conf = list(prev_conf)
-    for i, c in zip(evaluated, values):
-        conf[i] = c
-    L = len(conf)
+def carried_record(step, L, evaluated, values, masked):
+    """A record that evaluates ``evaluated`` and holds their ``values``, so
+    every other position keeps its value, as the decoder and the trace
+    reader do (see StepRecord)."""
     return StepRecord(step=step, block_start=0, block_end=L, block_size=L if step == 0 else None,
-                      evaluated=tuple(evaluated), predicted=(0,) * L, confidence=tuple(conf),
-                      sampled=(), masked_before=tuple(sorted(masked)), cache="none")
+                      evaluated=tuple(evaluated), predicted=(0,) * len(evaluated),
+                      confidence=tuple(values), sampled=(),
+                      masked_before=tuple(sorted(masked)), cache="none")
 
 
 # the thresholds themselves, the never-evaluated sentinel and equal values
@@ -301,16 +303,19 @@ class TestSegmentationMatchesDefinition:
     def test_streak_counts_equal_window_scan(self, data, L, steps, k):
         """Random carry-forward traces; any record, the first included, may
         evaluate any subset of the positions."""
-        conf = (SENTINEL_CONFIDENCE,) * L
-        recs = []
+        conf = [SENTINEL_CONFIDENCE] * L
+        recs, dense = [], []
         for step in range(steps):
             evaluated = sorted(data.draw(st.sets(st.integers(0, L - 1))))
             values = [data.draw(_CONFIDENCES) for _ in evaluated]
             masked = data.draw(st.sets(st.integers(0, L - 1)))
-            recs.append(carried_record(step, evaluated, conf, values, masked))
-            conf = recs[-1].confidence
-        check_against_dense_references(
-            DecodeTrace(prompt_len=0, gen_budget=L, steps=tuple(recs)), 0.9, 0.1, k)
+            recs.append(carried_record(step, L, evaluated, values, masked))
+            for i, c in zip(evaluated, values):
+                conf[i] = c
+            dense.append(tuple(map(repr, conf)))
+        trace = DecodeTrace(prompt_len=0, gen_budget=L, mask_id=MASK, steps=tuple(recs))
+        assert [tuple(map(repr, row)) for _, _, row in trace.rows()] == dense
+        check_against_dense_references(trace, 0.9, 0.1, k)
 
 
 class TestWritersMatchDenseReference:
@@ -318,7 +323,6 @@ class TestWritersMatchDenseReference:
 
     def test_equal_values_with_different_text(self):
         L = 3
-        conf = (SENTINEL_CONFIDENCE,) * L
         recs = []
         # position 0 stays evaluated through equal-but-differently-printed
         # values, position 1 is evaluated only at the start, and position 2
@@ -326,9 +330,8 @@ class TestWritersMatchDenseReference:
         for step, c in enumerate([-1.0, 0.0, -0.0, 1e-05, 1.0, 1, 1, 1.0, 0.0]):
             evaluated = (0, 1) if step == 0 else (0,)
             values = (c, 0.5) if step == 0 else (c,)
-            recs.append(carried_record(step, evaluated, conf, values, range(L)))
-            conf = recs[-1].confidence
-        trace = DecodeTrace(prompt_len=0, gen_budget=L, steps=tuple(recs))
+            recs.append(carried_record(step, L, evaluated, values, range(L)))
+        trace = DecodeTrace(prompt_len=0, gen_budget=L, mask_id=MASK, steps=tuple(recs))
         for k in (1, 2, 3):
             check_against_dense_references(trace, 0.9, 0.1, k)
         with tempfile.TemporaryDirectory() as tmp:
@@ -393,7 +396,7 @@ class TestWidthSeries:
     def test_fully_decoded_step_has_zero_width(self):
         rec = record([0.5] * 4, masked=[], block=(0, 4))
         labels = segment_regimes(
-            DecodeTrace(prompt_len=0, gen_budget=4, steps=(rec,)),
+            DecodeTrace(prompt_len=0, gen_budget=4, mask_id=MASK, steps=(rec,)),
             tau_hi=0.9, tau_lo=0.1, persistence_k=1,
         )
         assert vb_width_series(labels) == [0]

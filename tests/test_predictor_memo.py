@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from semiar import predictors
 from semiar.core import DecodeConfig, SequenceState
 from semiar.decoder import decode
 from semiar.predictors import (
@@ -141,6 +142,37 @@ def test_ngram_predict_matches_the_loop_reference(long_lived, corpus, order, k, 
         expected = reference_ngram_predict(fresh.model, state, positions)
         assert fresh.predict(state, positions) == expected
         assert shared.predict(state, positions) == expected
+
+
+def test_ngram_memo_is_emptied_at_its_cap(monkeypatch):
+    """A miss that finds the memo full empties it first, so the memo never
+    outgrows the cap, and decodes across the clears equal decodes by fresh
+    predictors that never clear."""
+    corpus = " . ".join(["a b c d e", "f g h i j", "k l m n o"] * 6)
+    cfg = DecodeConfig(gen_budget=24, max_steps=24, b0=8)
+    ids = build_ngram(corpus, order=3, smoothing_k=0.01).model.corpus_ids
+    prompts = [tuple(ids[s : s + 3]) for s in range(0, 60, 3)]
+    expected = [decode(build_ngram(corpus, order=3, smoothing_k=0.01), cfg, prompt)
+                for prompt in prompts]
+
+    cap = 16
+    monkeypatch.setattr(predictors, "MASKED_MEMO_CAP", cap)
+    shared = build_ngram(corpus, order=3, smoothing_k=0.01)
+    sizes = []
+    predict = shared.predict
+
+    def watched(state, positions):
+        out = predict(state, positions)
+        sizes.append(len(shared._masked))
+        return out
+
+    shared.predict = watched
+    for prompt, want in zip(prompts, expected):
+        got = decode(shared, cfg, prompt)
+        assert got.final_tokens == want.final_tokens
+        assert got.trace == want.trace
+    assert max(sizes) <= cap
+    assert any(after < before for before, after in zip(sizes, sizes[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,11 @@ def gen_state(predictor, L, committed=0, prompt=(0,)):
 
 
 def changed_positions(trace, r):
-    """Positions whose value, as printed, differs between records r - 1 and r."""
-    old, new = trace.steps[r - 1], trace.steps[r]
-    return tuple(p for p in range(trace.gen_budget)
-                 if (old.predicted[p], repr(old.confidence[p]))
-                 != (new.predicted[p], repr(new.confidence[p])))
+    """Positions whose value, as printed, differs between the dense rows after
+    records r - 1 and r."""
+    rows = [tuple(zip(pred, map(repr, conf))) for _, pred, conf in trace.rows()]
+    old, new = rows[r - 1], rows[r]
+    return tuple(p for p in range(trace.gen_budget) if old[p] != new[p])
 
 
 def distribution(model, left_ctx, right_ctx):
@@ -162,9 +162,10 @@ class TestSyntheticField:
         pred = build_synthetic(self.params())
         state = gen_state(pred, 8)
         prior = pred.denoise(state, range(8))
+        rows = list(prior.predicted), list(prior.confidence)
         frame = pred.denoise(state, [], prior=prior)
-        assert frame.predicted == prior.predicted
-        assert frame.confidence == prior.confidence
+        assert frame is prior
+        assert (frame.predicted, frame.confidence) == rows
 
     @pytest.mark.parametrize("rate, L, committed, expected", [
         # frontier 8 -> 9: band [8, 12) becomes [9, 13)
@@ -321,7 +322,7 @@ class TestNGram:
             prompt = seq[(s * 3) % (len(seq) - 4) : (s * 3) % (len(seq) - 4) + 3]
             result = decode(pred, cfg, prompt)
             n = pred.model.order
-            for rec in result.trace.steps:
+            for rec, _, conf in result.trace.rows():
                 masked = set(rec.masked_before)
                 for i in masked:
                     near = any(
@@ -334,9 +335,9 @@ class TestNGram:
                         if j != i
                     ) and i >= n
                     if near:
-                        adjacent.append(rec.confidence[i])
+                        adjacent.append(conf[i])
                     elif far:
-                        isolated.append(rec.confidence[i])
+                        isolated.append(conf[i])
         assert len(adjacent) > 500 and len(isolated) > 500
         margin = 0.15
         assert (sum(adjacent) / len(adjacent)) > (sum(isolated) / len(isolated)) + margin
@@ -427,9 +428,9 @@ class TestTraceReplay:
         assert replayed.completed
         assert replayed.steps_used < recorded.steps_used
         # every replayed confidence matches some recorded frame value
-        rec0 = recorded.trace.steps[0]
-        rep0 = replayed.trace.steps[0]
-        assert rep0.confidence == rec0.confidence
+        _, _, rec0 = next(recorded.trace.rows())
+        _, _, rep0 = next(replayed.trace.rows())
+        assert rep0 == rec0
 
     @pytest.mark.parametrize("cache", ["none", "prefix", "dual"])
     def test_ngram_trace_replays_to_its_own_bytes(self, cache, tmp_path):
@@ -521,8 +522,8 @@ class TestDenoiseValidation:
     def test_committed_positions_are_not_checked(self):
         overrides = {1: (1, float("nan")), 3: (0, 7.0), 4: (0, 1)}
         frame = _StubPredictor(overrides).denoise(self.state(), range(6))
-        assert frame.predicted[:3] == (0, 1, 0)
-        assert frame.confidence[3:5] == (7.0, 1)
+        assert frame.predicted[:3] == [0, 1, 0]
+        assert frame.confidence[3:5] == [7.0, 1]
         assert len(frame.predicted) == len(frame.confidence) == 6
 
     @pytest.mark.parametrize(

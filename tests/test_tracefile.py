@@ -70,9 +70,21 @@ class TestRoundTrip:
                                      order=3, smoothing_k=0.01),
     }
 
-    @settings(max_examples=60, deadline=None)
+    @staticmethod
+    def replay_predictor(L):
+        """A replay of a recorded top-1 decode of L steps: every decode of at
+        most L steps, under any config, has a record to replay at each step,
+        and every position holds a value from the first record on."""
+        source = build_synthetic(SyntheticFieldParams(noise_seed=6, delimiter_period=4))
+        config = DecodeConfig(gen_budget=L, max_steps=L, b0=3, sampler="vanilla")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "source.jsonl"
+            write_trace(path, decode(source, config, (0, 1)).trace, source.vocabulary)
+            return TraceReplayPredictor(read_trace_file(path))
+
+    @settings(max_examples=90, deadline=None)
     @given(
-        kind=st.sampled_from(sorted(PREDICTORS)),
+        kind=st.sampled_from([*sorted(PREDICTORS), "replay"]),
         sampler=st.sampled_from(SAMPLERS),
         scheduler=st.sampled_from(SCHEDULERS),
         cache=st.sampled_from(CACHES),
@@ -86,10 +98,11 @@ class TestRoundTrip:
         """Replay recomputes only the positions each record changed, yet its
         trace, and every trace written without ``computed``, has the same bytes.
         A written file is read by text comparison, into the records the JSON
-        loop reads from it."""
-        pred = self.PREDICTORS[kind]()
+        loop reads from it, and the dense rows after every step are the same
+        in the decode, in its file and in the replay."""
+        pred = self.replay_predictor(L) if kind == "replay" else self.PREDICTORS[kind]()
         vocab = pred.vocabulary
-        delims = frozenset({vocab.id_of(".") if kind == "ngram" else pred.delimiter_id})
+        delims = frozenset({vocab.id_of("." if kind == "ngram" else "\n")})
         config = DecodeConfig(gen_budget=L, max_steps=max(1, L - slack), b0=b0, tau=tau,
                               sampler=sampler, scheduler=scheduler, cache=cache,
                               delimiters=delims, linear_steps=max(1, L // 2))
@@ -111,6 +124,7 @@ class TestRoundTrip:
             texts = {path.read_bytes() for path in paths}
         assert len(texts) == 1
         assert replayed == recorded
+        assert _dense(data.trace) == _dense(replayed) == _dense(recorded)
         for trace in (recorded, data.trace, replayed):
             for rec in trace.steps:
                 assert set(rec.computed) <= set(rec.evaluated)
@@ -130,7 +144,9 @@ class TestRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         trace = read_trace_file(path).trace
         assert [rec.computed for rec in trace.steps] == [(0, 1), (0,), (0,), (0,)]
-        assert [str(rec.confidence[0]) for rec in trace.steps] == ["0.0", "-0.0", "0.0", "-0.0"]
+        assert [tuple(map(str, rec.confidence)) for rec in trace.steps] == [
+            ("0.0", "0.5"), ("-0.0",), ("0.0",), ("-0.0",)]
+        assert [str(conf[0]) for _, _, conf in trace.rows()] == ["0.0", "-0.0", "0.0", "-0.0"]
         write_trace(tmp_path / "again.trace.jsonl", trace, read_trace_file(path).vocab)
         assert (tmp_path / "again.trace.jsonl").read_bytes() == path.read_bytes()
         write_heatmap(tmp_path / "heatmap.csv", trace)
@@ -141,15 +157,14 @@ class TestRoundTrip:
     def _written_step_line(rec, tmp):
         vocab = build_synthetic(SyntheticFieldParams()).vocabulary
         path = Path(tmp) / "one.jsonl"
-        write_trace(path, DecodeTrace(1, len(rec.predicted), (rec,)), vocab)
+        write_trace(path, DecodeTrace(1, 6, vocab.mask_id, (rec,)), vocab)
         return path.read_text().splitlines()[1]
 
     @staticmethod
     def _dumped(rec):
         return json.dumps({
             "step": rec.step, "g": rec.block_start, "positions": list(rec.evaluated),
-            "pred": [rec.predicted[p] for p in rec.evaluated],
-            "conf": [rec.confidence[p] for p in rec.evaluated],
+            "pred": list(rec.predicted), "conf": list(rec.confidence),
             "B": rec.block_size, "block_end": rec.block_end, "sampled": list(rec.sampled),
             "masked": list(rec.masked_before), "cache": rec.cache,
         })
@@ -163,9 +178,10 @@ class TestRoundTrip:
     def test_int_arrays_print_as_json_dumps(self, evaluated, sampled, masked):
         """Position arrays joined from per-value texts read as ``json.dumps``
         reads them, bools and out-of-range values included."""
+        conf = (0.5, 1.0, 0.25, 0.125, 1e-07, 0.75)
         rec = StepRecord(step=0, block_start=0, block_end=6, block_size=6,
-                         evaluated=tuple(evaluated), predicted=(0, 1, 2, 3, 4, 5),
-                         confidence=(0.5, 1.0, 0.25, 0.125, 1e-07, 0.75),
+                         evaluated=tuple(evaluated), predicted=tuple(evaluated),
+                         confidence=tuple(conf[p] for p in evaluated),
                          sampled=tuple(sampled), masked_before=tuple(masked), cache="none")
         with tempfile.TemporaryDirectory() as tmp:
             assert self._written_step_line(rec, tmp) == self._dumped(rec)
@@ -190,15 +206,27 @@ def _read_by_json_loop(path):
         return read_trace_file(path)
 
 
+def _dense(trace):
+    """The dense rows after every step, the sign of each zero included."""
+    return [(tuple(pred), tuple(map(repr, conf))) for _, pred, conf in trace.rows()]
+
+
 def _outcome(data):
-    """What a read gave, ``computed`` and the sign of each zero included."""
-    return data.vocab, data.prompt, data.config, [
-        (rec, rec.computed, tuple(map(repr, rec.confidence))) for rec in data.trace.steps]
+    """What a read gave: each record, its changed positions and values, and
+    the dense rows, the sign of each zero included."""
+    return data.vocab, data.prompt, data.config, data.trace.mask_id, [
+        (rec, rec.computed, rec.predicted, tuple(map(repr, rec.confidence)))
+        for rec in data.trace.steps], _dense(data.trace)
 
 
 def _without_computed(trace):
-    return DecodeTrace(trace.prompt_len, trace.gen_budget, tuple(
-        dataclasses.replace(rec, computed=None) for rec in trace.steps))
+    """The trace with ``computed`` unknown: each record holds the values at
+    every position it evaluated."""
+    return DecodeTrace(trace.prompt_len, trace.gen_budget, trace.mask_id, tuple(
+        dataclasses.replace(rec, computed=None,
+                            predicted=tuple(pred[p] for p in rec.evaluated),
+                            confidence=tuple(conf[p] for p in rec.evaluated))
+        for rec, pred, conf in trace.rows()))
 
 
 def _set(key, index, value):

@@ -84,42 +84,41 @@ class Vocabulary:
         return cls(tuple(toks), toks.index(mask_token), toks.index(eos_token))
 
 
-@dataclass(frozen=True)
+@dataclass
 class SequenceState:
     """The evolving token sequence: committed prompt, generation region, mask occupancy.
 
-    ``step`` counts remaining denoise-sample iterations and only decreases.
-    ``masked`` holds the masked generation positions.  It is derived from
-    ``tokens`` on construction (so ``dataclasses.replace`` rescans) and
-    carried forward by :func:`apply_sample`, which never rescans.
+    A decode keeps one state, and :func:`apply_sample` commits into it in
+    place, so a state is running state, as a :class:`PredictionFrame` is:
+    copy ``tokens`` to keep them.  ``step`` counts remaining denoise-sample
+    iterations and only decreases.  ``unmasked`` counts the committed
+    generation positions; it is counted from ``tokens`` on construction (so
+    ``dataclasses.replace`` recounts) and advanced by :func:`apply_sample`.
+    The masked positions themselves are read from ``tokens``.
     """
 
-    tokens: tuple[int, ...]
+    tokens: list[int]
     prompt_len: int
     gen_budget: int
     step: int
     mask_id: int
-    masked: frozenset[int] = field(init=False, repr=False, compare=False)
+    unmasked: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.tokens = list(self.tokens)
         if len(self.tokens) != self.prompt_len + self.gen_budget:
             raise ValueError("token vector length must equal prompt_len + gen_budget")
         if self.step < 0:
             raise ValueError("step counter cannot be negative")
-        lp, mask = self.prompt_len, self.mask_id
-        object.__setattr__(self, "masked", frozenset(
-            i for i, t in enumerate(self.tokens[lp:]) if t == mask
-        ))
+        self.unmasked = self.gen_budget - self.tokens[self.prompt_len :].count(self.mask_id)
 
     def gen_masked(self) -> frozenset[int]:
-        """Masked positions in generation-region coordinates."""
-        return self.masked
+        """Masked positions in generation-region coordinates, by a scan of ``tokens``."""
+        lp, mask = self.prompt_len, self.mask_id
+        return frozenset(i for i, t in enumerate(self.tokens[lp:]) if t == mask)
 
     def unmasked_gen_count(self) -> int:
-        return self.gen_budget - len(self.masked)
-
-
-_STATE_FIELDS = tuple(f.name for f in fields(SequenceState))
+        return self.unmasked
 
 
 @dataclass
@@ -182,7 +181,7 @@ def init_state(
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     return SequenceState(
-        tokens=tuple(prompt) + (mask_id,) * gen_budget,
+        tokens=list(prompt) + [mask_id] * gen_budget,
         prompt_len=len(prompt),
         gen_budget=gen_budget,
         step=max_steps,
@@ -193,39 +192,30 @@ def init_state(
 def apply_sample(
     state: SequenceState, frame: PredictionFrame, selected: Collection[int]
 ) -> SequenceState:
-    """Commit predicted tokens at the ``selected`` generation positions.
+    """Commit predicted tokens at the ``selected`` generation positions, in
+    place, and return ``state``.
 
     ``selected`` holds distinct positions, each of which must currently be
     masked; all other positions are untouched and the step counter decreases
-    by one.  The empty selection is a legal no-op step.  The successor's
-    masked set is the current one minus the committed positions, so the step
-    rescans nothing: it copies the token tuple and the masked set once each.
+    by one.  The empty selection is a legal no-op step.  The step writes the
+    committed tokens and nothing else.  A rejected position raises
+    ``ValueError`` with the positions before it committed and ``step`` unchanged.
     """
     if state.step < 1:
         raise ValueError("step budget exhausted; cannot advance")
-    tokens = list(state.tokens)
-    lp = state.prompt_len
+    tokens, lp, mask = state.tokens, state.prompt_len, state.mask_id
     for g in selected:
         if not 0 <= g < state.gen_budget:
             raise ValueError(f"selected position {g} out of range")
-        if tokens[lp + g] != state.mask_id:
+        if tokens[lp + g] != mask:
             raise ValueError(f"selected position {g} is not masked")
         new_tok = frame.predicted[g]
-        if new_tok == state.mask_id:
+        if new_tok == mask:
             raise ValueError(f"frame predicts the mask token at position {g}")
         tokens[lp + g] = new_tok
-    changed = {
-        "tokens": tuple(tokens),
-        "step": state.step - 1,
-        "masked": state.masked.difference(selected),
-    }
-    # Built field by field: not through __init__, so the masked set is not
-    # rescanned (the checks above keep __post_init__'s invariants), and not
-    # through __dict__, which would slow every attribute read of the state.
-    successor = object.__new__(SequenceState)
-    for name in _STATE_FIELDS:
-        object.__setattr__(successor, name, changed.get(name, getattr(state, name)))
-    return successor
+        state.unmasked += 1
+    state.step -= 1
+    return state
 
 
 #: The range rule of each checked DecodeConfig field, in checking order: a

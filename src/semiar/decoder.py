@@ -34,13 +34,15 @@ Each record keeps the positions its step computed
 the frame, so the trace writer re-formats only those values and a replay of
 the trace recomputes only them.
 
-No step sorts or scans the generation region, nor copies the frame.  The
-loop keeps one frame, which each denoise updates in place, and one ascending
-list of the masked positions, from which it deletes each commit by bisection; the step's
-``masked_before`` is one tuple of that list, every scope is a slice of it or
-of the region, and ``computed`` is drawn from the positions invalidated
-since they were last computed.  What is left of O(L) are C-level copies:
-that tuple, and the token tuple and masked set of the successor state.
+No step sorts or scans the generation region, nor copies the frame or the
+tokens.  The loop keeps one frame and one sequence state, which denoise and
+:func:`~semiar.core.apply_sample` update in place, and one ascending list of
+the masked positions, the only set of them, from which it deletes each
+commit by bisection.  The step's ``masked_before`` is one tuple of that
+list; every scope, and the block's masked positions the sampler chooses
+from, is a slice of it or of the region; and ``computed`` is drawn from the
+positions invalidated since they were last computed.  What is left of O(L)
+is one C-level copy, that tuple.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .core import (
     DecodeConfig,
     DecodeTrace,
     PredictionFrame,
+    SequenceState,
     StepRecord,
     Vocabulary,
     apply_sample,
@@ -100,22 +103,29 @@ def evaluation_scope(
     if policy == "dual":
         if block_size is None:
             return _region(gen_budget)
-        return masked[bisect_left(masked, g) : bisect_left(masked, g + block_size)]
+        return _masked_in(masked, g, g + block_size)
     raise ValueError(f"unknown cache policy {policy!r}")
 
 
+def _masked_in(masked: tuple[int, ...], start: int, end: int) -> tuple[int, ...]:
+    """The positions of the ascending ``masked`` in ``[start, end)``, as a slice."""
+    return masked[bisect_left(masked, start) : bisect_left(masked, end)]
+
+
 def _stale_in_scope(
-    stale: set[int], scope: tuple[int, ...], masked: frozenset[int]
+    stale: set[int], scope: tuple[int, ...], state: SequenceState
 ) -> tuple[int, ...]:
     """The ``stale`` positions in ``scope``, ascending, found without walking
     the scope: a scope with gaps holds exactly the masked positions of its
     span, and one without holds every position of it."""
     if not scope:
         return ()
-    if scope[-1] - scope[0] + 1 != len(scope):
-        stale = stale.intersection(masked)
     ordered = sorted(stale)
-    return tuple(ordered[bisect_left(ordered, scope[0]) : bisect_right(ordered, scope[-1])])
+    found = ordered[bisect_left(ordered, scope[0]) : bisect_right(ordered, scope[-1])]
+    if scope[-1] - scope[0] + 1 != len(scope):
+        tokens, lp, mask = state.tokens, state.prompt_len, state.mask_id
+        return tuple([p for p in found if tokens[lp + p] == mask])
+    return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -187,7 +197,7 @@ def decode(
         if len(stale) == L:
             computed = evaluated
         else:
-            computed = _stale_in_scope(stale, evaluated, state.masked)
+            computed = _stale_in_scope(stale, evaluated, state)
         try:
             frame = predictor.denoise(state, computed, prior=frame)
         except Exception as exc:
@@ -202,7 +212,8 @@ def decode(
             B = decision.block_size
         end = g + B
 
-        sampled = tuple(sorted(sample_step(state, frame, config, range(g, end))))
+        block = _masked_in(masked_before, g, end)
+        sampled = sample_step(frame, config, block)
         records.append(
             StepRecord(
                 step=len(records),
@@ -218,8 +229,8 @@ def decode(
                 computed=computed,
             )
         )
-        before, state = state, apply_sample(state, frame, sampled)
-        changed = predictor.invalidated(before, state, sampled)
+        state = apply_sample(state, frame, sampled)
+        changed = predictor.invalidated(state, sampled)
         if changed is None:
             stale = set(region)
         else:
@@ -227,12 +238,11 @@ def decode(
             stale.update(*changed)
         for p in sampled:
             del masked[bisect_left(masked, p)]
-        i = bisect_left(masked, g)
-        if i == len(masked) or masked[i] >= end:
+        if len(sampled) == len(block):  # the block holds no masks
             g, B = end, None
 
     return DecodeResult(
-        final_tokens=state.tokens,
+        final_tokens=tuple(state.tokens),
         trace=DecodeTrace(prompt_len=state.prompt_len, gen_budget=L, mask_id=vocab.mask_id,
                           steps=tuple(records)),
         blocks=tuple(blocks),

@@ -28,7 +28,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from itertools import islice
+from operator import lt
+from typing import Collection, Iterable, Sequence
 
 from .core import SENTINEL_CONFIDENCE, PredictionFrame, Regime, SequenceState, Vocabulary
 from .seeding import unit_draw
@@ -53,13 +55,15 @@ class MaskPredictor:
         raise NotImplementedError
 
     def invalidated(
-        self, before: SequenceState, after: SequenceState, committed: Iterable[int]
+        self, state: SequenceState, committed: Collection[int]
     ) -> Iterable[Iterable[int]] | None:
         """Ranges (or other groups) of generation positions whose prediction a
         commit may change.
 
-        ``after`` is ``before`` with ``committed`` committed; every position
-        outside the groups predicts the same in both.  ``None``: every position.
+        ``state`` has just had the distinct positions ``committed`` committed,
+        so it held ``len(committed)`` fewer unmasked ones before; every position
+        outside the groups predicts the same as it did then.  ``None``: every
+        position.
         """
         return None
 
@@ -73,18 +77,22 @@ class MaskPredictor:
         without a ``prior``, into a fresh sentinel frame.
 
         Subclasses implement :meth:`predict`; this validation and merge is
-        shared and not overridden.
+        shared and not overridden.  ``eval_positions`` must strictly ascend,
+        as every decoder scope does.
         """
-        positions = sorted(set(eval_positions))
+        positions = tuple(eval_positions)
+        if not all(map(lt, positions, islice(positions, 1, None))):
+            prev, bad = next((a, b) for a, b in zip(positions, positions[1:]) if not a < b)
+            raise PredictorError(f"evaluation position {bad} after {prev}: positions must ascend")
         L = state.gen_budget
         if positions and not (0 <= positions[0] and positions[-1] < L):
             bad = next(pos for pos in positions if not 0 <= pos < L)
             raise PredictorError(f"evaluation position {bad} out of range")
         values = self.predict(state, positions)
         mask_id = self.vocabulary.mask_id
-        masked = state.masked
+        tokens, lp = state.tokens, state.prompt_len
         for pos, (tok, conf) in zip(positions, values):
-            if pos in masked:
+            if tokens[lp + pos] == mask_id:
                 if tok == mask_id:
                     raise PredictorError(f"predicted the mask token at {pos}")
                 if not 0.0 < conf <= 1.0:
@@ -229,15 +237,13 @@ class SyntheticPredictor(MaskPredictor):
             return self._vocab.eos_id
         return self._filler_ids[gen_pos % _FILLER_COUNT]
 
-    def invalidated(
-        self, before: SequenceState, after: SequenceState, committed: Iterable[int]
-    ) -> list[range]:
+    def invalidated(self, state: SequenceState, committed: Collection[int]) -> list[range]:
         # a masked prediction reads only its position and the frontier, which
         # never moves back; jitter can shrink the band, hence the max
         out = [range(c, c + 1) for c in committed]
-        L = before.gen_budget
-        old = self.frontier(before.unmasked_gen_count(), L)
-        new = self.frontier(after.unmasked_gen_count(), L)
+        L, unmasked = state.gen_budget, state.unmasked_gen_count()
+        old = self.frontier(unmasked - len(committed), L)
+        new = self.frontier(unmasked, L)
         if new != old:
             end = max(old + self.band_width(old), new + self.band_width(new))
             out.append(range(old, min(L, end)))
@@ -385,10 +391,8 @@ class NGramPredictor(MaskPredictor):
     def vocabulary(self) -> Vocabulary:
         return self.model.vocab
 
-    def invalidated(
-        self, before: SequenceState, after: SequenceState, committed: Iterable[int]
-    ) -> list[range]:
-        reach, L = self.model.order - 1, before.gen_budget
+    def invalidated(self, state: SequenceState, committed: Collection[int]) -> list[range]:
+        reach, L = self.model.order - 1, state.gen_budget
         return [range(max(0, c - reach), min(L, c + reach + 1)) for c in committed]
 
     def predict(
@@ -400,8 +404,8 @@ class NGramPredictor(MaskPredictor):
         out: list[tuple[int, float]] = []
         for g in positions:
             pos = lp + g
-            left = tokens[max(0, pos - reach) : pos]
-            right = tokens[pos + 1 : pos + 1 + reach]
+            left = tuple(tokens[max(0, pos - reach) : pos])
+            right = tuple(tokens[pos + 1 : pos + 1 + reach])
             tok = tokens[pos]
             if tok != mask:
                 out.append((tok, model.blended(_committed(left, mask),
@@ -512,7 +516,7 @@ class TraceReplayPredictor(MaskPredictor):
         return TraceReplayPredictor(self._data)
 
     def invalidated(
-        self, before: SequenceState, after: SequenceState, committed: Iterable[int]
+        self, state: SequenceState, committed: Collection[int]
     ) -> list[tuple[int, ...]] | None:
         steps = self._data.trace.steps
         if self._cursor < len(steps) and (computed := steps[self._cursor].computed) is not None:

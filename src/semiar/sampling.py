@@ -1,9 +1,10 @@
 """Sampling strategies: vanilla top-1, linear schedule, threshold-based dynamic.
 
-All samplers take a scope of generation-relative positions, consider only the
-masked positions inside it, and return a generation-relative position set.
-Ties in any confidence comparison break toward the lowest position index so
-the whole pipeline stays deterministic.
+Every sampler takes the open block's masked generation-relative positions,
+ascending, as the decoder slices them from its one masked list, and returns
+the positions it commits as an ascending tuple of them.  Ties in any
+confidence comparison break toward the lowest position index so the whole
+pipeline stays deterministic.
 """
 
 from __future__ import annotations
@@ -11,11 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .core import DecodeConfig, PredictionFrame, SENTINEL_CONFIDENCE, SequenceState
-
-
-def _masked_in_scope(state: SequenceState, scope: Iterable[int]) -> list[int]:
-    return sorted(state.masked.intersection(scope))
+from .core import DecodeConfig, PredictionFrame, SENTINEL_CONFIDENCE
 
 
 def _confidence(frame: PredictionFrame, g: int) -> float:
@@ -35,44 +32,35 @@ def top1(confidence: Sequence[float], positions: Iterable[int]) -> int:
     return max(positions, key=confidence.__getitem__)
 
 
-def vanilla_sample(
-    state: SequenceState, frame: PredictionFrame, scope: Iterable[int]
-) -> frozenset[int]:
+def vanilla_sample(frame: PredictionFrame, masked: Sequence[int]) -> tuple[int, ...]:
     """Top-1 confidence sampling: dynamic sampling at a threshold no confidence reaches."""
-    return threshold_sample(state, frame, math.inf, scope)
+    return threshold_sample(frame, math.inf, masked)
 
 
 def linear_sample(
-    state: SequenceState,
-    frame: PredictionFrame,
-    per_step: int,
-    scope: Iterable[int],
-) -> frozenset[int]:
+    frame: PredictionFrame, per_step: int, masked: Sequence[int]
+) -> tuple[int, ...]:
     """Fixed-budget sampling: the ``per_step`` most confident masked positions."""
     if per_step < 1:
         raise ValueError("per_step must be >= 1")
-    ranked = sorted(_masked_in_scope(state, scope), key=lambda g: (-_confidence(frame, g), g))
-    return frozenset(ranked[:per_step])
+    ranked = sorted(masked, key=lambda g: (-_confidence(frame, g), g))
+    return tuple(sorted(ranked[:per_step]))
 
 
 def threshold_sample(
-    state: SequenceState,
-    frame: PredictionFrame,
-    tau: float,
-    scope: Iterable[int],
-) -> frozenset[int]:
+    frame: PredictionFrame, tau: float, masked: Sequence[int]
+) -> tuple[int, ...]:
     """Dynamic sampling: the top-1 masked position plus every one at or above tau.
 
     The forced top-1 guarantees progress even when every confidence sits below
-    the threshold.  An empty masked scope yields the empty set, which signals
-    block completion rather than an error.
+    the threshold; when any reaches it, the top-1 is among them.  An empty
+    ``masked`` yields the empty tuple, which signals block completion rather
+    than an error.
     """
-    masked = _masked_in_scope(state, scope)
-    if not masked:
-        return frozenset()
-    selected = {g for g in masked if _confidence(frame, g) >= tau}
-    selected.add(top1(frame.confidence, masked))
-    return frozenset(selected)
+    selected = tuple(g for g in masked if _confidence(frame, g) >= tau)
+    if selected or not masked:
+        return selected
+    return (top1(frame.confidence, masked),)
 
 
 def linear_per_step(config: DecodeConfig) -> int:
@@ -82,16 +70,13 @@ def linear_per_step(config: DecodeConfig) -> int:
 
 
 def sample_step(
-    state: SequenceState,
-    frame: PredictionFrame,
-    config: DecodeConfig,
-    scope: Iterable[int],
-) -> frozenset[int]:
+    frame: PredictionFrame, config: DecodeConfig, masked: Sequence[int]
+) -> tuple[int, ...]:
     """Dispatch one sampling step according to ``config.sampler``."""
     if config.sampler == "vanilla":
-        return vanilla_sample(state, frame, scope)
+        return vanilla_sample(frame, masked)
     if config.sampler == "linear":
-        return linear_sample(state, frame, linear_per_step(config), scope)
+        return linear_sample(frame, linear_per_step(config), masked)
     if config.sampler == "dynamic":
-        return threshold_sample(state, frame, config.tau, scope)
+        return threshold_sample(frame, config.tau, masked)
     raise ValueError(f"unknown sampler {config.sampler!r}")

@@ -82,7 +82,7 @@ class TestVocabulary:
 class TestInitState:
     def test_direct_construction(self):
         s = init_state([7, 3], gen_budget=4, max_steps=8, mask_id=MASK)
-        assert s.tokens == (7, 3, MASK, MASK, MASK, MASK)
+        assert s.tokens == [7, 3, MASK, MASK, MASK, MASK]
         assert s.step == 8
         assert s.prompt_len == 2
 
@@ -103,16 +103,20 @@ class TestApplySample:
     def test_empty_selection_only_decrements_step(self):
         s = init_state([7], 3, 5, MASK)
         frame = frame_for(s, (1, 2, 3))
+        before = list(s.tokens)
         s2 = apply_sample(s, frame, ())
-        assert s2.tokens == s.tokens
+        assert s2 is s
+        assert s2.tokens == before
         assert s2.step == 4
 
     def test_selected_positions_take_predictions(self):
         # tokens [7, M, M], predictions (4, 8) at generation 0..1, select {0}
         s = init_state([7], 2, 4, MASK)
         frame = frame_for(s, (4, 8))
-        s2 = apply_sample(s, frame, {0})
-        assert s2.tokens == (7, 4, MASK)
+        s2 = apply_sample(s, frame, (0,))
+        assert s2 is s
+        assert s2.tokens == [7, 4, MASK]
+        assert s2.unmasked_gen_count() == 1
 
     def test_full_selection_clears_all_masks(self):
         s = init_state([7], 3, 4, MASK)
@@ -143,6 +147,15 @@ class TestApplySample:
         with pytest.raises(ValueError):
             apply_sample(s2, frame, ())
 
+    def test_rejected_position_keeps_the_commits_before_it(self):
+        # the state stays consistent: tokens, count and step agree
+        s = init_state([7], 3, 4, MASK)
+        with pytest.raises(ValueError, match="position 5 out of range"):
+            apply_sample(s, frame_for(s, (4, 8, 6)), (0, 5, 2))
+        assert s.tokens == [7, 4, MASK, MASK]
+        assert s.unmasked_gen_count() == 1
+        assert s.step == 4
+
     @given(st.data())
     def test_monotone_unmasking_and_conservation(self, data):
         budget = data.draw(st.integers(1, 12))
@@ -154,7 +167,7 @@ class TestApplySample:
         masked_after = set(s2.gen_masked())
         assert masked_after <= masked_before
         assert len(masked_before) - len(masked_after) == len(pick)
-        assert s2.tokens[:2] == s.tokens[:2]
+        assert s2.tokens[:2] == [1, 2]
 
 
 class TestPredictionFrame:

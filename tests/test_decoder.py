@@ -286,7 +286,8 @@ def _scan(state):
 
 
 class TestCarriedMaskedSet:
-    """``apply_sample`` carries the masked set forward; it must equal a rescan."""
+    """The decoder carries its masked list, and ``apply_sample`` the state's
+    unmasked count, forward from the commits; each must equal a rescan."""
 
     PREDICTORS = {
         "synthetic": lambda: synthetic(delimiter_period=4),
@@ -313,26 +314,37 @@ class TestCarriedMaskedSet:
         config = DecodeConfig(gen_budget=L, max_steps=max(1, L - slack), b0=b0, tau=tau,
                               sampler=sampler, scheduler=scheduler, cache=cache,
                               delimiters=delims, linear_steps=max(1, L // 2))
-        steps = []
+        scans, states = [], []
 
         def checked_apply_sample(state, frame, selected):
             successor = apply_sample(state, frame, selected)
-            for s in (state, successor):
-                assert s.gen_masked() == _scan(s)
-                assert s.unmasked_gen_count() == L - len(_scan(s))
-                flipped = list(s.tokens)
-                last = s.prompt_len + L - 1
-                flipped[last] = 0 if flipped[last] == s.mask_id else s.mask_id
-                rebuilt = dataclasses.replace(s, tokens=tuple(flipped))
-                assert rebuilt.gen_masked() == _scan(rebuilt) != s.gen_masked()
-                assert rebuilt.unmasked_gen_count() == L - len(_scan(rebuilt))
-            steps.append(successor)
+            assert successor is state
+            scan = _scan(state)
+            assert state.unmasked_gen_count() == L - len(scan)
+            # replace copies the tokens it is given and recounts them
+            flipped = list(state.tokens)
+            last = state.prompt_len + L - 1
+            flipped[last] = 0 if flipped[last] == state.mask_id else state.mask_id
+            rebuilt = dataclasses.replace(state, tokens=flipped)
+            flipped[last] = state.tokens[last]
+            assert rebuilt.tokens != flipped
+            assert rebuilt.gen_masked() == _scan(rebuilt) != scan
+            assert rebuilt.unmasked_gen_count() == L - len(_scan(rebuilt))
+            scans.append(sorted(scan))
+            states.append(state)
             return successor
 
         with mock.patch.object(decoder_module, "apply_sample", checked_apply_sample):
             result = decode(pred, config, tuple(prompt))
-        assert len(steps) == result.steps_used
-        assert result.remaining_masks == len(_scan(steps[-1]))
+        steps = result.trace.steps
+        assert len(scans) == len(steps)
+        for rec, scan in zip(steps[1:], scans):
+            assert list(rec.masked_before) == scan
+        assert result.remaining_masks == len(scans[-1])
+        assert all(s is states[0] for s in states)
+        # the result holds its own copy, which no later commit can change
+        assert isinstance(result.final_tokens, tuple)
+        assert list(result.final_tokens) == states[-1].tokens
 
 
 class _StripedSynthetic(SyntheticPredictor):
@@ -454,7 +466,7 @@ class TestOneTop1Rule:
 class _AlwaysRecompute:
     """Mixed in before a predictor: every commit invalidates every position."""
 
-    def invalidated(self, before, after, committed):
+    def invalidated(self, state, committed):
         return None
 
 
@@ -470,11 +482,11 @@ def _synthetic_interval_mutant(lo_shift, hi_shift):
     """The synthetic predictor with its frontier interval shifted at either end."""
 
     class Mutant(SyntheticPredictor):
-        def invalidated(self, before, after, committed):
+        def invalidated(self, state, committed):
             out = [range(c, c + 1) for c in committed]
-            L = before.gen_budget
-            old = self.frontier(before.unmasked_gen_count(), L)
-            new = self.frontier(after.unmasked_gen_count(), L)
+            L, unmasked = state.gen_budget, state.unmasked_gen_count()
+            old = self.frontier(unmasked - len(committed), L)
+            new = self.frontier(unmasked, L)
             if new != old:
                 end = max(old + self.band_width(old), new + self.band_width(new))
                 out.append(range(old + lo_shift, min(L, end) + hi_shift))
@@ -584,8 +596,9 @@ def _scope_set(policy, g, block_size, masked, gen_budget):
 
 
 def _sorted_scope_decode(predictor, config, prompt):
-    """The decode loop that sorts the scope and the masked set every step,
-    kept as the oracle the incremental loop must reproduce."""
+    """The decode loop that rescans the tokens for the masked set and sorts
+    the scope and the block every step, kept as the oracle the incremental
+    loop must reproduce."""
     vocab = predictor.vocabulary
     state = init_state(prompt, config.gen_budget, config.max_steps, vocab.mask_id)
     L = config.gen_budget
@@ -595,7 +608,7 @@ def _sorted_scope_decode(predictor, config, prompt):
     everywhere = frozenset(range(L))
     stale = set(everywhere)
     while g < L and state.step >= 1:
-        masked = state.gen_masked()
+        masked = frozenset(_scan(state))
         scope = _scope_set(config.cache, g, B, masked, L)
         evaluated = tuple(sorted(scope))
         computed = evaluated if len(stale) == L else tuple(sorted(stale & scope))
@@ -611,7 +624,7 @@ def _sorted_scope_decode(predictor, config, prompt):
             blocks.append(decision)
             B = decision.block_size
         block = range(g, g + B)
-        sampled = sample_step(state, frame, config, block)
+        sampled = sample_step(frame, config, tuple(sorted(masked.intersection(block))))
         records.append(StepRecord(
             step=len(records), block_start=g, block_end=g + B,
             block_size=B if opens else None, evaluated=evaluated,
@@ -620,21 +633,21 @@ def _sorted_scope_decode(predictor, config, prompt):
             sampled=tuple(sorted(sampled)), masked_before=tuple(sorted(masked)),
             cache=config.cache, computed=computed,
         ))
-        before, state = state, apply_sample(state, frame, sampled)
-        changed = predictor.invalidated(before, state, sampled)
+        state = apply_sample(state, frame, sampled)
+        changed = predictor.invalidated(state, sampled)
         if changed is None:
             stale = set(everywhere)
         else:
             stale.difference_update(computed)
             stale.update(*changed)
-        if state.gen_masked().isdisjoint(block):
+        if _scan(state).isdisjoint(block):
             g, B = g + B, None
     return DecodeResult(
-        final_tokens=state.tokens,
+        final_tokens=tuple(state.tokens),
         trace=DecodeTrace(prompt_len=state.prompt_len, gen_budget=L, mask_id=vocab.mask_id,
                           steps=tuple(records)),
         blocks=tuple(blocks),
-        remaining_masks=len(state.gen_masked()),
+        remaining_masks=len(_scan(state)),
     )
 
 

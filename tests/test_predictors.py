@@ -181,21 +181,21 @@ class TestSyntheticField:
         self, rate, L, committed, expected
     ):
         pred = build_synthetic(self.params(plateau_rate=rate))
-        before = gen_state(pred, L, committed=8)
-        after = apply_sample(before, pred.denoise(before, range(L)), committed)
-        assert set().union(*pred.invalidated(before, after, committed)) == expected
-        # every other position predicts the same in both states
-        old, new = pred.predict(before, range(L)), pred.predict(after, range(L))
+        state = gen_state(pred, L, committed=8)
+        old = pred.predict(state, range(L))
+        apply_sample(state, pred.denoise(state, range(L)), committed)
+        assert set().union(*pred.invalidated(state, committed)) == expected
+        # every other position predicts the same before and after the commit
+        new = pred.predict(state, range(L))
         assert {g for g in range(L) if old[g] != new[g]} <= expected
 
     def test_invalidated_takes_the_wider_band_when_jitter_shrinks_it(self):
         pred = build_synthetic(self.params(vb_width_jitter=3, noise_seed=0))
         widths = [pred.band_width(f) for f in range(24)]
         f = next(f for f in range(23) if widths[f + 1] + 1 < widths[f])
-        before = gen_state(pred, 24, committed=f)
-        after = apply_sample(before, pred.denoise(before, range(24)), [f])
-        assert set().union(*pred.invalidated(before, after, [f])) == set(
-            range(f, f + widths[f]))
+        state = gen_state(pred, 24, committed=f)
+        apply_sample(state, pred.denoise(state, range(24)), [f])
+        assert set().union(*pred.invalidated(state, [f])) == set(range(f, f + widths[f]))
 
 
 def brute_force_ngram_prob(corpus, order, k, left_ctx, right_ctx, target):
@@ -232,9 +232,9 @@ class TestNGram:
     @pytest.mark.parametrize("order", [1, 2, 5])
     def test_invalidated_is_order_minus_one_around_each_commit(self, order):
         pred = build_ngram("a b c", order=order, smoothing_k=0.01)
-        before = gen_state(pred, 12, committed=3)
-        after = apply_sample(before, pred.denoise(before, range(12)), [3, 10])
-        assert pred.invalidated(before, after, [3, 10]) == [
+        state = gen_state(pred, 12, committed=3)
+        apply_sample(state, pred.denoise(state, range(12)), [3, 10])
+        assert pred.invalidated(state, [3, 10]) == [
             range(max(0, 4 - order), min(12, 3 + order)),
             range(11 - order, min(12, 10 + order)),
         ]
@@ -245,7 +245,7 @@ class TestNGram:
         a, c, d = (pred.vocabulary.id_of(t) for t in "acd")
         tokens = (a, m, c, d, m, m, a, m, c, d)  # prompt a, then 9 generation slots
         state = SequenceState(tokens=tokens, prompt_len=1, gen_budget=9, step=10, mask_id=m)
-        masked = sorted(state.masked)
+        masked = sorted(state.gen_masked())
         first = pred.predict(state, masked)
         # every raw window is now memoised, so the model is not asked again
         with mock.patch.object(NGramModel, "best_token", side_effect=AssertionError):
@@ -449,7 +449,7 @@ class TestTraceReplay:
         start = init_state(prompt, 16, 16, pred.vocabulary.mask_id)
         probe = replayer.fork()
         probe.predict(start, [])  # serve record 0; record 1 is next
-        assert probe.invalidated(start, start, ()) == [changed_positions(recorded.trace, 1)]
+        assert probe.invalidated(start, ()) == [changed_positions(recorded.trace, 1)]
         replayed = decode(replayer, cfg, prompt)
         again = tmp_path / "replay.trace.jsonl"
         write_trace(again, replayed.trace, replayer.vocabulary, prompt=prompt, config=cfg)
@@ -510,9 +510,23 @@ class TestDenoiseValidation:
         self.check({2: prediction}, range(6), message)
 
     def test_first_offender_in_position_order_is_named(self):
-        self.check({5: (1, 0.9), 4: (0, 2.0), 2: (0, float("nan"))}, [5, 4, 2, 0],
+        self.check({5: (1, 0.9), 4: (0, 2.0), 2: (0, float("nan"))}, [0, 2, 4, 5],
                    "confidence nan at 2 outside (0, 1]")
-        self.check({4: (1, 0.9), 5: (0, 0.0)}, [5, 4], "predicted the mask token at 4")
+        self.check({4: (1, 0.9), 5: (0, 0.0)}, [4, 5], "predicted the mask token at 4")
+
+    @pytest.mark.parametrize(
+        "positions, message",
+        [
+            pytest.param([2, 0, 4], "evaluation position 0 after 2: positions must ascend",
+                         id="descent"),
+            pytest.param([0, 4, 4, 5], "evaluation position 4 after 4: positions must ascend",
+                         id="repeat"),
+            pytest.param([0, 2, 9, -1], "evaluation position -1 after 9: positions must ascend",
+                         id="before-range"),
+        ],
+    )
+    def test_positions_that_do_not_strictly_ascend(self, positions, message):
+        self.check({}, positions, message)
 
     def test_nan_hidden_among_valid_confidences(self):
         overrides = {g: (0, 0.2 * (g + 1)) for g in (0, 2, 4)}
@@ -529,9 +543,9 @@ class TestDenoiseValidation:
     @pytest.mark.parametrize(
         "positions, message",
         [
-            pytest.param([2, -2, -1], "evaluation position -2 out of range", id="below"),
-            pytest.param([8, 6, 2], "evaluation position 6 out of range", id="beyond"),
-            pytest.param([7, -1, 6, 2], "evaluation position -1 out of range", id="both"),
+            pytest.param([-2, -1, 2], "evaluation position -2 out of range", id="below"),
+            pytest.param([2, 6, 8], "evaluation position 6 out of range", id="beyond"),
+            pytest.param([-1, 2, 6, 7], "evaluation position -1 out of range", id="both"),
         ],
     )
     def test_out_of_range_positions(self, positions, message):

@@ -90,17 +90,16 @@ class SequenceState:
 
     A decode keeps one state, and :func:`apply_sample` commits into it in
     place, so a state is running state, as a :class:`PredictionFrame` is:
-    copy ``tokens`` to keep them.  ``step`` counts remaining denoise-sample
-    iterations and only decreases.  ``unmasked`` counts the committed
+    copy ``tokens`` to keep them.  ``unmasked`` counts the committed
     generation positions; it is counted from ``tokens`` on construction (so
     ``dataclasses.replace`` recounts) and advanced by :func:`apply_sample`.
-    The masked positions themselves are read from ``tokens``.
+    The masked positions themselves are read from ``tokens``.  The step
+    budget is the decode loop's, not the state's.
     """
 
     tokens: list[int]
     prompt_len: int
     gen_budget: int
-    step: int
     mask_id: int
     unmasked: int = field(init=False, repr=False, compare=False)
 
@@ -108,17 +107,12 @@ class SequenceState:
         self.tokens = list(self.tokens)
         if len(self.tokens) != self.prompt_len + self.gen_budget:
             raise ValueError("token vector length must equal prompt_len + gen_budget")
-        if self.step < 0:
-            raise ValueError("step counter cannot be negative")
         self.unmasked = self.gen_budget - self.tokens[self.prompt_len :].count(self.mask_id)
 
     def gen_masked(self) -> frozenset[int]:
         """Masked positions in generation-region coordinates, by a scan of ``tokens``."""
         lp, mask = self.prompt_len, self.mask_id
         return frozenset(i for i, t in enumerate(self.tokens[lp:]) if t == mask)
-
-    def unmasked_gen_count(self) -> int:
-        return self.unmasked
 
 
 @dataclass
@@ -168,9 +162,7 @@ def prompt_error(prompt: Sequence[int], vocab_size: int, mask_id: int) -> str | 
     return None
 
 
-def init_state(
-    prompt: Sequence[int], gen_budget: int, max_steps: int, mask_id: int
-) -> SequenceState:
+def init_state(prompt: Sequence[int], gen_budget: int, mask_id: int) -> SequenceState:
     """Build the initial state: the prompt followed by ``gen_budget`` masks."""
     if len(prompt) == 0:
         raise ValueError("prompt must not be empty")
@@ -178,13 +170,10 @@ def init_state(
         raise ValueError("prompt must not contain the mask token")
     if gen_budget < 1:
         raise ValueError("gen_budget must be >= 1")
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
     return SequenceState(
         tokens=list(prompt) + [mask_id] * gen_budget,
         prompt_len=len(prompt),
         gen_budget=gen_budget,
-        step=max_steps,
         mask_id=mask_id,
     )
 
@@ -196,13 +185,11 @@ def apply_sample(
     place, and return ``state``.
 
     ``selected`` holds distinct positions, each of which must currently be
-    masked; all other positions are untouched and the step counter decreases
-    by one.  The empty selection is a legal no-op step.  The step writes the
-    committed tokens and nothing else.  A rejected position raises
-    ``ValueError`` with the positions before it committed and ``step`` unchanged.
+    masked; all other positions are untouched.  The empty selection is a
+    legal no-op.  The step writes the committed tokens and nothing else.  A
+    rejected position raises ``ValueError`` with the positions before it
+    committed.
     """
-    if state.step < 1:
-        raise ValueError("step budget exhausted; cannot advance")
     tokens, lp, mask = state.tokens, state.prompt_len, state.mask_id
     for g in selected:
         if not 0 <= g < state.gen_budget:
@@ -214,7 +201,6 @@ def apply_sample(
             raise ValueError(f"frame predicts the mask token at position {g}")
         tokens[lp + g] = new_tok
         state.unmasked += 1
-    state.step -= 1
     return state
 
 
@@ -371,12 +357,11 @@ class StepRecord:
     ``computed`` names the positions whose predicted or confidence value may
     differ from the previous record's, a subset of ``evaluated``: the decoder
     stores the positions it recomputed, the trace reader the positions whose
-    values changed, sign of zero included, and ``None`` means every
-    ``evaluated`` position (:attr:`changed`).  ``predicted``/``confidence``
-    hold the values at :attr:`changed` alone, index-aligned with it as a trace
-    line's ``pred`` and ``conf`` are with its ``positions``; every other
+    values changed, sign of zero included.  ``predicted``/``confidence`` hold
+    the values at ``computed`` alone, index-aligned with it as a trace line's
+    ``pred`` and ``conf`` are with its ``positions``; every other
     position keeps what an earlier record left there (:meth:`DecodeTrace.rows`).
-    Two records of one step may name different changed positions, so records
+    Two records of one step may name different positions, so records
     compare without ``computed`` and their values, and traces compare their
     dense rows.
 
@@ -395,17 +380,11 @@ class StepRecord:
     sampled: tuple[int, ...] | None
     masked_before: tuple[int, ...] | None
     cache: str | None
-    computed: tuple[int, ...] | None = field(default=None, compare=False)
+    computed: tuple[int, ...] = field(compare=False)
 
     @property
     def is_block_open(self) -> bool:
         return self.block_size is not None
-
-    @property
-    def changed(self) -> tuple[int, ...]:
-        """The positions whose values may differ from the previous record's:
-        ``computed``, or every ``evaluated`` position where that is unknown."""
-        return self.evaluated if self.computed is None else self.computed
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,7 +409,7 @@ class DecodeTrace:
         predicted = [self.mask_id] * self.gen_budget
         confidence = [SENTINEL_CONFIDENCE] * self.gen_budget
         for rec in self.steps:
-            for p, tok, c in zip(rec.changed, rec.predicted, rec.confidence, strict=True):
+            for p, tok, c in zip(rec.computed, rec.predicted, rec.confidence, strict=True):
                 predicted[p] = tok
                 confidence[p] = c
             yield rec, predicted, confidence

@@ -177,7 +177,7 @@ def decode(
     config.validate_against(vocab)
     if why := prompt_error(prompt, vocab.size, vocab.mask_id):
         raise ValueError(why)
-    state = init_state(prompt, config.gen_budget, config.max_steps, vocab.mask_id)
+    state = init_state(prompt, config.gen_budget, vocab.mask_id)
     L = config.gen_budget
 
     frame = PredictionFrame.sentinel(L, vocab.mask_id)
@@ -187,17 +187,12 @@ def decode(
     B: int | None = None  # size of the open block; None until a step opens one
     region = _region(L)
     masked = list(region)  # the masked generation positions, ascending
-    # invalidated since last computed; computed positions leave it only after
-    # the commit, so "every position" costs one copy, not a removal and re-adding
-    stale = set(region)
+    stale = set(region)  # invalidated since last computed
 
-    while g < L and state.step >= 1:
+    while g < L and len(records) < config.max_steps:
         masked_before = tuple(masked)
         evaluated = evaluation_scope(config.cache, g, B, masked_before, L)
-        if len(stale) == L:
-            computed = evaluated
-        else:
-            computed = _stale_in_scope(stale, evaluated, state)
+        computed = _stale_in_scope(stale, evaluated, state)
         try:
             frame = predictor.denoise(state, computed, prior=frame)
         except Exception as exc:
@@ -230,12 +225,8 @@ def decode(
             )
         )
         state = apply_sample(state, frame, sampled)
-        changed = predictor.invalidated(state, sampled)
-        if changed is None:
-            stale = set(region)
-        else:
-            stale.difference_update(computed)
-            stale.update(*changed)
+        stale.difference_update(computed)
+        stale.update(*predictor.invalidated(state, sampled))
         for p in sampled:
             del masked[bisect_left(masked, p)]
         if len(sampled) == len(block):  # the block holds no masks

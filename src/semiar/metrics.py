@@ -153,7 +153,7 @@ def segment_regimes(
     # Per position, the step at which its current run of snapshots reaching
     # tau_hi began, and the same for staying at or below tau_lo; ``never``
     # while the latest snapshot breaks the run.  A value changes only at a
-    # record's changed positions (see StepRecord), so only there can a run
+    # record's computed positions (see StepRecord), so only there can a run
     # begin or break; revisiting an unchanged value leaves both starts as they
     # are.  The last min(k, r + 1) snapshots all qualify exactly when the run
     # began at step max(0, r + 1 - k) or earlier.
@@ -166,7 +166,7 @@ def segment_regimes(
         Regime.DECODED, Regime.PLATEAU, Regime.FLOOR, Regime.VOLATILITY_BAND)
     labels: list[list[Regime]] = []
     for r, (rec, _, conf) in enumerate(trace.rows()):
-        for i in rec.changed if r else range(L):
+        for i in rec.computed if r else range(L):
             hi_start[i] = min(hi_start[i], r) if conf[i] >= tau_hi else never
             lo_start[i] = min(lo_start[i], r) if conf[i] <= tau_lo else never
         began_by = max(0, r + 1 - persistence_k)
@@ -244,7 +244,7 @@ def _heatmap_rows(trace: DecodeTrace) -> Iterator[str]:
         if not cells:
             cells = [_csv_text(c) for c in conf]
         else:
-            for i in rec.changed:
+            for i in rec.computed:
                 cells[i] = _csv_text(conf[i])
         yield f"{rec.step},{','.join(cells)}\r\n"
 

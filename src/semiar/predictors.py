@@ -56,16 +56,16 @@ class MaskPredictor:
 
     def invalidated(
         self, state: SequenceState, committed: Collection[int]
-    ) -> Iterable[Iterable[int]] | None:
+    ) -> Iterable[Iterable[int]]:
         """Ranges (or other groups) of generation positions whose prediction a
         commit may change.
 
         ``state`` has just had the distinct positions ``committed`` committed,
         so it held ``len(committed)`` fewer unmasked ones before; every position
-        outside the groups predicts the same as it did then.  ``None``: every
-        position.
+        outside the groups predicts the same as it did then.  By default every
+        position is named.
         """
-        return None
+        return [range(state.gen_budget)]
 
     def denoise(
         self,
@@ -241,7 +241,7 @@ class SyntheticPredictor(MaskPredictor):
         # a masked prediction reads only its position and the frontier, which
         # never moves back; jitter can shrink the band, hence the max
         out = [range(c, c + 1) for c in committed]
-        L, unmasked = state.gen_budget, state.unmasked_gen_count()
+        L, unmasked = state.gen_budget, state.unmasked
         old = self.frontier(unmasked - len(committed), L)
         new = self.frontier(unmasked, L)
         if new != old:
@@ -253,7 +253,7 @@ class SyntheticPredictor(MaskPredictor):
         self, state: SequenceState, positions: Sequence[int]
     ) -> list[tuple[int, float]]:
         tokens, mask, lp = state.tokens, state.mask_id, state.prompt_len
-        frontier = self.frontier(state.unmasked_gen_count(), state.gen_budget)
+        frontier = self.frontier(state.unmasked, state.gen_budget)
         band_end = frontier + self.band_width(frontier)
         out: list[tuple[int, float]] = []
         for gen in positions:
@@ -490,8 +490,8 @@ class TraceReplayPredictor(MaskPredictor):
     :meth:`invalidated` names the next record's
     :attr:`~semiar.core.StepRecord.computed` positions: a recorded value
     changes only there, so every other position still holds the value it
-    was last served, under any replay config.  Where a record does not know
-    them, or the trace is exhausted, it answers every position.
+    was last served, under any replay config.  Once the trace is exhausted
+    it names none, and the next denoise call raises :class:`ReplayExhausted`.
     """
 
     def __init__(self, data: "tracefile.TraceFileData"):
@@ -517,11 +517,9 @@ class TraceReplayPredictor(MaskPredictor):
 
     def invalidated(
         self, state: SequenceState, committed: Collection[int]
-    ) -> list[tuple[int, ...]] | None:
+    ) -> list[tuple[int, ...]]:
         steps = self._data.trace.steps
-        if self._cursor < len(steps) and (computed := steps[self._cursor].computed) is not None:
-            return [computed]
-        return None
+        return [steps[self._cursor].computed] if self._cursor < len(steps) else []
 
     def predict(
         self, state: SequenceState, positions: Sequence[int]

@@ -26,7 +26,7 @@ raw, ends no line.
 The format holds no record of which values changed, and needs none: a line
 repeats every evaluated value.  Both sides recover the changes instead.  The
 writer keeps each position's formatted text and re-formats only a record's
-changed positions, read from :meth:`~semiar.core.DecodeTrace.rows`; the
+computed positions, read from :meth:`~semiar.core.DecodeTrace.rows`; the
 reader keeps running rows and makes each line a record of the positions whose
 value differs from them, and their values alone (see
 :class:`~semiar.core.StepRecord`), so a replay, ``analyze`` and a rewrite look
@@ -444,7 +444,7 @@ def write_trace(
             pred_text = list(map(_json_text, predicted))
             conf_text = list(map(_json_text, confidence))
         else:
-            for p in rec.changed:
+            for p in rec.computed:
                 pred_text[p] = _json_text(predicted[p])
                 conf_text[p] = _json_text(confidence[p])
         # json.dumps of the step's object, one value text at a time

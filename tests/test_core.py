@@ -81,45 +81,45 @@ class TestVocabulary:
 
 class TestInitState:
     def test_direct_construction(self):
-        s = init_state([7, 3], gen_budget=4, max_steps=8, mask_id=MASK)
+        s = init_state([7, 3], gen_budget=4, mask_id=MASK)
         assert s.tokens == [7, 3, MASK, MASK, MASK, MASK]
-        assert s.step == 8
         assert s.prompt_len == 2
+        assert s.unmasked == 0
 
     def test_length_is_prompt_plus_budget(self):
-        s = init_state(list(range(1, 6)), gen_budget=512, max_steps=512, mask_id=MASK)
+        s = init_state(list(range(1, 6)), gen_budget=512, mask_id=MASK)
         assert len(s.tokens) == 5 + 512
 
     def test_masked_prompt_rejected(self):
         with pytest.raises(ValueError):
-            init_state([5, MASK, 2], gen_budget=4, max_steps=4, mask_id=MASK)
+            init_state([5, MASK, 2], gen_budget=4, mask_id=MASK)
 
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError):
-            init_state([], gen_budget=4, max_steps=4, mask_id=MASK)
+            init_state([], gen_budget=4, mask_id=MASK)
 
 
 class TestApplySample:
-    def test_empty_selection_only_decrements_step(self):
-        s = init_state([7], 3, 5, MASK)
+    def test_empty_selection_changes_nothing(self):
+        s = init_state([7], 3, MASK)
         frame = frame_for(s, (1, 2, 3))
         before = list(s.tokens)
         s2 = apply_sample(s, frame, ())
         assert s2 is s
         assert s2.tokens == before
-        assert s2.step == 4
+        assert s2.unmasked == 0
 
     def test_selected_positions_take_predictions(self):
         # tokens [7, M, M], predictions (4, 8) at generation 0..1, select {0}
-        s = init_state([7], 2, 4, MASK)
+        s = init_state([7], 2, MASK)
         frame = frame_for(s, (4, 8))
         s2 = apply_sample(s, frame, (0,))
         assert s2 is s
         assert s2.tokens == [7, 4, MASK]
-        assert s2.unmasked_gen_count() == 1
+        assert s2.unmasked == 1
 
     def test_full_selection_clears_all_masks(self):
-        s = init_state([7], 3, 4, MASK)
+        s = init_state([7], 3, MASK)
         frame = frame_for(s, (1, 2, 3))
         s2 = apply_sample(s, frame, {0, 1, 2})
         assert MASK not in s2.tokens
@@ -128,7 +128,7 @@ class TestApplySample:
     def test_unmasked_selection_rejected(self):
         # the prompt is outside the generation region, so a committed
         # generation position stands in for the unmasked one
-        s = init_state([7], 2, 4, MASK)
+        s = init_state([7], 2, MASK)
         frame = frame_for(s, (4, 8))
         s2 = apply_sample(s, frame, {0})
         with pytest.raises(ValueError, match="not masked"):
@@ -136,30 +136,22 @@ class TestApplySample:
 
     @pytest.mark.parametrize("pos", [-1, 2])
     def test_out_of_range_selection_rejected(self, pos):
-        s = init_state([7], 2, 4, MASK)
+        s = init_state([7], 2, MASK)
         with pytest.raises(ValueError, match="out of range"):
             apply_sample(s, frame_for(s, (4, 8)), {pos})
 
-    def test_exhausted_step_budget_rejected(self):
-        s = init_state([7], 1, 1, MASK)
-        frame = frame_for(s, (4,))
-        s2 = apply_sample(s, frame, {0})
-        with pytest.raises(ValueError):
-            apply_sample(s2, frame, ())
-
     def test_rejected_position_keeps_the_commits_before_it(self):
-        # the state stays consistent: tokens, count and step agree
-        s = init_state([7], 3, 4, MASK)
+        # the state stays consistent: tokens and count agree
+        s = init_state([7], 3, MASK)
         with pytest.raises(ValueError, match="position 5 out of range"):
             apply_sample(s, frame_for(s, (4, 8, 6)), (0, 5, 2))
         assert s.tokens == [7, 4, MASK, MASK]
-        assert s.unmasked_gen_count() == 1
-        assert s.step == 4
+        assert s.unmasked == 1
 
     @given(st.data())
     def test_monotone_unmasking_and_conservation(self, data):
         budget = data.draw(st.integers(1, 12))
-        s = init_state([1, 2], budget, budget + 1, MASK)
+        s = init_state([1, 2], budget, MASK)
         frame = frame_for(s, tuple([3] * budget))
         masked_before = set(s.gen_masked())
         pick = data.draw(st.sets(st.sampled_from(sorted(masked_before))))

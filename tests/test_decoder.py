@@ -320,7 +320,7 @@ class TestCarriedMaskedSet:
             successor = apply_sample(state, frame, selected)
             assert successor is state
             scan = _scan(state)
-            assert state.unmasked_gen_count() == L - len(scan)
+            assert state.unmasked == L - len(scan)
             # replace copies the tokens it is given and recounts them
             flipped = list(state.tokens)
             last = state.prompt_len + L - 1
@@ -329,7 +329,7 @@ class TestCarriedMaskedSet:
             flipped[last] = state.tokens[last]
             assert rebuilt.tokens != flipped
             assert rebuilt.gen_masked() == _scan(rebuilt) != scan
-            assert rebuilt.unmasked_gen_count() == L - len(_scan(rebuilt))
+            assert rebuilt.unmasked == L - len(_scan(rebuilt))
             scans.append(sorted(scan))
             states.append(state)
             return successor
@@ -372,7 +372,7 @@ class TestRetention:
         with mock.patch("semiar.tracefile._text_records", return_value=None):
             by_json = read_trace_file(path).trace
         for held in (trace, read_trace_file(path).trace, by_json):
-            changed = sum(len(rec.changed) for rec in held.steps)
+            changed = sum(len(rec.computed) for rec in held.steps)
             assert sum(len(rec.predicted) for rec in held.steps) == changed
             assert sum(len(rec.confidence) for rec in held.steps) == changed
             assert changed < sum(len(rec.evaluated) for rec in held.steps)
@@ -464,10 +464,10 @@ class TestOneTop1Rule:
 
 
 class _AlwaysRecompute:
-    """Mixed in before a predictor: every commit invalidates every position."""
+    """Mixed in before a predictor: every commit invalidates every position,
+    through the base class's default."""
 
-    def invalidated(self, state, committed):
-        return None
+    invalidated = MaskPredictor.invalidated
 
 
 class _RecomputingNGram(_AlwaysRecompute, NGramPredictor):
@@ -484,7 +484,7 @@ def _synthetic_interval_mutant(lo_shift, hi_shift):
     class Mutant(SyntheticPredictor):
         def invalidated(self, state, committed):
             out = [range(c, c + 1) for c in committed]
-            L, unmasked = state.gen_budget, state.unmasked_gen_count()
+            L, unmasked = state.gen_budget, state.unmasked
             old = self.frontier(unmasked - len(committed), L)
             new = self.frontier(unmasked, L)
             if new != old:
@@ -600,18 +600,17 @@ def _sorted_scope_decode(predictor, config, prompt):
     the scope and the block every step, kept as the oracle the incremental
     loop must reproduce."""
     vocab = predictor.vocabulary
-    state = init_state(prompt, config.gen_budget, config.max_steps, vocab.mask_id)
+    state = init_state(prompt, config.gen_budget, vocab.mask_id)
     L = config.gen_budget
     frame = PredictionFrame.sentinel(L, vocab.mask_id)
     records, blocks = [], []
     g, B = 0, None
-    everywhere = frozenset(range(L))
-    stale = set(everywhere)
-    while g < L and state.step >= 1:
+    stale = set(range(L))
+    while g < L and len(records) < config.max_steps:
         masked = frozenset(_scan(state))
         scope = _scope_set(config.cache, g, B, masked, L)
         evaluated = tuple(sorted(scope))
-        computed = evaluated if len(stale) == L else tuple(sorted(stale & scope))
+        computed = tuple(sorted(stale & scope))
         try:
             frame = predictor.denoise(state, computed, prior=frame)
         except Exception as exc:
@@ -634,12 +633,8 @@ def _sorted_scope_decode(predictor, config, prompt):
             cache=config.cache, computed=computed,
         ))
         state = apply_sample(state, frame, sampled)
-        changed = predictor.invalidated(state, sampled)
-        if changed is None:
-            stale = set(everywhere)
-        else:
-            stale.difference_update(computed)
-            stale.update(*changed)
+        stale.difference_update(computed)
+        stale.update(*predictor.invalidated(state, sampled))
         if _scan(state).isdisjoint(block):
             g, B = g + B, None
     return DecodeResult(

@@ -47,6 +47,7 @@ def record(conf, masked, block=(0, 8), sampled=(), step=0, open_=True):
         sampled=tuple(sampled),
         masked_before=tuple(sorted(masked)),
         cache="none",
+        computed=tuple(range(L)),
     )
 
 
@@ -284,7 +285,8 @@ def carried_record(step, L, evaluated, values, masked):
     return StepRecord(step=step, block_start=0, block_end=L, block_size=L if step == 0 else None,
                       evaluated=tuple(evaluated), predicted=(0,) * len(evaluated),
                       confidence=tuple(values), sampled=(),
-                      masked_before=tuple(sorted(masked)), cache="none")
+                      masked_before=tuple(sorted(masked)), cache="none",
+                      computed=tuple(evaluated))
 
 
 # the thresholds themselves, the never-evaluated sentinel and equal values

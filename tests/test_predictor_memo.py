@@ -70,7 +70,7 @@ def masked_states(draw, vocab_size, mask_id):
         for i in range(length)
     )
     state = SequenceState(tokens=tokens, prompt_len=prompt_len,
-                          gen_budget=length - prompt_len, step=1, mask_id=mask_id)
+                          gen_budget=length - prompt_len, mask_id=mask_id)
     positions = sorted(draw(st.sets(st.integers(0, state.gen_budget - 1), min_size=1)))
     return state, positions
 

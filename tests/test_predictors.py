@@ -32,7 +32,7 @@ from semiar.tracefile import TraceFormatError, write_trace
 def gen_state(predictor, L, committed=0, prompt=(0,)):
     """State with the first ``committed`` generation slots already filled."""
     vocab = predictor.vocabulary
-    state = init_state(prompt, L, L + 1, vocab.mask_id)
+    state = init_state(prompt, L, vocab.mask_id)
     tokens = list(state.tokens)
     for g in range(committed):
         tokens[len(prompt) + g] = 0
@@ -40,7 +40,6 @@ def gen_state(predictor, L, committed=0, prompt=(0,)):
         tokens=tuple(tokens),
         prompt_len=len(prompt),
         gen_budget=L,
-        step=L + 1,
         mask_id=vocab.mask_id,
     )
 
@@ -244,7 +243,7 @@ class TestNGram:
         model, m = pred.model, pred.vocabulary.mask_id
         a, c, d = (pred.vocabulary.id_of(t) for t in "acd")
         tokens = (a, m, c, d, m, m, a, m, c, d)  # prompt a, then 9 generation slots
-        state = SequenceState(tokens=tokens, prompt_len=1, gen_budget=9, step=10, mask_id=m)
+        state = SequenceState(tokens=tokens, prompt_len=1, gen_budget=9, mask_id=m)
         masked = sorted(state.gen_masked())
         first = pred.predict(state, masked)
         # every raw window is now memoised, so the model is not asked again
@@ -264,10 +263,10 @@ class TestNGram:
         corpus = " ".join(["a b c d"] * 10)
         pred = build_ngram(corpus, order=3, smoothing_k=0.01)
         vocab = pred.vocabulary
-        state = init_state((vocab.id_of("a"),), 3, 4, vocab.mask_id)
+        state = init_state((vocab.id_of("a"),), 3, vocab.mask_id)
         tokens = (vocab.id_of("a"), vocab.mask_id, vocab.id_of("c"), vocab.id_of("d"))
         state = state.__class__(tokens=tokens, prompt_len=1, gen_budget=3,
-                                step=4, mask_id=vocab.mask_id)
+                                mask_id=vocab.mask_id)
         frame = pred.denoise(state, [0])
         assert vocab.token_of(frame.predicted[0]) == "b"
         assert frame.confidence[0] > 0.9
@@ -279,8 +278,8 @@ class TestNGram:
         pred = build_ngram(corpus, order=2, smoothing_k=0.01)
         vocab = pred.vocabulary
         tokens = (vocab.id_of("a"), vocab.mask_id, vocab.mask_id)
-        state = init_state((0,), 2, 3, vocab.mask_id).__class__(
-            tokens=tokens, prompt_len=1, gen_budget=2, step=3, mask_id=vocab.mask_id
+        state = init_state((0,), 2, vocab.mask_id).__class__(
+            tokens=tokens, prompt_len=1, gen_budget=2, mask_id=vocab.mask_id
         )
         frame = pred.denoise(state, [0])
         assert vocab.token_of(frame.predicted[0]) == "b"
@@ -297,7 +296,7 @@ class TestNGram:
     def test_single_symbol_corpus(self):
         pred = build_ngram("x x x x", order=2, smoothing_k=0.001)
         vocab = pred.vocabulary
-        state = init_state((vocab.id_of("x"),), 2, 3, vocab.mask_id)
+        state = init_state((vocab.id_of("x"),), 2, vocab.mask_id)
         frame = pred.denoise(state, [0, 1])
         assert vocab.token_of(frame.predicted[0]) == "x"
         assert frame.confidence[0] > 0.99
@@ -364,9 +363,17 @@ class TestTraceReplay:
         path = tmp_path / "run.trace.jsonl"
         write_trace(path, result.trace, pred.vocabulary, prompt=prompt, config=cfg)
         replayer = load_trace_predictor(path)
-        state = init_state(prompt, cfg.gen_budget, cfg.max_steps, pred.vocabulary.mask_id)
-        for _ in range(len(result.trace)):
+        state = init_state(prompt, cfg.gen_budget, pred.vocabulary.mask_id)
+        recorded = len(result.trace)
+        for _ in range(recorded):
+            assert len(replayer.invalidated(state, ())) == 1
             replayer.predict(state, [0])
+        # past the last record nothing is invalidated: the next call cannot be served
+        assert replayer.invalidated(state, ()) == []
+        with pytest.raises(ReplayExhausted) as info:
+            replayer.denoise(state, [0])
+        assert str(info.value) == (f"trace has {recorded} recorded steps; "
+                                   f"denoise call {recorded + 1} has nothing to replay")
         with pytest.raises(ReplayExhausted):
             replayer.predict(state, [0])
 
@@ -375,7 +382,7 @@ class TestTraceReplay:
         path = tmp_path / "run.trace.jsonl"
         write_trace(path, result.trace, pred.vocabulary, prompt=prompt, config=cfg)
         replayer = load_trace_predictor(path)
-        state = init_state(prompt, cfg.gen_budget, cfg.max_steps, pred.vocabulary.mask_id)
+        state = init_state(prompt, cfg.gen_budget, pred.vocabulary.mask_id)
         with pytest.raises(PredictorError, match="absent"):
             replayer.predict(state, [cfg.gen_budget + 5])
 
@@ -391,7 +398,7 @@ class TestTraceReplay:
         lines[1] = json.dumps(first)
         path.write_text("\n".join(lines) + "\n")
         replayer = load_trace_predictor(path)
-        state = init_state(prompt, cfg.gen_budget, cfg.max_steps, pred.vocabulary.mask_id)
+        state = init_state(prompt, cfg.gen_budget, pred.vocabulary.mask_id)
         assert len(replayer.fork().predict(state, [2])) == 1
         with pytest.raises(PredictorError, match="position 3 absent"):
             replayer.predict(state, [3])
@@ -446,7 +453,7 @@ class TestTraceReplay:
         write_trace(path, recorded.trace, pred.vocabulary, prompt=prompt, config=cfg)
 
         replayer = load_trace_predictor(path)
-        start = init_state(prompt, 16, 16, pred.vocabulary.mask_id)
+        start = init_state(prompt, 16, pred.vocabulary.mask_id)
         probe = replayer.fork()
         probe.predict(start, [])  # serve record 0; record 1 is next
         assert probe.invalidated(start, ()) == [changed_positions(recorded.trace, 1)]
@@ -486,7 +493,7 @@ class TestDenoiseValidation:
 
     def state(self):
         # prompt (0,), generation positions 0..5; 1 and 3 already committed
-        state = init_state((0,), 6, 6, mask_id=1)
+        state = init_state((0,), 6, mask_id=1)
         return apply_sample(state, PredictionFrame((0,) * 6, (0.9,) * 6), [1, 3])
 
     def check(self, overrides, positions, message):

@@ -110,7 +110,7 @@ class TestRoundTrip:
         recorded = decode(pred, config, prompt).trace
         with tempfile.TemporaryDirectory() as tmp:
             paths = [Path(tmp) / f"{name}.jsonl"
-                     for name in ("recorded", "replayed", "unknown", "read-unknown")]
+                     for name in ("recorded", "replayed", "evaluated", "read-evaluated")]
             write_trace(paths[0], recorded, vocab, prompt=prompt, config=config)
             with mock.patch.object(tracefile, "_json_records",
                                    side_effect=AssertionError("read by the JSON loop")):
@@ -119,7 +119,7 @@ class TestRoundTrip:
             replayed = decode(TraceReplayPredictor(data), config, prompt).trace
             write_trace(paths[1], replayed, vocab, prompt=prompt, config=config)
             for path, trace in zip(paths[2:], (recorded, data.trace)):
-                write_trace(path, _without_computed(trace), vocab, prompt=prompt,
+                write_trace(path, _every_evaluated_computed(trace), vocab, prompt=prompt,
                             config=config)
             texts = {path.read_bytes() for path in paths}
         assert len(texts) == 1
@@ -182,14 +182,15 @@ class TestRoundTrip:
         rec = StepRecord(step=0, block_start=0, block_end=6, block_size=6,
                          evaluated=tuple(evaluated), predicted=tuple(evaluated),
                          confidence=tuple(conf[p] for p in evaluated),
-                         sampled=tuple(sampled), masked_before=tuple(masked), cache="none")
+                         sampled=tuple(sampled), masked_before=tuple(masked), cache="none",
+                         computed=tuple(evaluated))
         with tempfile.TemporaryDirectory() as tmp:
             assert self._written_step_line(rec, tmp) == self._dumped(rec)
 
     def test_bool_in_sampled_prints_true(self, tmp_path):
         rec = StepRecord(step=0, block_start=0, block_end=2, block_size=2, evaluated=(0, 1),
                          predicted=(0, 1), confidence=(0.5, 0.5), sampled=(True, 1),
-                         masked_before=(0, 1), cache="none")
+                         masked_before=(0, 1), cache="none", computed=(0, 1))
         line = self._written_step_line(rec, tmp_path)
         assert line == self._dumped(rec)
         assert '"sampled": [true, 1]' in line
@@ -219,11 +220,11 @@ def _outcome(data):
         for rec in data.trace.steps], _dense(data.trace)
 
 
-def _without_computed(trace):
-    """The trace with ``computed`` unknown: each record holds the values at
-    every position it evaluated."""
+def _every_evaluated_computed(trace):
+    """The trace with each record's ``computed`` its evaluated positions, and
+    its values those at every position it evaluated."""
     return DecodeTrace(trace.prompt_len, trace.gen_budget, trace.mask_id, tuple(
-        dataclasses.replace(rec, computed=None,
+        dataclasses.replace(rec, computed=rec.evaluated,
                             predicted=tuple(pred[p] for p in rec.evaluated),
                             confidence=tuple(conf[p] for p in rec.evaluated))
         for rec, pred, conf in trace.rows()))

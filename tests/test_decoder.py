@@ -146,6 +146,21 @@ class TestDecodeLoop:
         assert result.remaining_masks == 13
         assert result.steps_used == 3
 
+    @pytest.mark.parametrize("max_steps", [1, 2, 5])
+    def test_exhausted_step_budget_stops_denoising(self, max_steps):
+        # once max_steps records are written, the loop neither asks the
+        # predictor again nor applies another sample
+        predictor = synthetic()
+        cfg = DecodeConfig(gen_budget=16, max_steps=max_steps, b0=8, sampler="vanilla")
+        with mock.patch.object(predictor, "denoise", wraps=predictor.denoise) as denoise, \
+                mock.patch.object(decoder_module, "apply_sample",
+                                  wraps=apply_sample) as applied:
+            result = decode(predictor, cfg, (0,))
+        assert result.status == "partial"
+        assert denoise.call_count == applied.call_count == max_steps
+        assert result.steps_used == result.denoise_calls == max_steps
+        assert result.remaining_masks == 16 - max_steps
+
     @pytest.mark.parametrize(
         "prompt, match",
         [((0, 99), r"prompt id 99 at index 1 outside the vocabulary \[0, 11\)"),

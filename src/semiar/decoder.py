@@ -42,7 +42,8 @@ commit by bisection.  The step's ``masked_before`` is one tuple of that
 list; every scope, and the block's masked positions the sampler chooses
 from, is a slice of it or of the region; and ``computed`` is drawn from the
 positions invalidated since they were last computed.  What is left of O(L)
-is one C-level copy, that tuple.
+is C-level copying: that tuple, and the n-gram predictor's encoding of the
+tokens into one bytes object per denoise call, which its memo keys slice.
 """
 
 from __future__ import annotations
@@ -231,6 +232,8 @@ def decode(
             del masked[bisect_left(masked, p)]
         if len(sampled) == len(block):  # the block holds no masks
             g, B = end, None
+            if config.cache == "prefix":  # no later scope reaches below g
+                stale = {p for p in stale if p >= g}
 
     return DecodeResult(
         final_tokens=tuple(state.tokens),

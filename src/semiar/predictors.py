@@ -18,13 +18,16 @@ position or context window, per instance.  A memo entry is computed from those
 alone, so two sessions filling one entry at once store equal values; the fills
 are idempotent and the predictor is safe to share across concurrent decode
 sessions.  Its memory grows with the distinct positions and context windows it
-has served, up to :data:`MASKED_MEMO_CAP` windows for the n-gram predictor.
+has served, up to :data:`WINDOW_MEMO_CAP` windows for the n-gram predictor,
+whose memo is keyed by each window's tokens packed into one bytes object, so
+a lookup hashes and compares in C.
 A replay predictor holds a cursor and belongs to exactly one session.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -353,10 +356,10 @@ class NGramModel:
         return best, probs[best]
 
 
-#: An :class:`NGramPredictor` empties its masked-prediction memo when a miss
-#: finds it this full: over 4x the ~3,500 window pairs one cycle of perfbench's
-#: ngram-zone fills, and about 18 MB at order 31 (~1.1 KB per entry).
-MASKED_MEMO_CAP = 1 << 14
+#: An :class:`NGramPredictor` empties its window memo when a miss finds it
+#: this full: over 2.5x the 4,500-6,300 windows one cycle of perfbench's
+#: ngram-zone fills, and about 4.5 MB at order 31 (~275 bytes per entry).
+WINDOW_MEMO_CAP = 1 << 14
 
 
 def _committed(window: tuple[int, ...], mask_id: int) -> tuple[int, ...]:
@@ -378,14 +381,23 @@ class NGramPredictor(MaskPredictor):
     unigram (or uniform) distribution.  That gradient is what produces
     confidence locality around committed text.  Those slots and the
     position's own token are all a prediction reads, so a commit at ``c``
-    changes only the predictions at ``c - (n-1) .. c + (n-1)``.  Masked
-    predictions are memoised per raw window pair, masks included, in a memo
-    emptied when a miss finds :data:`MASKED_MEMO_CAP` entries in it.
+    changes only the predictions at ``c - (n-1) .. c + (n-1)``.
+
+    Every prediction, masked or committed, is memoised per raw window: the
+    position's offset in it and the bytes of the slots from ``n-1`` left to
+    ``n-1`` right of it, masks and its own token included, packed at one
+    fixed width per id.  Ids are below the vocabulary size, so the bytes fix
+    the window's tokens and the offset fixes which of them are left or right
+    context, also where the sequence's ends clip the window.  The memo is
+    emptied when a miss finds :data:`WINDOW_MEMO_CAP` entries in it.
     """
 
     def __init__(self, model: NGramModel):
         self.model = model
-        self._masked: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, float]] = {}
+        size = model.vocab.size
+        self._code = "B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I"
+        self._width = array(self._code).itemsize
+        self._windows: dict[tuple[int, bytes], tuple[int, float]] = {}
 
     @property
     def vocabulary(self) -> Vocabulary:
@@ -398,26 +410,25 @@ class NGramPredictor(MaskPredictor):
     def predict(
         self, state: SequenceState, positions: Sequence[int]
     ) -> list[tuple[int, float]]:
-        model, memo = self.model, self._masked
+        model, memo = self.model, self._windows
         tokens, mask, lp = state.tokens, state.mask_id, state.prompt_len
+        raw, w = array(self._code, tokens).tobytes(), self._width
         reach = model.order - 1
         out: list[tuple[int, float]] = []
         for g in positions:
             pos = lp + g
-            left = tuple(tokens[max(0, pos - reach) : pos])
-            right = tuple(tokens[pos + 1 : pos + 1 + reach])
-            tok = tokens[pos]
-            if tok != mask:
-                out.append((tok, model.blended(_committed(left, mask),
-                                               _committed(right, mask), tok)))
-                continue
-            best = memo.get((left, right))
-            if best is None:
-                if len(memo) >= MASKED_MEMO_CAP:
+            lo = pos - reach if pos > reach else 0
+            key = (pos - lo, raw[lo * w : (pos + 1 + reach) * w])
+            value = memo.get(key)
+            if value is None:
+                if len(memo) >= WINDOW_MEMO_CAP:
                     memo.clear()
-                best = memo[left, right] = model.best_token(_committed(left, mask),
-                                                            _committed(right, mask))
-            out.append(best)
+                left = _committed(tuple(tokens[lo:pos]), mask)
+                right = _committed(tuple(tokens[pos + 1 : pos + 1 + reach]), mask)
+                tok = tokens[pos]
+                value = memo[key] = (model.best_token(left, right) if tok == mask
+                                     else (tok, model.blended(left, right, tok)))
+            out.append(value)
         return out
 
 

@@ -316,6 +316,34 @@ class TestRun:
         rows = list(csv.DictReader(trees[0]["aggregate.csv"].decode().splitlines()))
         assert any(float(row[nonzero]) > 0 for row in rows)
 
+    def test_jobs_do_not_change_ngram_results(self, tmp_path):
+        # the criterion-3 model on a short region: every window clips at both
+        # ends of the sequence, and the runs differ in their corpus prompts
+        text = (SPEC_TEMPLATE.replace("prompt = literal:0 1", "prompt = corpus:8")
+                .replace("repetitions = 2", "repetitions = 3")
+                .replace(SYNTHETIC_OPTIONS,
+                         f"kind = ngram\ncorpus = {ZONE_CORPUS}\norder = 31\nsmoothing = 0.01")
+                .replace("scheduler = fixed,adaptive", "scheduler = fixed")
+                .replace("cache = none", "cache = none,prefix")
+                .replace("delimiter_tokens = \\n\n", "tau = 0.9\n"))
+        spec_path = write_spec(tmp_path, text)
+        trees = []
+        for jobs in JOBS:
+            out = tmp_path / f"jobs{jobs}"
+            experiment.run(experiment.load_spec(spec_path, out), jobs=jobs)
+            experiment.analyze(out, jobs=jobs)
+            trees.append(file_tree(out))
+        names = sorted(trees[0])
+        # 12 traces and summaries, the aggregate, 12 x 3 analysis reports, failures.csv
+        assert len(names) == 12 + 12 + 1 + 36 + 1
+        for tree in trees[1:]:
+            assert sorted(tree) == names
+            for name in names:
+                assert tree[name] == trees[0][name], name
+        texts = {json.loads(data)["text"] for name, data in trees[0].items()
+                 if name.endswith(".summary.json")}
+        assert len(texts) > 1
+
     def test_disabled_delimiters_match_fixed_rows(self, tmp_path):
         text = SPEC_TEMPLATE.replace("delimiter_tokens = \\n\n", "")
         spec = experiment.load_spec(write_spec(tmp_path, text), tmp_path / "out")

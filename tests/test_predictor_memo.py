@@ -156,14 +156,14 @@ def test_ngram_memo_is_emptied_at_its_cap(monkeypatch):
                 for prompt in prompts]
 
     cap = 16
-    monkeypatch.setattr(predictors, "MASKED_MEMO_CAP", cap)
+    monkeypatch.setattr(predictors, "WINDOW_MEMO_CAP", cap)
     shared = build_ngram(corpus, order=3, smoothing_k=0.01)
     sizes = []
     predict = shared.predict
 
     def watched(state, positions):
         out = predict(state, positions)
-        sizes.append(len(shared._masked))
+        sizes.append(len(shared._windows))
         return out
 
     shared.predict = watched

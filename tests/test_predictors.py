@@ -44,6 +44,17 @@ def gen_state(predictor, L, committed=0, prompt=(0,)):
     )
 
 
+def window_value(model, tokens, pos):
+    """(token, confidence) at sequence slot ``pos`` from its committed
+    neighbours within reach, computed by the model with no memo."""
+    reach, mask = model.order - 1, model.vocab.mask_id
+    left = tuple(t for t in tokens[max(0, pos - reach) : pos] if t != mask)
+    right = tuple(t for t in tokens[pos + 1 : pos + 1 + reach] if t != mask)
+    if tokens[pos] == mask:
+        return model.best_token(left, right)
+    return tokens[pos], model.blended(left, right, tokens[pos])
+
+
 def changed_positions(trace, r):
     """Positions whose value, as printed, differs between the dense rows after
     records r - 1 and r."""
@@ -249,11 +260,64 @@ class TestNGram:
         # every raw window is now memoised, so the model is not asked again
         with mock.patch.object(NGramModel, "best_token", side_effect=AssertionError):
             assert pred.predict(state, masked) == first
-        for g, value in zip(masked, first):
-            pos = 1 + g
-            left = tuple(t for t in tokens[max(0, pos - 2) : pos] if t != m)
-            right = tuple(t for t in tokens[pos + 1 : pos + 3] if t != m)
-            assert value == model.best_token(left, right)
+        assert first == [window_value(model, tokens, 1 + g) for g in masked]
+
+    def test_committed_memo_hit_equals_blended_on_the_committed_contexts(self):
+        pred = build_ngram(" ".join(["a b c d e"] * 6), order=3, smoothing_k=0.01)
+        model, m = pred.model, pred.vocabulary.mask_id
+        a, b, c, d = (pred.vocabulary.id_of(t) for t in "abcd")
+        tokens = (a, b, m, d, c, m, a, d, m, b)
+        state = SequenceState(tokens=tokens, prompt_len=1, gen_budget=9, mask_id=m)
+        committed = [g for g in range(9) if tokens[1 + g] != m]
+        first = pred.predict(state, committed)
+        with mock.patch.object(NGramModel, "blended", side_effect=AssertionError), \
+                mock.patch.object(NGramModel, "best_token", side_effect=AssertionError):
+            assert pred.predict(state, committed) == first
+        assert first == [window_value(model, tokens, 1 + g) for g in committed]
+
+    @pytest.mark.parametrize("tokens", [
+        "a m b",  # every window is the whole sequence, clipped at both ends
+        "b a m",
+        "a m a m a m",  # slots 1 and 4 both read the bytes of "a m a m"
+        "a b a b a b",
+    ])
+    def test_equal_window_bytes_at_different_offsets_do_not_collide(self, tokens):
+        pred = build_ngram(" ".join(["a b a b c"] * 4), order=3, smoothing_k=0.01)
+        model, vocab = pred.model, pred.vocabulary
+        ids = tuple(vocab.mask_id if t == "m" else vocab.id_of(t) for t in tokens.split())
+        state = SequenceState(tokens=ids, prompt_len=1, gen_budget=len(ids) - 1,
+                              mask_id=vocab.mask_id)
+        positions = range(state.gen_budget)
+        expected = [window_value(model, ids, 1 + g) for g in positions]
+        assert pred.predict(state, positions) == expected
+        assert pred.predict(state, positions[::-1]) == expected[::-1]
+        raws = [raw for _, raw in pred._windows]
+        assert len(set(raws)) < len(raws)  # the offsets alone tell some keys apart
+
+    def test_order_one_reads_only_the_own_token(self):
+        pred = build_ngram("a b b c c c", order=1, smoothing_k=0.5)
+        model, vocab = pred.model, pred.vocabulary
+        m = vocab.mask_id
+        a, b, c = (vocab.id_of(t) for t in "abc")
+        tokens = (a, m, b, m, c, a, m)
+        state = SequenceState(tokens=tokens, prompt_len=1, gen_budget=6, mask_id=m)
+        got = pred.predict(state, range(6))
+        assert got == [window_value(model, tokens, 1 + g) for g in range(6)]
+        assert got[0] == got[2] == got[5] == model.best_token((), ())
+        assert len(pred._windows) == 4  # one window per distinct own token
+
+    def test_vocabulary_over_256_tokens_packs_two_bytes_per_id(self):
+        words = [f"w{i}" for i in range(300)]
+        pred = build_ngram(" ".join(words * 2), order=3, smoothing_k=0.01)
+        model, vocab = pred.model, pred.vocabulary
+        assert vocab.size > 256 and pred._code == "H"
+        m = vocab.mask_id  # 300, after the regular tokens
+        # ids 1 and 257 share their low byte, and neither 257 nor the mask fits one
+        tokens = (vocab.id_of("w0"), 1, m, 257, m, 1, 257, m, vocab.id_of("w299"))
+        state = SequenceState(tokens=tokens, prompt_len=1, gen_budget=8, mask_id=m)
+        expected = [window_value(model, tokens, 1 + g) for g in range(8)]
+        assert pred.predict(state, range(8)) == expected
+        assert pred.predict(state, range(8)) == expected
 
     def test_corpus_containing_the_mask_string_is_rejected(self):
         with pytest.raises(ValueError, match=r"'\[MASK\]' at token index 2"):

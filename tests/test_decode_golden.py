@@ -12,7 +12,8 @@ partial-result path is pinned too.
 
 ``GOLDEN_TREES`` pins the whole ``run`` + ``analyze`` output tree of the
 experiment tests' spec template and of its frontier-ahead and frontier-behind
-variants, whose late-overhead and premature rates are nonzero: traces,
+variants, whose late-overhead and premature rates are nonzero, and of an
+order-31 n-gram spec on the zone corpus, word- and character-level: traces,
 summaries, ``aggregate.csv`` and every ``analysis/`` report.
 
 To re-pin after an intended output change, run ``python tests/test_decode_golden.py``
@@ -24,7 +25,7 @@ import hashlib
 import itertools
 
 import pytest
-from test_experiment import SPEC_TEMPLATE, plateau_spec
+from test_experiment import SPEC_TEMPLATE, ZONE_CORPUS, plateau_spec
 
 from semiar import experiment
 from semiar.core import CACHES, SAMPLERS, SCHEDULERS, DecodeConfig
@@ -70,10 +71,38 @@ def trace_digest(kind, sampler, scheduler, cache, tmp_dir, partial=False):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def zone_spec(char_mode):
+    """The criterion-3 n-gram model (order 31) on a short region under every
+    cache; ``char_mode`` tokenizes the corpus into characters."""
+    return f"""
+[experiment]
+seed = 6
+repetitions = 2
+prompt = corpus:8
+
+[predictor]
+kind = ngram
+corpus = {ZONE_CORPUS}
+order = 31
+smoothing = 0.01
+char_mode = {str(char_mode).lower()}
+
+[cell zone]
+gen_budget = 48
+max_steps = 96
+b0 = 8
+scheduler = fixed,adaptive
+cache = none,prefix,dual
+delimiter_tokens = m{"" if char_mode else "m"}
+"""
+
+
 SPECS = {
     "template": SPEC_TEMPLATE,
     "frontier-ahead": plateau_spec(1.5),
     "frontier-behind": plateau_spec(0.5),
+    "ngram-zone": zone_spec(char_mode=False),
+    "ngram-zone-chars": zone_spec(char_mode=True),
 }
 
 
@@ -245,6 +274,8 @@ GOLDEN_PARTIAL = {
 GOLDEN_TREES = {
     "frontier-ahead": "4479d7692a9f647fb1bd77b265502dff3217b49fa9372b69a552c5ff8e84991d",
     "frontier-behind": "d2429eac63b667c4a95129a1e9e79075cdbdc00b6ef811e471b5f83f3aa11b28",
+    "ngram-zone": "4d2af295886c788cc8281a5eaf7239645ced8ff3b8abb86232c06697970b26fa",
+    "ngram-zone-chars": "41c78df7bf7402617698f230cc51e9ac17b0f74ab836ebbd6a5e987e1491a0c2",
     "template": "d74842c173179a7385e6bdcadea6adb65f85b9467214357ae6a8d74a714053eb",
 }
 

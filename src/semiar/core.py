@@ -320,8 +320,29 @@ def config_from_text(text: str) -> DecodeConfig:
     return DecodeConfig(**values)
 
 
+def read_utf8(
+    path: str | Path, error: type[ValueError] = UnicodeError, newlines: bool = True
+) -> str:
+    """The text of the UTF-8 file ``path``.
+
+    With ``newlines`` a ``"\\r\\n"`` or lone ``"\\r"`` reads as ``"\\n"``, as
+    ``Path.read_text`` gives it; without, the text is as stored.  A byte that is
+    not UTF-8 raises ``error("PATH: line N: ...")``, N counting the lines of the
+    text as read.
+    """
+    raw = Path(path).read_bytes()
+    if newlines:  # in UTF-8 these two bytes only ever encode "\r" and "\n"
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: 'utf-8' codec can't decode byte "
+                    f"{raw[exc.start]:#04x}: {exc.reason}") from None
+
+
 def load_config(path: str | Path) -> DecodeConfig:
-    return config_from_text(Path(path).read_text(encoding="utf-8"))
+    return config_from_text(read_utf8(path))
 
 
 def config_to_dict(config: DecodeConfig) -> dict[str, Any]:

@@ -62,6 +62,7 @@ from .core import (
     delimiter_error,
     parse_config_value,
     prompt_error,
+    read_utf8,
 )
 from .decoder import DecodeResult, decode, write_summary
 from .predictors import (
@@ -239,7 +240,7 @@ def build_predictor(spec: PredictorSpec, seed: int) -> MaskPredictor:
     if spec.kind == "synthetic":
         return build_synthetic(SyntheticFieldParams(**opts, noise_seed=seed))
     if spec.kind == "ngram":
-        corpus = Path(opts["corpus"]).read_text(encoding="utf-8")
+        corpus = read_utf8(opts["corpus"])
         return build_ngram(
             corpus,
             order=opts.get("order", 3),
@@ -311,7 +312,7 @@ def parse_spec(
     # predictor so bad specs fail up front, not in every run
     try:
         probe = build_predictor(predictor, seed)
-    except (OSError, tracefile.TraceFormatError) as exc:
+    except (OSError, UnicodeError, tracefile.TraceFormatError) as exc:
         # only the file the kind's required key names is ever read
         raise ValueError(f"[predictor] {required}: {exc}") from None
     except ValueError as exc:
@@ -358,7 +359,7 @@ def parse_spec(
 
 
 def load_spec(path: str | Path, out_dir: Path | None = None) -> ExperimentSpec:
-    return parse_spec(Path(path).read_text(encoding="utf-8"), out_dir, str(path))
+    return parse_spec(read_utf8(path), out_dir, str(path))
 
 
 def _corpus_prompt(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from itertools import islice
@@ -287,12 +287,6 @@ def build_synthetic(params: SyntheticFieldParams) -> SyntheticPredictor:
 # Bidirectional n-gram predictor
 # ---------------------------------------------------------------------------
 
-def tokenize(corpus: str, char_mode: bool = False) -> list[str]:
-    if char_mode:
-        return [ch for ch in corpus.strip()]
-    return corpus.split()
-
-
 #: Counts of the tokens filling a slot after one context, and their add-k
 #: denominator ``total + k * candidates``.
 ContextCounts = tuple[Counter, float]
@@ -302,17 +296,19 @@ ContextCounts = tuple[Counter, float]
 class NGramModel:
     """Add-k smoothed count tables over left and right contexts of length < n.
 
-    ``left[k]`` maps a k-token context immediately preceding a slot to the
-    counts of the token filling it and their add-k denominator; ``right[k]``
-    does the same for the k tokens immediately following the slot, stored in
-    sentence order.  The tables never change after construction.
+    ``left`` maps every context of fewer than ``order`` tokens that
+    immediately precedes a corpus slot, the empty one included, to the counts
+    of the tokens filling those slots and their add-k denominator; ``right``
+    does the same for the tokens immediately following a slot, stored in
+    sentence order.  A context's length is part of its key, so one dict holds
+    every length of a side.  The tables never change after construction.
     """
 
     order: int
     smoothing_k: float
     vocab: Vocabulary
-    left: list[dict[tuple[int, ...], ContextCounts]]
-    right: list[dict[tuple[int, ...], ContextCounts]]
+    left: dict[tuple[int, ...], ContextCounts]
+    right: dict[tuple[int, ...], ContextCounts]
     corpus_ids: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -328,8 +324,7 @@ class NGramModel:
     def _sides(
         self, left_ctx: tuple[int, ...], right_ctx: tuple[int, ...]
     ) -> tuple[ContextCounts, ContextCounts]:
-        return (self.left[len(left_ctx)].get(left_ctx, self._unseen),
-                self.right[len(right_ctx)].get(right_ctx, self._unseen))
+        return self.left.get(left_ctx, self._unseen), self.right.get(right_ctx, self._unseen)
 
     def _blend(self, sides: tuple[ContextCounts, ContextCounts], token: int) -> float:
         return 0.5 * self._prob(sides[0], token) + 0.5 * self._prob(sides[1], token)
@@ -360,16 +355,6 @@ class NGramModel:
 #: this full: over 2.5x the 4,500-6,300 windows one cycle of perfbench's
 #: ngram-zone fills, and about 4.5 MB at order 31 (~275 bytes per entry).
 WINDOW_MEMO_CAP = 1 << 14
-
-
-def _committed(window: tuple[int, ...], mask_id: int) -> tuple[int, ...]:
-    """The committed tokens of a window slice, in order."""
-    masks = window.count(mask_id)
-    if not masks:
-        return window
-    if masks == len(window):
-        return ()
-    return tuple(filter(mask_id.__ne__, window))
 
 
 class NGramPredictor(MaskPredictor):
@@ -423,8 +408,8 @@ class NGramPredictor(MaskPredictor):
             if value is None:
                 if len(memo) >= WINDOW_MEMO_CAP:
                     memo.clear()
-                left = _committed(tuple(tokens[lo:pos]), mask)
-                right = _committed(tuple(tokens[pos + 1 : pos + 1 + reach]), mask)
+                left = tuple(filter(mask.__ne__, tokens[lo:pos]))
+                right = tuple(filter(mask.__ne__, tokens[pos + 1 : pos + 1 + reach]))
                 tok = tokens[pos]
                 value = memo[key] = (model.best_token(left, right) if tok == mask
                                      else (tok, model.blended(left, right, tok)))
@@ -446,38 +431,33 @@ def build_ngram(
     for name, value in (("order", order), ("smoothing_k", smoothing_k)):
         if why := ngram_option_error(name, value):
             raise ValueError(f"{name} {why}")
-    tokens = tokenize(corpus, char_mode)
+    tokens = list(corpus.strip()) if char_mode else corpus.split()
     if not tokens:
         raise ValueError("corpus is empty after tokenization")
 
     vocab = Vocabulary.build(sorted(set(tokens)))
-    seq = [vocab.id_of(t) for t in tokens]
+    seq = tuple(map(vocab.id_of, tokens))
     if vocab.mask_id in seq:
         raise ValueError(
             f"corpus contains the mask token {vocab.token_of(vocab.mask_id)!r} "
             f"at token index {seq.index(vocab.mask_id)}"
         )
 
-    left: list[dict[tuple[int, ...], Counter]] = [dict() for _ in range(order)]
-    right: list[dict[tuple[int, ...], Counter]] = [dict() for _ in range(order)]
+    left: defaultdict[tuple[int, ...], Counter] = defaultdict(Counter)
+    right: defaultdict[tuple[int, ...], Counter] = defaultdict(Counter)
     for p, tok in enumerate(seq):
-        for k in range(order):
-            if p - k >= 0:
-                ctx = tuple(seq[p - k : p])
-                left[k].setdefault(ctx, Counter())[tok] += 1
-            if p + k < len(seq):
-                ctx = tuple(seq[p + 1 : p + 1 + k])
-                right[k].setdefault(ctx, Counter())[tok] += 1
+        for k in range(min(order, p + 1)):
+            left[seq[p - k : p]][tok] += 1
+        for k in range(min(order, len(seq) - p)):
+            right[seq[p + 1 : p + 1 + k]][tok] += 1
 
     extra = smoothing_k * (vocab.size - 1)
 
-    def with_denoms(tables):
-        return [{ctx: (counts, sum(counts.values()) + extra)
-                 for ctx, counts in table.items()} for table in tables]
+    def with_denoms(table):
+        return {ctx: (counts, sum(counts.values()) + extra) for ctx, counts in table.items()}
 
     model = NGramModel(order=order, smoothing_k=smoothing_k, vocab=vocab,
-                       left=with_denoms(left), right=with_denoms(right),
-                       corpus_ids=tuple(seq))
+                       left=with_denoms(left), right=with_denoms(right), corpus_ids=seq)
     return NGramPredictor(model)
 
 

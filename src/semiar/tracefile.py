@@ -60,6 +60,7 @@ from .core import (
     StepRecord,
     Vocabulary,
     prompt_error,
+    read_utf8,
 )
 from .core import config_from_dict, config_to_dict  # the header's config codec
 
@@ -355,7 +356,7 @@ def read_trace_file(path: str | Path) -> TraceFileData:
     path = Path(path)
     # no newline translation: a line ends at "\n" alone, and json reads a "\r"
     # before it as whitespace
-    lines = path.read_bytes().decode("utf-8").split("\n")
+    lines = read_utf8(path, TraceFormatError, newlines=False).split("\n")
     if not lines[-1]:
         lines.pop()  # the newline that ends the last line
     if not lines:

@@ -1,8 +1,11 @@
 """State construction, the sample update rule, and config plumbing."""
 
 import json
+import re
+import tempfile
 import time
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +23,8 @@ from semiar.core import (
     config_from_text,
     config_to_dict,
     init_state,
+    load_config,
+    read_utf8,
 )
 from semiar.experiment import parse_spec
 
@@ -309,3 +314,35 @@ class TestConfigCodec:
         spec = parse_spec("[experiment]\n[predictor]\nkind = synthetic\n[cell c]\n" + cell)
         (parsed,) = spec.cells
         assert parsed.config == replace(cfg, delimiters=frozenset(), seed=0)
+
+
+class TestReadUtf8:
+    @given(st.text(st.sampled_from("a\u00e9\u20ac\U0001f600\r\n\u2028\x85\ufeff"), max_size=30))
+    def test_valid_text_reads_as_read_text_gives_it(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.txt"
+            path.write_bytes(text.encode("utf-8"))
+            assert read_utf8(path) == path.read_text(encoding="utf-8")
+            assert read_utf8(path, newlines=False) == text
+
+    @given(st.lists(st.sampled_from([b"a", b"\xc3\xa9", b"\r", b"\n", b"\r\n"]), max_size=12),
+           st.sampled_from([b"\xff", b"\xc3(", b"\xe2\x82", b"\x80"]))
+    def test_undecodable_byte_names_its_line(self, head, bad):
+        raw = b"".join(head)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.txt"
+            path.write_bytes(raw + bad + b"z\n")
+            line = len((raw.decode() + "z").splitlines())  # the line "z" would sit on
+            with pytest.raises(UnicodeError, match=rf"^{re.escape(str(path))}: line {line}: "
+                               rf"'utf-8' codec can't decode byte 0x{bad[0]:02x}: "):
+                read_utf8(path)
+            as_stored = raw.count(b"\n") + 1
+            with pytest.raises(ValueError, match=rf": line {as_stored}: "):
+                read_utf8(path, ValueError, newlines=False)
+
+    def test_config_file_names_path_and_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"gen_budget = 8\r\n# caf\xe9\r\nmax_steps = 8\r\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: "
+                           "'utf-8' codec can't decode byte 0xe9"):
+            load_config(path)

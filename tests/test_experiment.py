@@ -134,6 +134,28 @@ class TestSpecParsing:
         assert repr(str(path)) in str(info.value)
         assert re.search(rf"\[line +{line}\]", str(info.value))
 
+    def test_undecodable_spec_names_path_and_line(self, tmp_path, capsys):
+        text = SPEC_TEMPLATE.replace("seed = 11", "seed = 11\r\n# caf\udce9")
+        path = tmp_path / "exp.spec"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        message = f"{path}: line 4: 'utf-8' codec can't decode byte 0xe9: invalid continuation byte"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            experiment.load_spec(path)
+        assert cli.main(["run", "--spec", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("kind, key", [("ngram", "corpus"), ("trace", "path")])
+    def test_undecodable_predictor_file_names_key_path_and_line(self, kind, key, tmp_path):
+        bad = tmp_path / "bad.txt"
+        # lines as the reader sees them: the corpus reads a lone "\r" as a line end
+        bad.write_bytes(b'{"vocab": []}\r\n"a b"\r"c \xff"\n')
+        line = 3 if kind == "ngram" else 2
+        text = SPEC_TEMPLATE.replace(SYNTHETIC_OPTIONS, f"kind = {kind}\n{key} = {bad}")
+        message = (f"[predictor] {key}: {bad}: line {line}: 'utf-8' codec can't decode "
+                   "byte 0xff: invalid start byte")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            experiment.load_spec(write_spec(tmp_path, text))
+
     @pytest.mark.parametrize(
         "key, match",
         [("seed", r"\[cell sweep\] seed: reserved key; .*\[experiment\] seed"),

@@ -1,10 +1,14 @@
 """Predictor backends: synthetic field geometry, n-gram scoring, trace replay."""
 
 import json
+import time
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiar.core import (
     DecodeConfig,
@@ -232,7 +236,45 @@ def brute_force_ngram_prob(corpus, order, k, left_ctx, right_ctx, target):
     return 0.5 * table_prob(left_ctx, False) + 0.5 * table_prob(right_ctx, True)
 
 
+def brute_force_tables(ids, order, k, candidates):
+    """Every context shorter than ``order`` right before (left) or after
+    (right) a slot of ``ids``, with the counts of the slot's token and the
+    add-k denominator."""
+    tables = ({}, {})
+    for length in range(order):
+        for p, tok in enumerate(ids):
+            for table, lo, hi in ((tables[0], p - length, p),
+                                  (tables[1], p + 1, p + 1 + length)):
+                if 0 <= lo and hi <= len(ids):
+                    table.setdefault(tuple(ids[lo:hi]), Counter())[tok] += 1
+    return [{ctx: (counts, sum(counts.values()) + k * candidates)
+             for ctx, counts in table.items()} for table in tables]
+
+
+ZONE_CORPUS = Path(__file__).resolve().parent.parent / "specs" / "zone_corpus.txt"
+
+
 class TestNGram:
+    @settings(max_examples=150, deadline=None)
+    @given(tokens=st.lists(st.sampled_from("abcde"), min_size=1, max_size=40),
+           order=st.integers(1, 6), k=st.sampled_from([0, 0.01, 1]), char_mode=st.booleans())
+    def test_tables_hold_every_context_shorter_than_order(self, tokens, order, k, char_mode):
+        text = ("" if char_mode else " ").join(tokens)
+        model = build_ngram(text, order, k, char_mode=char_mode).model
+        ids = [model.vocab.id_of(t) for t in tokens]
+        assert model.corpus_ids == tuple(ids)
+        left, right = brute_force_tables(ids, order, k, model.vocab.size - 1)
+        assert model.left == left and model.right == right
+        huge = build_ngram(text, 10**9, k, char_mode=char_mode).model
+        whole = build_ngram(text, len(tokens), k, char_mode=char_mode).model
+        assert (huge.left, huge.right) == (whole.left, whole.right)
+
+    def test_huge_order_builds_in_time_bounded_by_the_corpus(self):
+        corpus = ZONE_CORPUS.read_text(encoding="utf-8")
+        start = time.process_time()
+        build_ngram(corpus, 10**9, 0.01)
+        assert time.process_time() - start < 1.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             build_ngram("", order=2, smoothing_k=0.01)

@@ -377,6 +377,18 @@ class TestValidation:
         with pytest.raises(TraceFormatError, match=f"line {lineno}: .*{match}"):
             read_trace_file(path)
 
+    def test_undecodable_byte_names_its_line(self, small_run, tmp_path):
+        pred, cfg, prompt, result = small_run
+        path = tmp_path / "run.jsonl"
+        write_trace(path, result.trace, pred.vocabulary, prompt=prompt, config=cfg)
+        # a "\r" before each "\n" does not start a line of its own
+        lines = path.read_bytes().replace(b"\n", b"\r\n").split(b"\n")
+        lines[3] = lines[3].replace(b'"pred"', b'"pr\xffed"')
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(TraceFormatError, match=rf"^{re.escape(str(path))}: line 4: "
+                           "'utf-8' codec can't decode byte 0xff: invalid start byte$"):
+            read_trace_file(path)
+
     def test_token_equal_to_running_value_still_checked(self, small_run, tmp_path):
         # a float token equal to the int the position already holds changes
         # nothing in the snapshot, but it is still not a token id

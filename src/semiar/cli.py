@@ -17,17 +17,17 @@ from .predictors import load_trace_predictor
 
 def _cell_line(outcomes: list[experiment.RunOutcome]) -> str:
     """One cell's runs pooled: means per ok run, failure rates as events over steps."""
-    ok = [oc for oc in outcomes if oc.error is None]
+    ok = [oc.result for oc in outcomes if oc.error is None]
     line = f"{outcomes[0].cell.cell_id} ok={len(ok)}/{len(outcomes)}"
     if not ok:
         return line
-    steps = sum(oc.report.total_steps for oc in ok)
-    late = sum(oc.report.late_overhead_steps for oc in ok)
-    premature = sum(oc.report.premature_steps for oc in ok)
+    steps = sum(r.steps_used for r in ok)
+    late = sum(r.late_overhead_steps for r in ok)
+    premature = sum(r.premature_steps for r in ok)
     return (
-        f"{line} steps={sum(oc.result.steps_used for oc in ok) / len(ok):.1f}"
-        f" nfe={sum(oc.result.denoise_calls for oc in ok) / len(ok):.1f}"
-        f" position_evals={sum(oc.result.position_evaluations for oc in ok) / len(ok):.1f}"
+        f"{line} steps={steps / len(ok):.1f}"
+        f" nfe={sum(r.denoise_calls for r in ok) / len(ok):.1f}"
+        f" position_evals={sum(r.position_evaluations for r in ok) / len(ok):.1f}"
         f" late={late / steps:.4f} premature={premature / steps:.4f}"
     )
 

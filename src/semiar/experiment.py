@@ -37,9 +37,9 @@ work in this process; above it, in a pool of that many worker processes; at
 ``None``, on as many workers as this process may use CPUs, never more than
 there are tasks.  A worker gets only plain data (the spec, paths, floats),
 writes its run's or its trace's files itself and returns only what the parent
-aggregates: a run's counts and failure report, never its trace, and a trace's
-``failures.csv`` row.  The parent logs failed runs and skipped traces in task
-order, so the outputs and the log are the same at every ``jobs``.
+aggregates: a run's :class:`RunCounts`, never its trace or failure events, and
+a trace's ``failures.csv`` row.  The parent logs failed runs and skipped traces
+in task order, so the outputs and the log are the same at every ``jobs``.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ from .predictors import (
     load_trace_predictor,
     ngram_option_error,
 )
-from .scheduler import BlockDecision
 from .seeding import mix_seed, unit_draw
 
 log = logging.getLogger("semiar.experiment")
@@ -385,14 +384,16 @@ def resolve_prompt(
 
 @dataclass(frozen=True)
 class RunCounts:
-    """What the parent of a run reads of its decode: the counts, blocks and
-    completion, without the trace, which stays in the run's trace file."""
+    """The numbers ``aggregate.csv`` and ``semiar run``'s cell lines read of a
+    run; its trace and failure events stay in the run's trace file."""
 
     steps_used: int
     denoise_calls: int
     position_evaluations: int
-    blocks: tuple[BlockDecision, ...]
+    mean_block_size: float
     completed: bool
+    late_overhead_steps: int
+    premature_steps: int
 
 
 @dataclass(frozen=True)
@@ -401,7 +402,6 @@ class RunOutcome:
     repetition: int
     run_seed: int
     result: RunCounts | None
-    report: metrics.FailureReport | None
     error: str | None = None
 
 
@@ -435,21 +435,23 @@ def _execute_run(
         report = metrics.failure_rates(result.trace, config.tau)
         write_run(spec.out_dir / cell.cell_id / f"rep{repetition:03d}",
                   result, predictor.vocabulary, prompt, config)
+        blocks = result.blocks
         counts = RunCounts(result.steps_used, result.denoise_calls,
-                           result.position_evaluations, result.blocks, result.completed)
-        return RunOutcome(cell, repetition, run_seed, counts, report)
+                           result.position_evaluations,
+                           sum(d.block_size for d in blocks) / len(blocks) if blocks else 0.0,
+                           result.completed, report.late_overhead_steps, report.premature_steps)
+        return RunOutcome(cell, repetition, run_seed, counts)
     except Exception as exc:  # cell isolation: one failure must not sink the sweep
-        return RunOutcome(cell, repetition, run_seed, None, None, error=str(exc))
+        return RunOutcome(cell, repetition, run_seed, None, error=str(exc))
 
 
 def _aggregate_row(oc: RunOutcome) -> list[Any]:
     """A successful run's ``aggregate.csv`` row, in :data:`AGGREGATE_COLUMNS` order."""
-    cfg, result, report = oc.cell.config, oc.result, oc.report
-    blocks = result.blocks
+    cfg, result = oc.cell.config, oc.result
     return [oc.cell.cell_id, cfg.scheduler, cfg.sampler, cfg.cache, cfg.b0, cfg.tau_d,
             oc.run_seed, result.steps_used, result.denoise_calls,
-            result.position_evaluations, report.late_overhead_rate, report.premature_rate,
-            sum(d.block_size for d in blocks) / len(blocks) if blocks else 0.0,
+            result.position_evaluations, result.late_overhead_steps / result.steps_used,
+            result.premature_steps / result.steps_used, result.mean_block_size,
             int(result.completed)]
 
 
@@ -457,7 +459,8 @@ def _workers(jobs: int | None, tasks: int) -> int:
     """How many processes work on ``tasks``: ``jobs``, or at None the CPUs
     this process may use, never more than the tasks."""
     if jobs is None:
-        jobs = len(os.sched_getaffinity(0))
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     elif jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return max(1, min(jobs, tasks))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .core import DecodeTrace, Regime, StepRecord
+from .core import SENTINEL_CONFIDENCE, DecodeTrace, Regime, StepRecord
 from .sampling import top1
 
 
@@ -237,15 +237,12 @@ def _csv_text(value: object) -> str:
 
 
 def _heatmap_rows(trace: DecodeTrace) -> Iterator[str]:
-    """Each row formats the cells its step changed; the others carry the
-    previous row's value (see StepRecord), hence its text."""
-    cells: list[str] = []
+    """Each row formats the cells its step changed; the others keep the text
+    of their value in the dense rows (see DecodeTrace.rows)."""
+    cells = [_csv_text(SENTINEL_CONFIDENCE)] * trace.gen_budget
     for rec, _, conf in trace.rows():
-        if not cells:
-            cells = [_csv_text(c) for c in conf]
-        else:
-            for i in rec.computed:
-                cells[i] = _csv_text(conf[i])
+        for i in rec.computed:
+            cells[i] = _csv_text(conf[i])
         yield f"{rec.step},{','.join(cells)}\r\n"
 
 

@@ -437,17 +437,13 @@ def write_trace(
 
     lines = [json.dumps(header)]
     position_text = {p: str(p) for p in range(trace.gen_budget)}
-    # each position's value as the last record that changed it prints it
-    pred_text: list[str] = []
-    conf_text: list[str] = []
+    # the text of each position's value in the dense rows (DecodeTrace.rows)
+    pred_text = [_json_text(trace.mask_id)] * trace.gen_budget
+    conf_text = [_json_text(SENTINEL_CONFIDENCE)] * trace.gen_budget
     for rec, predicted, confidence in trace.rows():
-        if not pred_text:
-            pred_text = list(map(_json_text, predicted))
-            conf_text = list(map(_json_text, confidence))
-        else:
-            for p in rec.computed:
-                pred_text[p] = _json_text(predicted[p])
-                conf_text[p] = _json_text(confidence[p])
+        for p in rec.computed:
+            pred_text[p] = _json_text(predicted[p])
+            conf_text[p] = _json_text(confidence[p])
         # json.dumps of the step's object, one value text at a time
         positions = rec.evaluated
         pred = ", ".join(map(pred_text.__getitem__, positions))

@@ -7,6 +7,7 @@ import inspect
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import shutil
 from dataclasses import fields
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from semiar import cli, experiment, metrics
-from semiar.core import DecodeConfig, DecodeTrace
+from semiar.core import DecodeConfig
 from semiar.decoder import decode
 from semiar.predictors import SyntheticFieldParams, build_synthetic
 from semiar.seeding import mix_seed
@@ -444,11 +445,40 @@ sampler = vanilla
         assert len(decoded) == len(outcomes) == 8
         for oc, result in zip(outcomes, decoded):
             assert type(oc.result) is experiment.RunCounts
-            assert not any(isinstance(getattr(oc.result, f.name), DecodeTrace)
-                           for f in fields(oc.result))
+            report = metrics.failure_rates(result.trace, oc.cell.config.tau)
             assert oc.result == experiment.RunCounts(
                 result.steps_used, result.denoise_calls, result.position_evaluations,
-                result.blocks, result.completed)
+                sum(d.block_size for d in result.blocks) / len(result.blocks),
+                result.completed, report.late_overhead_steps, report.premature_steps)
+
+    def test_outcomes_cross_the_pool_as_a_few_numbers(self, tmp_path):
+        # the criterion-3 workload, whose failure reports hold thousands of events
+        text = f"""
+[experiment]
+seed = 0
+repetitions = 2
+prompt = corpus:8
+
+[predictor]
+kind = ngram
+corpus = {ZONE_CORPUS}
+order = 31
+smoothing = 0.01
+
+[cell fixed]
+gen_budget = 392
+max_steps = 1176
+b0 = 16
+cache = none
+"""
+        spec = experiment.parse_spec(text, tmp_path / "out")
+        outcomes, _ = experiment.run(spec, jobs=1)
+        for oc in outcomes:
+            assert oc.result.late_overhead_steps + oc.result.premature_steps > 100
+            assert {type(getattr(oc.result, f.name)) for f in fields(oc.result)} <= {
+                int, float, bool}
+            assert len(pickle.dumps(oc)) < 4096
+        assert experiment.run(spec, jobs=2)[0] == outcomes
 
     def test_pooled_outcomes_equal_in_process_ones(self, tmp_path):
         spec = experiment.load_spec(write_spec(tmp_path, PLATEAU_SPEC), tmp_path / "out")
@@ -484,6 +514,17 @@ sampler = vanilla
     ])
     def test_workers_per_jobs(self, jobs, tasks, workers):
         assert experiment._workers(jobs, tasks) == workers
+
+    def test_default_jobs_without_sched_getaffinity(self, tmp_path, monkeypatch):
+        # as on macOS and Windows: the default falls back to the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert experiment._workers(None, 8) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert experiment._workers(None, 8) == 1
+        out = tmp_path / "out"
+        assert cli.main(["run", "--spec", str(write_spec(tmp_path)), "--out", str(out)]) == 0
+        assert cli.main(["analyze", "--traces", str(out)]) == 0
 
 
 class TestAnalyze:

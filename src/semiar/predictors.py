@@ -19,8 +19,9 @@ alone, so two sessions filling one entry at once store equal values; the fills
 are idempotent and the predictor is safe to share across concurrent decode
 sessions.  Its memory grows with the distinct positions and context windows it
 has served, up to :data:`WINDOW_MEMO_CAP` windows for the n-gram predictor,
-whose memo is keyed by each window's tokens packed into one bytes object, so
-a lookup hashes and compares in C.
+whose memo is keyed by each window's tokens packed into one bytes object: one
+slice of the sequence packed once per call and padded at both ends, so a
+lookup builds, hashes and compares its key in C.
 A replay predictor holds a cursor and belongs to exactly one session.
 """
 
@@ -352,8 +353,9 @@ class NGramModel:
 
 
 #: An :class:`NGramPredictor` empties its window memo when a miss finds it
-#: this full: over 2.5x the 4,500-6,300 windows one cycle of perfbench's
-#: ngram-zone fills, and about 4.5 MB at order 31 (~275 bytes per entry).
+#: this full: over 2.5x the 3,600-6,300 windows one cycle of perfbench's
+#: ngram-zone fills, and about 3.4 MB at order 31 (~205 bytes per entry as
+#: tracemalloc counts it: a 61-byte key, its value pair and its dict slot).
 WINDOW_MEMO_CAP = 1 << 14
 
 
@@ -369,45 +371,62 @@ class NGramPredictor(MaskPredictor):
     changes only the predictions at ``c - (n-1) .. c + (n-1)``.
 
     Every prediction, masked or committed, is memoised per raw window: the
-    position's offset in it and the bytes of the slots from ``n-1`` left to
-    ``n-1`` right of it, masks and its own token included, packed at one
-    fixed width per id.  Ids are below the vocabulary size, so the bytes fix
-    the window's tokens and the offset fixes which of them are left or right
-    context, also where the sequence's ends clip the window.  The memo is
+    bytes of the ``2r+1`` slots centred on the position, masks and its own
+    token included, packed at one fixed width per id, where ``r`` is
+    ``n-1`` clipped to the sequence's length.  The packed sequence is padded
+    at both ends with ``r`` slots of the id ``vocabulary.size``, which no
+    token has, so a window the sequence's ends clip carries pad slots there.
+    The key's length fixes ``r``, and the pad slots then fix the position's
+    place in the window, so the bytes alone tell which slots are left or
+    right context, also across sequences of different lengths.  The memo is
     emptied when a miss finds :data:`WINDOW_MEMO_CAP` entries in it.
     """
 
     def __init__(self, model: NGramModel):
         self.model = model
-        size = model.vocab.size
-        self._code = "B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I"
+        size = model.vocab.size  # the pad id, so it must fit the code too
+        self._code = "B" if size < 1 << 8 else "H" if size < 1 << 16 else "I"
         self._width = array(self._code).itemsize
-        self._windows: dict[tuple[int, bytes], tuple[int, float]] = {}
+        self._pad = array(self._code, [size]).tobytes()
+        self._windows: dict[bytes, tuple[int, float]] = {}
 
     @property
     def vocabulary(self) -> Vocabulary:
         return self.model.vocab
 
     def invalidated(self, state: SequenceState, committed: Collection[int]) -> list[range]:
+        """The positions within ``n-1`` of a commit, as ascending ranges that
+        neither overlap nor touch."""
         reach, L = self.model.order - 1, state.gen_budget
-        return [range(max(0, c - reach), min(L, c + reach + 1)) for c in committed]
+        out: list[range] = []
+        for c in sorted(committed):
+            lo, hi = max(0, c - reach), min(L, c + reach + 1)
+            if out and lo <= out[-1].stop:
+                out[-1] = range(out[-1].start, hi)
+            else:
+                out.append(range(lo, hi))
+        return out
 
     def predict(
         self, state: SequenceState, positions: Sequence[int]
     ) -> list[tuple[int, float]]:
         model, memo = self.model, self._windows
         tokens, mask, lp = state.tokens, state.mask_id, state.prompt_len
-        raw, w = array(self._code, tokens).tobytes(), self._width
         reach = model.order - 1
+        r = min(reach, len(tokens))  # a wider pad only repeats pad slots
+        pad, w = self._pad * r, self._width
+        packed = bytes(tokens) if w == 1 else array(self._code, tokens).tobytes()
+        # generation slot g's window starts at byte g * w of raw
+        raw, span = (pad + packed + pad)[lp * w :], (2 * r + 1) * w
         out: list[tuple[int, float]] = []
-        for g in positions:
-            pos = lp + g
-            lo = pos - reach if pos > reach else 0
-            key = (pos - lo, raw[lo * w : (pos + 1 + reach) * w])
+        for start in positions if w == 1 else [g * w for g in positions]:
+            key = raw[start : start + span]
             value = memo.get(key)
             if value is None:
                 if len(memo) >= WINDOW_MEMO_CAP:
                     memo.clear()
+                pos = lp + start // w
+                lo = pos - reach if pos > reach else 0
                 left = tuple(filter(mask.__ne__, tokens[lo:pos]))
                 right = tuple(filter(mask.__ne__, tokens[pos + 1 : pos + 1 + reach]))
                 tok = tokens[pos]

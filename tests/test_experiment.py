@@ -510,14 +510,16 @@ cache = none
 
     @pytest.mark.parametrize("jobs, tasks, workers", [
         (1, 8, 1), (2, 8, 2), (3, 2, 2), (2, 0, 1),
-        (None, 1, 1), (None, 10**6, len(os.sched_getaffinity(0))),
+        (None, 1, 1),
+        (None, 10**6, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1),
     ])
     def test_workers_per_jobs(self, jobs, tasks, workers):
         assert experiment._workers(jobs, tasks) == workers
 
     def test_default_jobs_without_sched_getaffinity(self, tmp_path, monkeypatch):
         # as on macOS and Windows: the default falls back to the CPU count
-        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert experiment._workers(None, 8) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable

@@ -23,7 +23,7 @@ from semiar.predictors import (
 )
 from semiar.seeding import unit_draw
 
-from test_predictors import distribution
+from test_predictors import distribution, window_value
 
 SETTINGS = settings(
     max_examples=150,
@@ -297,6 +297,29 @@ def _decode_concurrently(jobs):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     return results
+
+
+@pytest.mark.parametrize("budgets", [(4, 40, 4), (40, 4, 40)])
+def test_one_ngram_predictor_serves_sequences_either_side_of_its_reach(budgets):
+    # order - 1 = 9 lies between the two sequence lengths, so the short
+    # sequence's windows are clipped to it and the long one's are not
+    corpus = " ".join(["a b c d e f g", "b c a"] * 4)
+    shared = build_ngram(corpus, order=10, smoothing_k=0.01)
+    prompt = shared.model.corpus_ids[:1]
+    for L in budgets:
+        cfg = DecodeConfig(gen_budget=L, max_steps=2 * L, b0=4, tau=0.9)
+        got = decode(shared, cfg, prompt)
+        want = decode(build_ngram(corpus, order=10, smoothing_k=0.01), cfg, prompt)
+        assert got.final_tokens == want.final_tokens
+        assert got.trace == want.trace
+        # every value computed equals the one the step's tokens give unmemoised
+        m, lp = shared.vocabulary.mask_id, len(prompt)
+        for rec in got.trace.steps:
+            tokens = list(got.final_tokens)
+            for g in rec.masked_before:
+                tokens[lp + g] = m
+            assert list(zip(rec.predicted, rec.confidence)) == [
+                window_value(shared.model, tokens, lp + g) for g in rec.computed]
 
 
 def test_shared_predictors_decode_like_sequential_ones():

@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -23,6 +24,7 @@ from semiar.decoder import decode
 from semiar.predictors import (
     MaskPredictor,
     NGramModel,
+    NGramPredictor,
     PredictorError,
     ReplayExhausted,
     SyntheticFieldParams,
@@ -282,14 +284,17 @@ class TestNGram:
             build_ngram("a b", order=0, smoothing_k=0.01)
 
     @pytest.mark.parametrize("order", [1, 2, 5])
-    def test_invalidated_is_order_minus_one_around_each_commit(self, order):
+    @pytest.mark.parametrize("committed", [[3, 10], [10, 3, 5], [4, 7], [11, 4], [6]])
+    def test_invalidated_is_order_minus_one_around_each_commit(self, order, committed):
         pred = build_ngram("a b c", order=order, smoothing_k=0.01)
         state = gen_state(pred, 12, committed=3)
-        apply_sample(state, pred.denoise(state, range(12)), [3, 10])
-        assert pred.invalidated(state, [3, 10]) == [
-            range(max(0, 4 - order), min(12, 3 + order)),
-            range(11 - order, min(12, 10 + order)),
-        ]
+        apply_sample(state, pred.denoise(state, range(12)), sorted(committed))
+        ranges = pred.invalidated(state, committed)
+        near = {g for g in range(12) for c in committed if abs(g - c) <= order - 1}
+        assert set().union(*ranges) == near
+        # ascending, and no two overlap or touch
+        assert all(r.start < r.stop for r in ranges)
+        assert all(a.stop < b.start for a, b in zip(ranges, ranges[1:]))
 
     def test_raw_window_memo_hit_equals_best_token_on_the_committed_contexts(self):
         pred = build_ngram(" ".join(["a b c d e"] * 6), order=3, smoothing_k=0.01)
@@ -333,8 +338,64 @@ class TestNGram:
         expected = [window_value(model, ids, 1 + g) for g in positions]
         assert pred.predict(state, positions) == expected
         assert pred.predict(state, positions[::-1]) == expected[::-1]
-        raws = [raw for _, raw in pred._windows]
-        assert len(set(raws)) < len(raws)  # the offsets alone tell some keys apart
+        keys = {}  # the one key each slot fills in a fresh predictor
+        for g in positions:
+            fresh = NGramPredictor(model)
+            fresh.predict(state, [g])
+            (keys[g],) = fresh._windows
+        assert set(pred._windows) == set(keys.values())
+        reach = model.order - 1
+        slots = 2 * min(reach, len(ids)) + 1
+        assert {len(key) for key in keys.values()} == {slots * pred._width}
+        clipped = {g: (ids[max(0, 1 + g - reach) : 2 + g + reach], min(1 + g, reach))
+                   for g in positions}
+        pairs = [(g, h) for g in positions for h in positions
+                 if clipped[g][0] == clipped[h][0] and clipped[g][1] != clipped[h][1]]
+        assert pairs  # equal clipped bytes at different offsets
+        assert all(keys[g] != keys[h] for g, h in pairs)
+
+    @pytest.mark.parametrize("regular, code", [(253, "B"), (254, "H")])
+    def test_vocabulary_at_the_one_byte_edge_keeps_a_free_pad_id(self, regular, code):
+        # with the mask and end tokens the vocabulary holds 255 or 256 ids;
+        # the pad id is the size, so only 255 ids leave it one byte
+        words = [f"w{i}" for i in range(regular)]
+        pred = build_ngram(" ".join(words * 2), order=3, smoothing_k=0.01)
+        model, vocab = pred.model, pred.vocabulary
+        assert vocab.size == regular + 2 and pred._code == code
+        m, top = vocab.mask_id, vocab.size - 1
+        seqs = [
+            (top, m, 0, top, m, m, regular - 1, m, top),
+            (m, top, 0, m, 1, top, m, top, 0),
+            (0, m, m, m, m, m, m, m, top),
+        ]
+        for tokens in seqs:
+            state = SequenceState(tokens=tokens, prompt_len=1, gen_budget=8, mask_id=m)
+            expected = [window_value(model, tokens, 1 + g) for g in range(8)]
+            assert pred.predict(state, range(8)) == expected
+            assert pred.predict(state, range(8)) == expected
+            assert NGramPredictor(model).predict(state, range(8)) == expected
+
+    @pytest.mark.parametrize("char_mode", [False, True])
+    def test_huge_order_predicts_like_the_whole_corpus_order(self, char_mode):
+        tokens = list("abcabdcab") if char_mode else "a b c a b d c a b".split()
+        text = ("" if char_mode else " ").join(tokens)
+        huge = build_ngram(text, 10**9, 0.01, char_mode=char_mode)
+        whole = build_ngram(text, len(tokens), 0.01, char_mode=char_mode)
+        vocab = huge.vocabulary
+        a, b, c = (vocab.id_of(t) for t in "abc")
+        m = vocab.mask_id
+        for ids in [(a, m, c, m, b), (a, b, m, m, m, c, a, m, b), (m,)]:
+            state = SequenceState(tokens=ids, prompt_len=0, gen_budget=len(ids), mask_id=m)
+            positions = range(len(ids))
+            tracemalloc.start()
+            try:
+                got = huge.predict(state, positions)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20  # nothing sized by the order
+            assert got == whole.predict(state, positions)
+            assert got == [window_value(whole.model, ids, pos) for pos in positions]
 
     def test_order_one_reads_only_the_own_token(self):
         pred = build_ngram("a b b c c c", order=1, smoothing_k=0.5)

@@ -37,7 +37,7 @@ from operator import lt
 from typing import Collection, Iterable, Sequence
 
 from .core import SENTINEL_CONFIDENCE, PredictionFrame, Regime, SequenceState, Vocabulary
-from .seeding import unit_draw
+from .seeding import stream, unit_draw
 from . import tracefile
 
 
@@ -148,19 +148,20 @@ class SyntheticFieldParams:
 
 
 _FILLER_COUNT = 8
-# predict reads these per position; on Python 3.11 each Regime.NAME read costs
-# ~150 ns (EnumType.__getattr__ puts class attribute reads on a slow path)
-_PLATEAU, _BAND, _FLOOR = Regime.PLATEAU, Regime.VOLATILITY_BAND, Regime.FLOOR
 
 
 class SyntheticPredictor(MaskPredictor):
     """Generates the three-regime confidence landscape by construction.
 
-    Plateau and floor confidences depend only on (noise seed, position), so
-    each is computed once per instance and memoised; band draws stay keyed by
-    (position, frontier) and are drawn afresh.  A commit therefore changes
-    only the committed positions and, when it moves the frontier, the stretch
-    from the old frontier to the later of the two band ends.
+    Confidences are blake2b draws from three streams of the noise seed
+    (:func:`~semiar.seeding.stream`, equal to :func:`~semiar.seeding.unit_draw`
+    bit for bit): ``plateau`` and ``floor`` keyed by position, ``band`` by
+    (position, frontier).  Plateau and floor confidences thus depend only on
+    the position, so each is drawn once per instance and memoised; band
+    draws are drawn afresh.  A commit therefore changes only the committed
+    positions and, when it moves the frontier, the stretch from the old
+    frontier to the later of the two band ends.  A predictor pickles as its
+    ``params``, and its copy starts with empty memos.
     """
 
     def __init__(self, params: SyntheticFieldParams):
@@ -171,6 +172,16 @@ class SyntheticPredictor(MaskPredictor):
         self._filler_ids = tuple(self._vocab.id_of(f) for f in fillers)
         self._plateau: dict[int, float] = {}
         self._floor: dict[int, float] = {}
+        # the tags stay plain strings: a draw hashes str(tag), and
+        # str(Regime.PLATEAU) is 'Regime.PLATEAU', so a member would move every draw
+        seed = params.noise_seed
+        self._plateau_draw = stream(seed, "plateau")
+        self._floor_draw = stream(seed, "floor")
+        self._band_draw = stream(seed, "band", 2)
+
+    def __reduce__(self):
+        # a stream holds a hash state, which does not pickle; the memos are exact
+        return type(self), (self.params,)
 
     @property
     def vocabulary(self) -> Vocabulary:
@@ -198,56 +209,21 @@ class SyntheticPredictor(MaskPredictor):
         return max(1, p.vb_width_mean + offset)
 
     def regime_of(self, gen_pos: int, frontier: int) -> Regime:
-        return _regime(gen_pos, frontier, frontier + self.band_width(frontier))
+        if gen_pos < frontier:
+            return Regime.PLATEAU
+        if gen_pos < frontier + self.band_width(frontier):
+            return Regime.VOLATILITY_BAND
+        return Regime.FLOOR
 
     # -- field values ---------------------------------------------------------
-    # The draw keys stay plain strings: unit_draw hashes str(key), and
-    # str(Regime.PLATEAU) is 'Regime.PLATEAU', so a member would move every draw.
-
-    def _plateau_conf(self, gen_pos: int) -> float:
-        conf = self._plateau.get(gen_pos)
-        if conf is None:
-            p = self.params
-            u = unit_draw(p.noise_seed, "plateau", gen_pos)
-            conf = self._plateau[gen_pos] = p.plateau_level + u * (1.0 - p.plateau_level)
-        return conf
-
-    def _floor_conf(self, gen_pos: int) -> float:
-        conf = self._floor.get(gen_pos)
-        if conf is None:
-            u = unit_draw(self.params.noise_seed, "floor", gen_pos)
-            conf = self._floor[gen_pos] = self.params.floor_level * (0.5 + 0.5 * u)
-        return conf
-
-    def _band_conf(self, gen_pos: int, frontier: int) -> float:
-        # fresh draw per (position, frontier): the frontier advances every
-        # sampling step, so the band fluctuates in time and space
-        p = self.params
-        u = unit_draw(p.noise_seed, "band", gen_pos, frontier)
-        return p.vb_low + u * (p.vb_high - p.vb_low)
-
-    def _confidence(self, gen_pos: int, frontier: int, regime: Regime) -> float:
-        if regime is _PLATEAU:
-            return self._plateau_conf(gen_pos)
-        if regime is _BAND:
-            return self._band_conf(gen_pos, frontier)
-        return self._floor_conf(gen_pos)
-
-    def _token(self, gen_pos: int, regime: Regime) -> int:
-        period = self.params.delimiter_period
-        if period > 0 and gen_pos % period == period - 1:
-            return self._delimiter_id
-        if regime is _FLOOR:
-            return self._vocab.eos_id
-        return self._filler_ids[gen_pos % _FILLER_COUNT]
 
     def invalidated(self, state: SequenceState, committed: Collection[int]) -> list[range]:
         # a masked prediction reads only its position and the frontier, which
         # never moves back; jitter can shrink the band, hence the max
         out = [range(c, c + 1) for c in committed]
-        L, unmasked = state.gen_budget, state.unmasked
-        old = self.frontier(unmasked - len(committed), L)
-        new = self.frontier(unmasked, L)
+        L, unmasked, rate = state.gen_budget, state.unmasked, self.params.plateau_rate
+        old = min(L, math.floor(rate * (unmasked - len(committed))))
+        new = min(L, math.floor(rate * unmasked))
         if new != old:
             end = max(old + self.band_width(old), new + self.band_width(new))
             out.append(range(old, min(L, end)))
@@ -256,28 +232,39 @@ class SyntheticPredictor(MaskPredictor):
     def predict(
         self, state: SequenceState, positions: Sequence[int]
     ) -> list[tuple[int, float]]:
+        p = self.params
         tokens, mask, lp = state.tokens, state.mask_id, state.prompt_len
         frontier = self.frontier(state.unmasked, state.gen_budget)
         band_end = frontier + self.band_width(frontier)
+        plateau, floor, band_draw = self._plateau, self._floor, self._band_draw
+        period, fillers, eos = p.delimiter_period, self._filler_ids, self._vocab.eos_id
+        vb_low, vb_high = p.vb_low, p.vb_high
         out: list[tuple[int, float]] = []
         for gen in positions:
             tok = tokens[lp + gen]
-            if tok != mask:
-                # committed tokens keep reading as themselves, scored high
-                out.append((tok, self._plateau_conf(gen)))
+            if tok != mask or gen < frontier:
+                # the plateau, where committed tokens keep reading as themselves
+                conf = plateau.get(gen)
+                if conf is None:
+                    u = self._plateau_draw(gen)
+                    conf = plateau[gen] = p.plateau_level + u * (1.0 - p.plateau_level)
+                if tok != mask:
+                    out.append((tok, conf))
+                    continue
+            elif gen < band_end:
+                # fresh draw per (position, frontier): the frontier advances every
+                # sampling step, so the band fluctuates in time and space
+                conf = vb_low + band_draw(gen, frontier) * (vb_high - vb_low)
             else:
-                regime = _regime(gen, frontier, band_end)
-                out.append((self._token(gen, regime),
-                            self._confidence(gen, frontier, regime)))
+                conf = floor.get(gen)
+                if conf is None:
+                    u = self._floor_draw(gen)
+                    conf = floor[gen] = p.floor_level * (0.5 + 0.5 * u)
+            if period > 0 and gen % period == period - 1:
+                out.append((self._delimiter_id, conf))
+            else:
+                out.append((fillers[gen % _FILLER_COUNT] if gen < band_end else eos, conf))
         return out
-
-
-def _regime(gen_pos: int, frontier: int, band_end: int) -> Regime:
-    if gen_pos < frontier:
-        return _PLATEAU
-    if gen_pos < band_end:
-        return _BAND
-    return _FLOOR
 
 
 def build_synthetic(params: SyntheticFieldParams) -> SyntheticPredictor:

@@ -5,6 +5,7 @@ that a long-lived instance, whose memo spans every example, answers exactly
 like a fresh instance and like a reference that recomputes everything.
 """
 
+import pickle
 import sys
 import threading
 from collections import Counter
@@ -240,6 +241,21 @@ def test_synthetic_predict_matches_the_per_position_methods(long_lived, params, 
         expected = reference_synthetic_predict(build_synthetic(params), state, positions)
         assert fresh.predict(state, positions) == expected
         assert shared.predict(state, positions) == expected
+
+
+@SETTINGS
+@given(params=st.sampled_from(FIXED_FIELDS) | random_fields, data=st.data())
+def test_pickled_synthetic_predicts_like_the_original(params, data):
+    fresh = build_synthetic(params)
+    used = build_synthetic(params)
+    vocab = fresh.vocabulary
+    for _ in range(data.draw(st.integers(1, 3))):
+        state, positions = data.draw(masked_states(vocab.size, vocab.mask_id))
+        expected = used.predict(state, positions)
+        for pred in (fresh, used):
+            copy = pickle.loads(pickle.dumps(pred))
+            assert type(copy) is type(pred) and copy.params == params
+            assert copy.predict(state, positions) == expected
 
 
 # ---------------------------------------------------------------------------

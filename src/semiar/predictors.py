@@ -6,8 +6,8 @@ Three backends share one interface:
   landscape (high plateau behind the decode frontier, a volatility band at
   it, a low floor beyond) for tests that need ground truth.
 * :class:`NGramPredictor` scores masked positions from bidirectional add-k
-  count tables built over a small corpus, so confidence actually depends on
-  nearby committed context.
+  counts read from one sorted index of a small corpus, so confidence actually
+  depends on nearby committed context.
 * :class:`TraceReplayPredictor` serves prediction frames recorded in a trace
   file, one denoise call per recorded step.
 
@@ -18,10 +18,10 @@ position or context window, per instance.  A memo entry is computed from those
 alone, so two sessions filling one entry at once store equal values; the fills
 are idempotent and the predictor is safe to share across concurrent decode
 sessions.  Its memory grows with the distinct positions and context windows it
-has served, up to :data:`WINDOW_MEMO_CAP` windows for the n-gram predictor,
-whose memo is keyed by each window's tokens packed into one bytes object: one
-slice of the sequence packed once per call and padded at both ends, so a
-lookup builds, hashes and compares its key in C.
+has served, up to :data:`WINDOW_MEMO_CAP` windows and as many contexts' counts
+for the n-gram predictor, whose window memo is keyed by each window's tokens
+packed into one bytes object: one slice of the sequence packed once per call
+and padded at both ends, so a lookup builds, hashes and compares its key in C.
 A replay predictor holds a cursor and belongs to exactly one session.
 """
 
@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter, defaultdict
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from itertools import islice
 from operator import lt
@@ -275,33 +277,45 @@ def build_synthetic(params: SyntheticFieldParams) -> SyntheticPredictor:
 # Bidirectional n-gram predictor
 # ---------------------------------------------------------------------------
 
-#: Counts of the tokens filling a slot after one context, and their add-k
+#: Counts of the tokens filling a slot next to one context, and their add-k
 #: denominator ``total + k * candidates``.
 ContextCounts = tuple[Counter, float]
 
 
 @dataclass
 class NGramModel:
-    """Add-k smoothed count tables over left and right contexts of length < n.
+    """Add-k smoothed counts over left and right contexts of length < n.
 
-    ``left`` maps every context of fewer than ``order`` tokens that
-    immediately precedes a corpus slot, the empty one included, to the counts
-    of the tokens filling those slots and their add-k denominator; ``right``
-    does the same for the tokens immediately following a slot, stored in
-    sentence order.  A context's length is part of its key, so one dict holds
-    every length of a side.  The tables never change after construction.
+    The ``len(corpus_ids) + 1`` corpus slots, the end one included, are sorted
+    by the at most ``order - 1`` ids that start at each, so the slots where a
+    context occurs form one run.  A left context counts the token after each,
+    a right one (in sentence order) the token before, inside the corpus only:
+    the empty context counts every token.  Counts are memoised per model for
+    up to :data:`WINDOW_MEMO_CAP` contexts.
     """
 
     order: int
     smoothing_k: float
     vocab: Vocabulary
-    left: dict[tuple[int, ...], ContextCounts]
-    right: dict[tuple[int, ...], ContextCounts]
-    corpus_ids: tuple[int, ...] = ()
+    corpus_ids: tuple[int, ...]
 
     def __post_init__(self) -> None:
         self._candidates = self.vocab.size - 1  # every token except the mask
-        self._unseen: ContextCounts = (Counter(), self.smoothing_k * self._candidates)
+        ids, reach = self.corpus_ids, self.order - 1
+        extra = self.smoothing_k * self._candidates
+        index = sorted(range(len(ids) + 1), key=lambda i: ids[i : i + reach])
+
+        # over locals, not self: no cycle keeps a dropped model and its memo alive
+        def counts(ctx: tuple[int, ...], right: bool) -> ContextCounts:
+            n = len(ctx)
+            def key(i): return ids[i : i + n]
+            # a context of more than ``reach`` ids lies beyond the model: an empty run
+            lo = bisect_left(index, ctx, key=key) if n <= reach else len(index)
+            run = index[lo : bisect_right(index, ctx, lo, key=key)]
+            found = Counter([ids[i - 1] for i in run if i] if right
+                            else [ids[i + n] for i in run if i + n < len(ids)])
+            return found, sum(found.values()) + extra
+        self._counts = lru_cache(WINDOW_MEMO_CAP)(counts)
 
     def _prob(self, side: ContextCounts, token: int) -> float:
         counts, denom = side
@@ -309,26 +323,22 @@ class NGramModel:
             return 1.0 / self._candidates
         return (counts.get(token, 0) + self.smoothing_k) / denom
 
-    def _sides(
-        self, left_ctx: tuple[int, ...], right_ctx: tuple[int, ...]
-    ) -> tuple[ContextCounts, ContextCounts]:
-        return self.left.get(left_ctx, self._unseen), self.right.get(right_ctx, self._unseen)
-
     def _blend(self, sides: tuple[ContextCounts, ContextCounts], token: int) -> float:
         return 0.5 * self._prob(sides[0], token) + 0.5 * self._prob(sides[1], token)
 
     def blended(
         self, left_ctx: tuple[int, ...], right_ctx: tuple[int, ...], token: int
     ) -> float:
-        return self._blend(self._sides(left_ctx, right_ctx), token)
+        sides = self._counts(left_ctx, False), self._counts(right_ctx, True)
+        return self._blend(sides, token)
 
     def best_token(
         self, left_ctx: tuple[int, ...], right_ctx: tuple[int, ...]
     ) -> tuple[int, float]:
         """Argmax of the blended distribution, lowest token id on ties."""
-        # Every token unobserved in both context tables sits at the same
+        # Every token unobserved next to both contexts sits at the same
         # smoothing baseline, so the lowest of them stands for all of them.
-        sides = self._sides(left_ctx, right_ctx)
+        sides = self._counts(left_ctx, False), self._counts(right_ctx, True)
         (counts_l, _), (counts_r, _) = sides
         mask = self.vocab.mask_id
         tokens = (counts_l.keys() | counts_r.keys()) - {mask}
@@ -433,7 +443,7 @@ def ngram_option_error(name: str, value: float) -> str | None:
 def build_ngram(
     corpus: str, order: int, smoothing_k: float, char_mode: bool = False
 ) -> NGramPredictor:
-    """Train the bidirectional count tables from a plain-text corpus."""
+    """Index a plain-text corpus for the bidirectional n-gram model."""
     for name, value in (("order", order), ("smoothing_k", smoothing_k)):
         if why := ngram_option_error(name, value):
             raise ValueError(f"{name} {why}")
@@ -449,21 +459,7 @@ def build_ngram(
             f"at token index {seq.index(vocab.mask_id)}"
         )
 
-    left: defaultdict[tuple[int, ...], Counter] = defaultdict(Counter)
-    right: defaultdict[tuple[int, ...], Counter] = defaultdict(Counter)
-    for p, tok in enumerate(seq):
-        for k in range(min(order, p + 1)):
-            left[seq[p - k : p]][tok] += 1
-        for k in range(min(order, len(seq) - p)):
-            right[seq[p + 1 : p + 1 + k]][tok] += 1
-
-    extra = smoothing_k * (vocab.size - 1)
-
-    def with_denoms(table):
-        return {ctx: (counts, sum(counts.values()) + extra) for ctx, counts in table.items()}
-
-    model = NGramModel(order=order, smoothing_k=smoothing_k, vocab=vocab,
-                       left=with_denoms(left), right=with_denoms(right), corpus_ids=seq)
+    model = NGramModel(order=order, smoothing_k=smoothing_k, vocab=vocab, corpus_ids=seq)
     return NGramPredictor(model)
 
 

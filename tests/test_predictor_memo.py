@@ -147,8 +147,8 @@ def test_ngram_predict_matches_the_loop_reference(long_lived, corpus, order, k, 
 
 def test_ngram_memo_is_emptied_at_its_cap(monkeypatch):
     """A miss that finds the memo full empties it first, so the memo never
-    outgrows the cap, and decodes across the clears equal decodes by fresh
-    predictors that never clear."""
+    outgrows the cap, nor does the model's count memo, and decodes across the
+    clears equal decodes by fresh predictors that never clear."""
     corpus = " . ".join(["a b c d e", "f g h i j", "k l m n o"] * 6)
     cfg = DecodeConfig(gen_budget=24, max_steps=24, b0=8)
     ids = build_ngram(corpus, order=3, smoothing_k=0.01).model.corpus_ids
@@ -159,12 +159,13 @@ def test_ngram_memo_is_emptied_at_its_cap(monkeypatch):
     cap = 16
     monkeypatch.setattr(predictors, "WINDOW_MEMO_CAP", cap)
     shared = build_ngram(corpus, order=3, smoothing_k=0.01)
-    sizes = []
+    sizes, counted = [], []
     predict = shared.predict
 
     def watched(state, positions):
         out = predict(state, positions)
         sizes.append(len(shared._windows))
+        counted.append(shared.model._counts.cache_info().currsize)
         return out
 
     shared.predict = watched
@@ -174,6 +175,7 @@ def test_ngram_memo_is_emptied_at_its_cap(monkeypatch):
         assert got.trace == want.trace
     assert max(sizes) <= cap
     assert any(after < before for before, after in zip(sizes, sizes[1:]))
+    assert max(counted) == cap  # the context counts fill up to the cap, no further
 
 
 # ---------------------------------------------------------------------------

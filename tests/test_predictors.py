@@ -1,6 +1,7 @@
 """Predictor backends: synthetic field geometry, n-gram scoring, trace replay."""
 
 import json
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -265,11 +266,36 @@ class TestNGram:
         model = build_ngram(text, order, k, char_mode=char_mode).model
         ids = [model.vocab.id_of(t) for t in tokens]
         assert model.corpus_ids == tuple(ids)
-        left, right = brute_force_tables(ids, order, k, model.vocab.size - 1)
-        assert model.left == left and model.right == right
+        candidates = model.vocab.size - 1
+        for right, table in zip((False, True), brute_force_tables(ids, order, k, candidates)):
+            for ctx, want in table.items():
+                assert model._counts(ctx, right) == want
+            # the corpus never holds the mask, and `order` ids are beyond the model
+            unseen = (Counter(), k * candidates)
+            assert model._counts((model.vocab.mask_id,), right) == unseen
+            if len(ids) >= order:
+                assert model._counts(tuple(ids[:order]), right) == unseen
         huge = build_ngram(text, 10**9, k, char_mode=char_mode).model
         whole = build_ngram(text, len(tokens), k, char_mode=char_mode).model
-        assert (huge.left, huge.right) == (whole.left, whole.right)
+        for right, table in zip((False, True), brute_force_tables(ids, len(tokens), k, candidates)):
+            for ctx in table:
+                assert huge._counts(ctx, right) == whole._counts(ctx, right)
+
+    def test_random_corpus_at_order_31_builds_small_and_fast(self):
+        # few long repeats: nearly every context of 2 to 30 ids occurs once
+        rng = random.Random(60)
+        corpus = " ".join(f"t{rng.randrange(50)}" for _ in range(2000))
+        start = time.process_time()
+        build_ngram(corpus, 31, 0.01)
+        elapsed = time.process_time() - start
+        tracemalloc.start()
+        try:
+            build_ngram(corpus, 31, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.2
+        assert peak < 8 << 20
 
     def test_huge_order_builds_in_time_bounded_by_the_corpus(self):
         corpus = ZONE_CORPUS.read_text(encoding="utf-8")

@@ -10,7 +10,6 @@ from .core import (
     Vocabulary,
     apply_sample,
     init_state,
-    load_config,
 )
 from .decoder import DecodeResult, decode, evaluation_scope
 from .metrics import FailureReport, failure_rates, segment_regimes, vb_width_series
@@ -55,7 +54,6 @@ __all__ = [
     "fixed_block_length",
     "init_state",
     "linear_sample",
-    "load_config",
     "load_trace_predictor",
     "segment_regimes",
     "threshold_sample",

@@ -204,27 +204,37 @@ def apply_sample(
     return state
 
 
-#: The range rule of each checked DecodeConfig field, in checking order: a
-#: test the value passes, and what it must be otherwise.
-_FIELD_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
-    "tau": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-    "tau_d": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-    "b0": (lambda v: v >= 1, "must be >= 1"),
-    "gen_budget": (lambda v: v >= 1, "must be >= 1"),
-    "max_steps": (lambda v: v >= 1, "must be >= 1"),
-    "window_fraction": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-    "sampler": (SAMPLERS.__contains__, f"must be one of {SAMPLERS}"),
-    "scheduler": (SCHEDULERS.__contains__, f"must be one of {SCHEDULERS}"),
-    "cache": (CACHES.__contains__, f"must be one of {CACHES}"),
-    "linear_steps": (lambda v: v is None or v >= 1, "must be >= 1"),
+_INTEGER = (lambda v: type(v) is int, "must be an integer")
+_NUMBER = (lambda v: type(v) is int or type(v) is float, "must be a number")
+_STRING = (lambda v: type(v) is str, "must be a string")
+_UNIT = (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
+_POSITIVE = (lambda v: v >= 1, "must be >= 1")
+
+#: The rules of each checked DecodeConfig field, in checking order: tests the
+#: value passes, each with what the value must be otherwise.  The type rule
+#: comes first, so a range test sees only values of its type; a bool is
+#: neither an integer nor a number here.
+_FIELD_RULES: dict[str, tuple[tuple[Callable[[Any], bool], str], ...]] = {
+    "tau": (_NUMBER, _UNIT),
+    "tau_d": (_NUMBER, _UNIT),
+    "b0": (_INTEGER, _POSITIVE),
+    "gen_budget": (_INTEGER, _POSITIVE),
+    "max_steps": (_INTEGER, _POSITIVE),
+    "window_fraction": (_NUMBER, _UNIT),
+    "sampler": (_STRING, (SAMPLERS.__contains__, f"must be one of {SAMPLERS}")),
+    "scheduler": (_STRING, (SCHEDULERS.__contains__, f"must be one of {SCHEDULERS}")),
+    "cache": (_STRING, (CACHES.__contains__, f"must be one of {CACHES}")),
+    "linear_steps": ((lambda v: v is None or type(v) is int, "must be an integer"),
+                     (lambda v: v is None or v >= 1, "must be >= 1")),
+    "seed": (_INTEGER,),
+    "delimiters": ((lambda v: all(type(d) is int for d in v), "must hold only integers"),),
 }
 
 
 def config_value_error(key: str, value: Any) -> str | None:
-    """Why ``value`` is out of range for the :class:`DecodeConfig` field
-    ``key``, or None when it is in range."""
-    rule = _FIELD_RULES.get(key)
-    return None if rule is None or rule[0](value) else rule[1]
+    """Why ``value`` is of the wrong type or out of range for the
+    :class:`DecodeConfig` field ``key``, or None when it passes every rule."""
+    return next((why for test, why in _FIELD_RULES.get(key, ()) if not test(value)), None)
 
 
 @dataclass(frozen=True)
@@ -253,11 +263,6 @@ class DecodeConfig:
             if why := config_value_error(key, getattr(self, key)):
                 raise ValueError(f"{key} {why}")
 
-    def validate_against(self, vocab: Vocabulary) -> None:
-        """Check vocabulary-dependent constraints on the delimiter set."""
-        if why := delimiter_error(self.delimiters, vocab):
-            raise ValueError(why)
-
 
 def delimiter_error(delimiters: Iterable[int], vocab: Vocabulary) -> str | None:
     """Why ``delimiters`` cannot end blocks over ``vocab``, or None when they can."""
@@ -269,22 +274,11 @@ def delimiter_error(delimiters: Iterable[int], vocab: Vocabulary) -> str | None:
     return None
 
 
-# The one DecodeConfig codec: field types drive the text and the JSON forms.
+# The one DecodeConfig codec: field types drive a spec cell's text values and
+# a trace header's JSON.
 _FIELD_TYPES = get_type_hints(DecodeConfig)
-#: The DecodeConfig fields without a default, which every config text must set.
+#: The DecodeConfig fields without a default, which every spec cell must set.
 REQUIRED_CONFIG_KEYS = ("gen_budget", "max_steps")
-
-
-def _parse(tp: Any, raw: str) -> Any:
-    args = get_args(tp)
-    if type(None) in args:  # X | None: "none" or an empty value means None
-        if raw.lower() in ("", "none"):
-            return None
-        (inner,) = (a for a in args if a is not type(None))
-        return _parse(inner, raw)
-    if get_origin(tp) is frozenset:
-        return frozenset(_parse(args[0], tok) for tok in raw.replace(",", " ").split())
-    return tp(raw)
 
 
 def parse_config_value(key: str, raw: str) -> Any:
@@ -293,31 +287,13 @@ def parse_config_value(key: str, raw: str) -> Any:
     Raises ``KeyError`` for a name that is not a field and ``ValueError`` for
     a malformed value; callers name the key.
     """
-    return _parse(_FIELD_TYPES[key], raw.strip())
-
-
-def config_from_text(text: str) -> DecodeConfig:
-    """Parse a key=value config document (``#`` comments) into a :class:`DecodeConfig`."""
-    values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"line {lineno}: expected key = value")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _FIELD_TYPES:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        try:
-            values[key] = value = parse_config_value(key, raw)
-            if why := config_value_error(key, value):
-                raise ValueError(why)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {key}: {exc}") from None
-    missing = set(REQUIRED_CONFIG_KEYS) - values.keys()
-    if missing:
-        raise ValueError(f"missing required config keys: {sorted(missing)}")
-    return DecodeConfig(**values)
+    tp, raw = _FIELD_TYPES[key], raw.strip()
+    args = get_args(tp)
+    if type(None) in args:  # X | None: "none" or an empty value means None
+        if raw.lower() in ("", "none"):
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+    return tp(raw)
 
 
 def read_utf8(
@@ -339,10 +315,6 @@ def read_utf8(
         line = raw.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: line {line}: 'utf-8' codec can't decode byte "
                     f"{raw[exc.start]:#04x}: {exc.reason}") from None
-
-
-def load_config(path: str | Path) -> DecodeConfig:
-    return config_from_text(read_utf8(path))
 
 
 def config_to_dict(config: DecodeConfig) -> dict[str, Any]:

@@ -63,6 +63,7 @@ from .core import (
     StepRecord,
     Vocabulary,
     apply_sample,
+    delimiter_error,
     init_state,
     prompt_error,
 )
@@ -175,8 +176,8 @@ def decode(
     that case so the trace stays faithful.
     """
     vocab = predictor.vocabulary
-    config.validate_against(vocab)
-    if why := prompt_error(prompt, vocab.size, vocab.mask_id):
+    if why := (delimiter_error(config.delimiters, vocab)
+               or prompt_error(prompt, vocab.size, vocab.mask_id)):
         raise ValueError(why)
     state = init_state(prompt, config.gen_budget, vocab.mask_id)
     L = config.gen_budget

@@ -223,9 +223,9 @@ class SyntheticPredictor(MaskPredictor):
         # a masked prediction reads only its position and the frontier, which
         # never moves back; jitter can shrink the band, hence the max
         out = [range(c, c + 1) for c in committed]
-        L, unmasked, rate = state.gen_budget, state.unmasked, self.params.plateau_rate
-        old = min(L, math.floor(rate * (unmasked - len(committed))))
-        new = min(L, math.floor(rate * unmasked))
+        L = state.gen_budget
+        old = self.frontier(state.unmasked - len(committed), L)
+        new = self.frontier(state.unmasked, L)
         if new != old:
             end = max(old + self.band_width(old), new + self.band_width(new))
             out.append(range(old, min(L, end)))

@@ -14,7 +14,9 @@ The reader rejects, naming the line, a ``vocab`` that repeats a token, a
 ``step`` other than the number of step lines before it (blank lines do not
 count), a ``g`` outside ``[0, gen_budget)``, and, where present, a
 ``block_end`` outside ``(g, gen_budget]``, a ``B`` outside ``[1, gen_budget -
-g]`` or a ``cache`` that names no cache policy.  Every value of every line
+g]`` or a ``cache`` that names no cache policy, and a header ``config`` whose
+``gen_budget`` is not the header's or whose delimiters fall outside the
+header's vocabulary or name its mask.  Every value of every line
 is checked, even one that repeats the value its position already holds: a
 text the position held before was checked when it was first read, and a
 value written another way (a float token ``3.0``) is checked anew.
@@ -59,6 +61,7 @@ from .core import (
     DecodeTrace,
     StepRecord,
     Vocabulary,
+    delimiter_error,
     prompt_error,
     read_utf8,
 )
@@ -127,6 +130,8 @@ def _header_error(header: dict) -> str | None:
         return f"prompt_len {header['prompt_len']} is negative"
     if header["gen_budget"] < 1:
         return f"gen_budget {header['gen_budget']} is below 1"
+    if not isinstance(header.get("config", {}), dict | None):
+        return "config must be a JSON object"
     prompt = header.get("prompt")
     if prompt is None:
         return None
@@ -384,6 +389,11 @@ def read_trace_file(path: str | Path) -> TraceFileData:
     prompt = tuple(header["prompt"]) if header.get("prompt") is not None else None
     try:
         config = config_from_dict(header["config"]) if header.get("config") else None
+        if config is not None and config.gen_budget != header["gen_budget"]:
+            raise ValueError(f"gen_budget {config.gen_budget} is not the header's "
+                             f"{header['gen_budget']}")
+        if config is not None and (why := delimiter_error(config.delimiters, vocab)):
+            raise ValueError(why)
     except (TypeError, ValueError) as exc:
         raise bad(1, f"invalid config ({exc})") from exc
     L = header["gen_budget"]

@@ -20,27 +20,15 @@ from semiar.core import (
     Vocabulary,
     apply_sample,
     config_from_dict,
-    config_from_text,
     config_to_dict,
     init_state,
-    load_config,
     read_utf8,
 )
+from semiar.decoder import decode
 from semiar.experiment import parse_spec
+from semiar.predictors import SyntheticFieldParams, build_synthetic
 
 MASK = 9
-
-
-def config_to_text(config):
-    """A config document that sets every field, in the form config_from_text reads."""
-    def text(value):
-        if value is None:
-            return "none"
-        if isinstance(value, frozenset):
-            return ",".join(str(v) for v in sorted(value))
-        return str(value)
-
-    return "".join(f"{f.name} = {text(getattr(config, f.name))}\n" for f in fields(config))
 
 
 def frame_for(state, predicted, confidence=None):
@@ -232,48 +220,39 @@ class TestDecodeConfig:
         with pytest.raises(ValueError):
             DecodeConfig(gen_budget=8, max_steps=8, **bad)
 
-    def test_mask_delimiter_rejected(self):
-        vocab = Vocabulary.build(["a"])
-        cfg = DecodeConfig(gen_budget=8, max_steps=8, delimiters=frozenset({vocab.mask_id}))
-        with pytest.raises(ValueError):
-            cfg.validate_against(vocab)
-
-    def test_text_round_trip(self):
-        cfg = DecodeConfig(
-            gen_budget=64, max_steps=64, b0=16, sampler="linear",
-            scheduler="adaptive", cache="dual", delimiters=frozenset({3, 5}),
-            linear_steps=32, seed=99,
-        )
-        assert config_from_text(config_to_text(cfg)) == cfg
-
-    def test_parse_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown config key"):
-            config_from_text("gen_budget = 4\nmax_steps = 4\nblocksize = 2\n")
-
-    def test_parse_error_names_line_and_key(self):
-        with pytest.raises(ValueError, match=r"^line 2: b0: invalid literal for int"):
-            config_from_text("gen_budget = 4\nb0 = x\nmax_steps = 4\n")
-
     @pytest.mark.parametrize(
-        "line, message",
-        [("tau = 2", "line 3: tau: must lie in (0, 1]"),
-         ("b0 = 0", "line 3: b0: must be >= 1"),
-         ("sampler = greedy", "line 3: sampler: must be one of ('vanilla', 'linear', 'dynamic')")],
-        ids=["tau", "b0", "sampler"],
+        "bad, message",
+        [
+            (dict(b0=2.5), "b0 must be an integer"),
+            (dict(gen_budget=8.0), "gen_budget must be an integer"),
+            (dict(max_steps=True), "max_steps must be an integer"),
+            (dict(seed=1.0), "seed must be an integer"),
+            (dict(linear_steps=2.0), "linear_steps must be an integer"),
+            (dict(tau=True), "tau must be a number"),
+            (dict(tau_d="0.3"), "tau_d must be a number"),
+            (dict(window_fraction=None), "window_fraction must be a number"),
+            (dict(sampler=b"dynamic"), "sampler must be a string"),
+            (dict(scheduler=None), "scheduler must be a string"),
+            (dict(cache=0), "cache must be a string"),
+            (dict(delimiters=frozenset({"a"})), "delimiters must hold only integers"),
+            (dict(delimiters=frozenset({True})), "delimiters must hold only integers"),
+        ],
+        ids=["b0-float", "gen_budget-float", "max_steps-bool", "seed-float",
+             "linear_steps-float", "tau-bool", "tau_d-str", "window_fraction-none",
+             "sampler-bytes", "scheduler-none", "cache-int", "delimiters-str",
+             "delimiters-bool"],
     )
-    def test_range_error_names_line_and_key(self, line, message):
+    def test_wrong_types_rejected(self, bad, message):
         with pytest.raises(ValueError) as info:
-            config_from_text(f"gen_budget = 4\nmax_steps = 4\n{line}\n")
+            DecodeConfig(**{"gen_budget": 8, "max_steps": 8, **bad})
         assert str(info.value) == message
 
-    def test_parse_reports_missing_required(self):
-        with pytest.raises(ValueError, match="missing required"):
-            config_from_text("tau = 0.5\n")
-
-    def test_comments_and_blanks_ignored(self):
-        cfg = config_from_text("# hello\n\ngen_budget = 4\nmax_steps = 6 # inline\n")
-        assert cfg.gen_budget == 4
-        assert cfg.max_steps == 6
+    def test_mask_delimiter_rejected(self):
+        pred = build_synthetic(SyntheticFieldParams())
+        mask = pred.vocabulary.mask_id
+        cfg = DecodeConfig(gen_budget=8, max_steps=8, delimiters=frozenset({mask}))
+        with pytest.raises(ValueError, match="^the mask token cannot be a delimiter$"):
+            decode(pred, cfg, (0, 1))
 
 
 unit_interval = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
@@ -296,20 +275,15 @@ configs = st.builds(
 
 class TestConfigCodec:
     @given(configs)
-    def test_text_round_trip(self, cfg):
-        assert config_from_text(config_to_text(cfg)) == cfg
-
-    @given(configs)
     def test_dict_json_round_trip(self, cfg):
         assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
     @given(configs)
     def test_cell_values_parse_like_text(self, cfg):
-        # a cell takes every field's config-file text, bar the two it reserves
+        # a cell takes every field's text, bar the two it reserves
         cell = "".join(
-            line + "\n"
-            for line in config_to_text(cfg).splitlines()
-            if line.split(" = ")[0] not in ("delimiters", "seed")
+            f"{f.name} = {'none' if getattr(cfg, f.name) is None else getattr(cfg, f.name)}\n"
+            for f in fields(cfg) if f.name not in ("delimiters", "seed")
         )
         spec = parse_spec("[experiment]\n[predictor]\nkind = synthetic\n[cell c]\n" + cell)
         (parsed,) = spec.cells
@@ -339,10 +313,3 @@ class TestReadUtf8:
             as_stored = raw.count(b"\n") + 1
             with pytest.raises(ValueError, match=rf": line {as_stored}: "):
                 read_utf8(path, ValueError, newlines=False)
-
-    def test_config_file_names_path_and_line(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_bytes(b"gen_budget = 8\r\n# caf\xe9\r\nmax_steps = 8\r\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: "
-                           "'utf-8' codec can't decode byte 0xe9"):
-            load_config(path)

@@ -240,6 +240,9 @@ class TestSpecParsing:
             ("sampler = dynamic", "sampler = dynamic\ntau = 0.5,2",
              r"\[cell sweep\] tau: 2: must lie in \(0, 1\]$"),
             ("b0 = 4,8", "b0 = 4,0", r"\[cell sweep\] b0: 0: must be >= 1$"),
+            ("sampler = dynamic", "sampler = dynamic,greedy",
+             r"\[cell sweep\] sampler: greedy: must be one of "
+             r"\('vanilla', 'linear', 'dynamic'\)$"),
             ("delimiter_tokens = \\n", "delimiter_tokens = \\n [MASK]",
              r"\[cell sweep\] delimiter_tokens: the mask token cannot be a delimiter$"),
         ],
@@ -254,7 +257,7 @@ class TestSpecParsing:
              "cell-name-dotdot", "cell-name-dot", "repetitions-zero",
              "predictor-field-order", "ngram-order-zero", "ngram-smoothing-negative",
              "ngram-corpus-missing", "trace-path-missing", "trace-path-malformed",
-             "cell-swept-tau", "cell-swept-b0", "cell-delimiter-mask"],
+             "cell-swept-tau", "cell-swept-b0", "cell-swept-sampler", "cell-delimiter-mask"],
     )
     def test_malformed_spec_names_section_and_key(self, old, new, message, tmp_path):
         assert old in SPEC_TEMPLATE

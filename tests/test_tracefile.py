@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiar import tracefile
-from semiar.core import CACHES, SAMPLERS, SCHEDULERS, DecodeConfig, DecodeTrace, StepRecord
+from semiar.core import (
+    CACHES, SAMPLERS, SCHEDULERS, DecodeConfig, DecodeTrace, StepRecord, Vocabulary,
+)
 from semiar.decoder import decode
 from semiar.metrics import write_heatmap
 from semiar.predictors import (
@@ -200,6 +202,34 @@ class TestRoundTrip:
                            scheduler="adaptive", linear_steps=3)
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
+    @given(st.data())
+    def test_every_valid_config_reads_back_from_a_header(self, data):
+        """The header checks of its config reject nothing the writer writes."""
+        vocab = Vocabulary.build([f"t{i}" for i in range(data.draw(st.integers(1, 30)))])
+        unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True) | st.just(1)
+        config = data.draw(st.builds(
+            DecodeConfig,
+            gen_budget=st.integers(1, 10_000),
+            max_steps=st.integers(1, 10_000),
+            tau=unit,
+            b0=st.integers(1, 10_000),
+            tau_d=unit,
+            delimiters=st.frozensets(st.integers(0, vocab.size - 1).filter(
+                lambda d: d != vocab.mask_id), max_size=5),
+            window_fraction=unit,
+            sampler=st.sampled_from(SAMPLERS),
+            scheduler=st.sampled_from(SCHEDULERS),
+            cache=st.sampled_from(CACHES),
+            linear_steps=st.none() | st.integers(1, 10_000),
+            seed=st.integers(-(2**63), 2**64),
+        ))
+        trace = DecodeTrace(prompt_len=1, gen_budget=config.gen_budget,
+                            mask_id=vocab.mask_id, steps=())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.trace.jsonl"
+            write_trace(path, trace, vocab, prompt=(0,), config=config)
+            assert read_trace_file(path).config == config
+
 
 def _read_by_json_loop(path):
     """``read_trace_file(path)`` with every step line parsed by ``json.loads``."""
@@ -315,6 +345,22 @@ class TestValidation:
                          id="prompt-holds-mask"),
             pytest.param(_header(vocab=["a", "a", "[MASK]", "<EOS>"], mask_id=2, eos_id=3),
                          "duplicate token strings", id="vocab-repeats-token"),
+            pytest.param(_header(config=[4, 4]), "config must be a JSON object",
+                         id="config-array"),
+            pytest.param(_header(config={"gen_budget": 4, "max_steps": 4, "b0": 2.5}),
+                         r"invalid config \(b0 must be an integer\)", id="config-b0-float"),
+            pytest.param(_header(config={"gen_budget": 4, "max_steps": 4, "delimiters": ["a"]}),
+                         r"invalid config \(delimiters must hold only integers\)",
+                         id="config-delimiter-string"),
+            pytest.param(_header(config={"gen_budget": 12, "max_steps": 12}),
+                         r"invalid config \(gen_budget 12 is not the header's 4\)",
+                         id="config-gen-budget-differs"),
+            pytest.param(_header(config={"gen_budget": 4, "max_steps": 4, "delimiters": [99]}),
+                         r"invalid config \(delimiter id 99 outside the vocabulary\)",
+                         id="config-delimiter-beyond-vocab"),
+            pytest.param(_header(config={"gen_budget": 4, "max_steps": 4, "delimiters": [1]}),
+                         r"invalid config \(the mask token cannot be a delimiter\)",
+                         id="config-delimiter-is-mask"),
         ],
     )
     def test_malformed_header_names_line_1(self, header, match, tmp_path):

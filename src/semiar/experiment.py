@@ -40,6 +40,9 @@ writes its run's or its trace's files itself and returns only what the parent
 aggregates: a run's :class:`RunCounts`, never its trace or failure events, and
 a trace's ``failures.csv`` row.  The parent logs failed runs and skipped traces
 in task order, so the outputs and the log are the same at every ``jobs``.
+Each process builds an ``ngram`` or ``trace`` predictor once per :func:`run`
+call and a ``synthetic`` one per run (see :func:`_run_predictor`); the
+predictors' memos are exact, so reuse changes no output.
 """
 
 from __future__ import annotations
@@ -420,6 +423,27 @@ def write_run(
     write_summary(f"{stem}.summary.json", result, vocab)
 
 
+#: The ``ngram`` or ``trace`` predictor this process built during the
+#: :func:`run` call in progress, with the spec it was built from; None
+#: between calls, so every call reads its corpus or trace file anew.
+_reused: tuple[PredictorSpec, MaskPredictor] | None = None
+
+
+def _run_predictor(spec: PredictorSpec, run_seed: int) -> MaskPredictor:
+    """One run's predictor.  A ``synthetic`` one is built per run, since its
+    noise seed is the run seed.  The other kinds read no seed, so each is
+    built once per :func:`run` call in a process, and a ``trace`` replayer is
+    forked per run so that every run replays from the first record.  A build
+    that raises is not kept."""
+    global _reused
+    if spec.kind == "synthetic":
+        return build_predictor(spec, run_seed)
+    held = _reused
+    if held is None or held[0] != spec:
+        held = _reused = spec, build_predictor(spec, run_seed)
+    return held[1].fork() if spec.kind == "trace" else held[1]
+
+
 def _execute_run(
     spec: ExperimentSpec, cell_index: int, repetition: int
 ) -> RunOutcome:
@@ -428,7 +452,7 @@ def _execute_run(
     cell = spec.cells[cell_index]
     run_seed = mix_seed(spec.seed, cell.section_index, repetition)
     try:
-        predictor = build_predictor(spec.predictor, run_seed)
+        predictor = _run_predictor(spec.predictor, run_seed)
         config = replace(cell.config, seed=run_seed)
         prompt = resolve_prompt(spec.prompt, predictor, run_seed)
         result = decode(predictor, config, prompt)
@@ -482,14 +506,19 @@ def _map(workers: int, func: Callable[..., Any], *iterables: Iterable[Any]) -> I
 def run(spec: ExperimentSpec, jobs: int | None = None) -> tuple[list[RunOutcome], Path]:
     """Execute every cell and repetition on ``jobs`` workers (see the module
     docstring); returns outcomes and the CSV path."""
+    global _reused
     tasks = list(itertools.product(range(len(spec.cells)), range(spec.repetitions)))
     workers = _workers(jobs, len(tasks))
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     outcomes = []
-    for oc in _map(workers, partial(_execute_run, spec), *zip(*tasks)):
-        if oc.error is not None:
-            log.error("cell %s rep %d failed: %s", oc.cell.cell_id, oc.repetition, oc.error)
-        outcomes.append(oc)
+    _reused = None  # before the pool forks, so no worker inherits a stale one
+    try:
+        for oc in _map(workers, partial(_execute_run, spec), *zip(*tasks)):
+            if oc.error is not None:
+                log.error("cell %s rep %d failed: %s", oc.cell.cell_id, oc.repetition, oc.error)
+            outcomes.append(oc)
+    finally:
+        _reused = None
 
     csv_path = spec.out_dir / "aggregate.csv"
     metrics.write_csv(csv_path, AGGREGATE_COLUMNS,

@@ -14,11 +14,12 @@ Three backends share one interface:
 A predictor is deterministic given its construction arguments, the sequence
 state, and the evaluation scope.  Synthetic and n-gram predictors are pure:
 each memoises values that depend only on its construction arguments and a
-position or context window, per instance.  A memo entry is computed from those
-alone, so two sessions filling one entry at once store equal values; the fills
-are idempotent and the predictor is safe to share across concurrent decode
-sessions.  Its memory grows with the distinct positions and context windows it
-has served, up to :data:`WINDOW_MEMO_CAP` windows and as many contexts' counts
+position, a (position, frontier) pair or a context window, per instance.  A
+memo entry is computed from those alone, so two sessions filling one entry at
+once store equal values; the fills are idempotent and the predictor is safe to
+share across concurrent decode sessions, and across the decodes of a sweep.
+Its memory grows with what it has served, up to :data:`WINDOW_MEMO_CAP` band
+draws for the synthetic predictor and as many windows and contexts' counts
 for the n-gram predictor, whose window memo is keyed by each window's tokens
 packed into one bytes object: one slice of the sequence packed once per call
 and padded at both ends, so a lookup builds, hashes and compares its key in C.
@@ -107,6 +108,14 @@ class MaskPredictor:
         return frame.merge(positions, values)
 
 
+#: A :class:`SyntheticPredictor` empties its band memo, and an
+#: :class:`NGramPredictor` its window memo, when a miss finds it this full.
+#: For windows that is over 2.5x the 3,600-6,300 one cycle of perfbench's
+#: ngram-zone fills, and about 3.4 MB at order 31 (~205 bytes per entry as
+#: tracemalloc counts it: a 61-byte key, its value pair and its dict slot).
+WINDOW_MEMO_CAP = 1 << 14
+
+
 # ---------------------------------------------------------------------------
 # Synthetic confidence field
 # ---------------------------------------------------------------------------
@@ -158,12 +167,13 @@ class SyntheticPredictor(MaskPredictor):
     Confidences are blake2b draws from three streams of the noise seed
     (:func:`~semiar.seeding.stream`, equal to :func:`~semiar.seeding.unit_draw`
     bit for bit): ``plateau`` and ``floor`` keyed by position, ``band`` by
-    (position, frontier).  Plateau and floor confidences thus depend only on
-    the position, so each is drawn once per instance and memoised; band
-    draws are drawn afresh.  A commit therefore changes only the committed
-    positions and, when it moves the frontier, the stretch from the old
-    frontier to the later of the two band ends.  A predictor pickles as its
-    ``params``, and its copy starts with empty memos.
+    (position, frontier).  Each is drawn once per instance and memoised, as
+    is each frontier's band end; the band memo, the only one that grows
+    with the decode's steps, is emptied when a miss finds
+    :data:`WINDOW_MEMO_CAP` entries in it.  A commit changes only the
+    committed positions and, when it moves the frontier, the stretch from
+    the old frontier to the later of the two band ends.  A predictor pickles
+    as its ``params``, and its copy starts with empty memos.
     """
 
     def __init__(self, params: SyntheticFieldParams):
@@ -174,6 +184,8 @@ class SyntheticPredictor(MaskPredictor):
         self._filler_ids = tuple(self._vocab.id_of(f) for f in fillers)
         self._plateau: dict[int, float] = {}
         self._floor: dict[int, float] = {}
+        self._band: dict[tuple[int, int], float] = {}
+        self._band_ends: dict[int, int] = {}
         # the tags stay plain strings: a draw hashes str(tag), and
         # str(Regime.PLATEAU) is 'Regime.PLATEAU', so a member would move every draw
         seed = params.noise_seed
@@ -210,37 +222,47 @@ class SyntheticPredictor(MaskPredictor):
         offset = round((2.0 * u - 1.0) * p.vb_width_jitter)
         return max(1, p.vb_width_mean + offset)
 
+    def _band_end(self, frontier: int) -> int:
+        """The first position past the band at ``frontier``, unclipped."""
+        end = self._band_ends.get(frontier)
+        if end is None:
+            end = self._band_ends[frontier] = frontier + self.band_width(frontier)
+        return end
+
+    def _span(self, unmasked: int, gen_budget: int) -> tuple[int, int]:
+        """The frontier and band end after ``unmasked`` of ``gen_budget`` commits."""
+        frontier = self.frontier(unmasked, gen_budget)
+        return frontier, self._band_end(frontier)
+
     def regime_of(self, gen_pos: int, frontier: int) -> Regime:
         if gen_pos < frontier:
             return Regime.PLATEAU
-        if gen_pos < frontier + self.band_width(frontier):
+        if gen_pos < self._band_end(frontier):
             return Regime.VOLATILITY_BAND
         return Regime.FLOOR
 
     # -- field values ---------------------------------------------------------
 
-    def invalidated(self, state: SequenceState, committed: Collection[int]) -> list[range]:
+    def invalidated(
+        self, state: SequenceState, committed: Collection[int]
+    ) -> list[Collection[int]]:
         # a masked prediction reads only its position and the frontier, which
         # never moves back; jitter can shrink the band, hence the max
-        out = [range(c, c + 1) for c in committed]
         L = state.gen_budget
-        old = self.frontier(state.unmasked - len(committed), L)
-        new = self.frontier(state.unmasked, L)
-        if new != old:
-            end = max(old + self.band_width(old), new + self.band_width(new))
-            out.append(range(old, min(L, end)))
-        return out
+        old, old_end = self._span(state.unmasked - len(committed), L)
+        new, new_end = self._span(state.unmasked, L)
+        if new == old:
+            return [committed]
+        return [committed, range(old, min(L, max(old_end, new_end)))]
 
     def predict(
         self, state: SequenceState, positions: Sequence[int]
     ) -> list[tuple[int, float]]:
         p = self.params
         tokens, mask, lp = state.tokens, state.mask_id, state.prompt_len
-        frontier = self.frontier(state.unmasked, state.gen_budget)
-        band_end = frontier + self.band_width(frontier)
-        plateau, floor, band_draw = self._plateau, self._floor, self._band_draw
+        frontier, band_end = self._span(state.unmasked, state.gen_budget)
+        plateau, floor, band = self._plateau, self._floor, self._band
         period, fillers, eos = p.delimiter_period, self._filler_ids, self._vocab.eos_id
-        vb_low, vb_high = p.vb_low, p.vb_high
         out: list[tuple[int, float]] = []
         for gen in positions:
             tok = tokens[lp + gen]
@@ -254,9 +276,14 @@ class SyntheticPredictor(MaskPredictor):
                     out.append((tok, conf))
                     continue
             elif gen < band_end:
-                # fresh draw per (position, frontier): the frontier advances every
+                # one draw per (position, frontier): the frontier advances every
                 # sampling step, so the band fluctuates in time and space
-                conf = vb_low + band_draw(gen, frontier) * (vb_high - vb_low)
+                conf = band.get((gen, frontier))
+                if conf is None:
+                    if len(band) >= WINDOW_MEMO_CAP:
+                        band.clear()
+                    u = self._band_draw(gen, frontier)
+                    conf = band[gen, frontier] = p.vb_low + u * (p.vb_high - p.vb_low)
             else:
                 conf = floor.get(gen)
                 if conf is None:
@@ -347,13 +374,6 @@ class NGramModel:
         probs = {tok: self._blend(sides, tok) for tok in sorted(tokens)}
         best = max(probs, key=probs.__getitem__)  # the first, so the lowest, on ties
         return best, probs[best]
-
-
-#: An :class:`NGramPredictor` empties its window memo when a miss finds it
-#: this full: over 2.5x the 3,600-6,300 windows one cycle of perfbench's
-#: ngram-zone fills, and about 3.4 MB at order 31 (~205 bytes per entry as
-#: tracemalloc counts it: a 61-byte key, its value pair and its dict slot).
-WINDOW_MEMO_CAP = 1 << 14
 
 
 class NGramPredictor(MaskPredictor):

@@ -18,7 +18,7 @@ import pytest
 from semiar import cli, experiment, metrics
 from semiar.core import DecodeConfig
 from semiar.decoder import decode
-from semiar.predictors import SyntheticFieldParams, build_synthetic
+from semiar.predictors import SyntheticFieldParams, build_ngram, build_synthetic
 from semiar.seeding import mix_seed
 from semiar.tracefile import read_trace_file, write_trace
 
@@ -530,6 +530,129 @@ cache = none
         out = tmp_path / "out"
         assert cli.main(["run", "--spec", str(write_spec(tmp_path)), "--out", str(out)]) == 0
         assert cli.main(["analyze", "--traces", str(out)]) == 0
+
+
+def reuse_spec(kind, tmp_path, corpus=ZONE_CORPUS):
+    """A 2-cell, 3-repetition spec over a ``kind`` predictor.  A ``trace`` one
+    replays a recorded decode whose config the first cell repeats."""
+    if kind == "trace":
+        pred = build_synthetic(SyntheticFieldParams(noise_seed=3, vb_high=0.92))
+        cfg = DecodeConfig(gen_budget=12, max_steps=12, b0=4, tau=0.5, sampler="dynamic")
+        result = decode(pred, cfg, (0, 1))
+        path = tmp_path / "recorded.trace.jsonl"
+        write_trace(path, result.trace, pred.vocabulary, prompt=(0, 1), config=cfg)
+        options, prompt = f"kind = trace\npath = {path}", "literal:0 1"
+    elif kind == "ngram":
+        options, prompt = f"kind = ngram\ncorpus = {corpus}\norder = 5", "corpus:3"
+    else:
+        options, prompt = SYNTHETIC_OPTIONS, "literal:0 1"
+    return f"""
+[experiment]
+seed = 11
+repetitions = 3
+prompt = {prompt}
+
+[predictor]
+{options}
+
+[cell c]
+gen_budget = 12
+max_steps = 12
+b0 = 4
+tau = 0.5
+sampler = dynamic
+cache = none,prefix
+"""
+
+
+def counting_builds(monkeypatch):
+    """The seeds ``experiment.build_predictor`` is called with from now on."""
+    seeds = []
+    build = experiment.build_predictor
+
+    def counted(spec, seed):
+        seeds.append(seed)
+        return build(spec, seed)
+
+    monkeypatch.setattr(experiment, "build_predictor", counted)
+    return seeds
+
+
+class TestPredictorReuse:
+    """``run`` builds an ``ngram`` or ``trace`` predictor once per call in a
+    process, and a ``synthetic`` one per run."""
+
+    @pytest.mark.parametrize("kind", ["synthetic", "ngram", "trace"])
+    def test_builds_per_run_call_at_one_job(self, kind, tmp_path, monkeypatch):
+        spec = experiment.load_spec(write_spec(tmp_path, reuse_spec(kind, tmp_path)),
+                                    tmp_path / "out")
+        seeds = counting_builds(monkeypatch)
+        for call in (1, 2):
+            outcomes, _ = experiment.run(spec, jobs=1)
+            assert len(outcomes) == 6 and all(oc.error is None for oc in outcomes)
+            if kind == "synthetic":  # its noise seed is the run seed
+                assert seeds[-6:] == [oc.run_seed for oc in outcomes]
+            assert len(seeds) == call * (6 if kind == "synthetic" else 1)
+        assert experiment._reused is None
+
+    def test_every_trace_rep_replays_from_the_first_record(self, tmp_path):
+        spec_path = write_spec(tmp_path, reuse_spec("trace", tmp_path))
+        recorded = (tmp_path / "recorded.trace.jsonl").read_text().splitlines()[1:]
+        trees = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            outcomes, _ = experiment.run(experiment.load_spec(spec_path, out), jobs=jobs)
+            assert all(oc.error is None for oc in outcomes)
+            trees.append(file_tree(out))
+            # the header holds each run's seed; the step lines are the recording's
+            for rep in range(3):
+                lines = trees[-1][f"c.cache=none/rep{rep:03d}.trace.jsonl"].decode()
+                assert lines.splitlines()[1:] == recorded
+        assert trees[0] == trees[1]
+
+    def test_corpus_edited_between_run_calls_is_read_anew(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b c d e f . a b c . d e f " * 4)
+        spec = experiment.load_spec(write_spec(tmp_path, reuse_spec("ngram", tmp_path, corpus)),
+                                    tmp_path / "out")
+        trees = []
+        for text in ("a b c d e f . a b c . d e f " * 4, "f e d c b a . c b a . f e d " * 4):
+            corpus.write_text(text)
+            for out in ("out", "fresh"):  # the spec parsed before the edit, and after
+                experiment.run(experiment.load_spec(tmp_path / "exp.spec", tmp_path / out)
+                               if out == "fresh" else spec, jobs=1)
+                trees.append(file_tree(tmp_path / out))
+        assert trees[0] == trees[1] != trees[2] == trees[3]
+
+    def test_failed_build_is_not_kept(self, tmp_path, monkeypatch, caplog):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b c d e f . a b c . d e f " * 4)
+        spec = experiment.load_spec(write_spec(tmp_path, reuse_spec("ngram", tmp_path, corpus)),
+                                    tmp_path / "out")
+        seeds = counting_builds(monkeypatch)
+        corpus.unlink()
+        outcomes, _ = experiment.run(spec, jobs=1)
+        assert len(seeds) == 6  # every run tries, and fails, on its own
+        errors = {oc.error for oc in outcomes}
+        assert len(errors) == 1 and str(corpus) in errors.pop()
+        assert [r.getMessage() for r in caplog.records] == [
+            f"cell {oc.cell.cell_id} rep {oc.repetition} failed: {oc.error}" for oc in outcomes]
+        corpus.write_text("a b c d e f . a b c . d e f " * 4)
+        outcomes, _ = experiment.run(spec, jobs=1)
+        assert all(oc.error is None for oc in outcomes) and len(seeds) == 7
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_ignores_a_predictor_left_from_before(self, jobs, tmp_path, monkeypatch):
+        # an equal spec's predictor over another corpus, as a forked worker
+        # would inherit it if run did not clear it first
+        spec_path = write_spec(tmp_path, reuse_spec("ngram", tmp_path))
+        spec = experiment.load_spec(spec_path, tmp_path / "clean")
+        experiment.run(spec, jobs=jobs)
+        stale = build_ngram("the the mm r0 r1 r2 " * 8, order=5, smoothing_k=0.01)
+        monkeypatch.setattr(experiment, "_reused", (spec.predictor, stale))
+        experiment.run(experiment.load_spec(spec_path, tmp_path / "out"), jobs=jobs)
+        assert file_tree(tmp_path / "out") == file_tree(tmp_path / "clean")
+        assert experiment._reused is None
 
 
 class TestAnalyze:

@@ -5,6 +5,7 @@ that a long-lived instance, whose memo spans every example, answers exactly
 like a fresh instance and like a reference that recomputes everything.
 """
 
+import itertools
 import pickle
 import sys
 import threading
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from semiar import predictors
-from semiar.core import DecodeConfig, SequenceState
+from semiar.core import CACHES, SAMPLERS, SCHEDULERS, DecodeConfig, SequenceState
 from semiar.decoder import decode
 from semiar.predictors import (
     SyntheticFieldParams,
@@ -23,6 +24,7 @@ from semiar.predictors import (
     build_synthetic,
 )
 from semiar.seeding import unit_draw
+from semiar.tracefile import write_trace
 
 from test_predictors import distribution, window_value
 
@@ -258,6 +260,82 @@ def test_pickled_synthetic_predicts_like_the_original(params, data):
             copy = pickle.loads(pickle.dumps(pred))
             assert type(copy) is type(pred) and copy.params == params
             assert copy.predict(state, positions) == expected
+
+
+# The fields of perfbench's synth-long (delimited spans) and a jittered band
+MEMO_FIELDS = (
+    SyntheticFieldParams(delimiter_period=6, vb_width_mean=1, vb_high=0.92, noise_seed=17),
+    SyntheticFieldParams(plateau_rate=0.7, vb_width_mean=3, vb_width_jitter=2, noise_seed=5),
+)
+
+
+def _served_configs(delimiter_id):
+    """Decodes under every sampler, scheduler and cache, at three budgets."""
+    return [DecodeConfig(gen_budget=L, max_steps=L, b0=b0, tau=0.8, sampler=sampler,
+                         scheduler=scheduler, cache=cache,
+                         delimiters=frozenset({delimiter_id}))
+            for L, b0 in ((40, 8), (61, 16), (24, 32))
+            for sampler, scheduler, cache in itertools.product(SAMPLERS, SCHEDULERS, CACHES)]
+
+
+def _trace_bytes(path, pred, cfg, prompt=(0, 1)):
+    result = decode(pred, cfg, prompt)
+    write_trace(path, result.trace, pred.vocabulary, prompt=prompt, config=cfg)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("cap", [None, 8], ids=["uncapped", "cap-8"])
+@pytest.mark.parametrize("params", MEMO_FIELDS, ids=["delimited", "jittered"])
+def test_long_lived_synthetic_decodes_like_fresh_ones(params, cap, monkeypatch, tmp_path):
+    """One predictor serves every config twice over; each of its traces is
+    byte-identical to a fresh predictor's, also when the band memo empties
+    mid-decode."""
+    if cap is not None:
+        monkeypatch.setattr(predictors, "WINDOW_MEMO_CAP", cap)
+    shared = build_synthetic(params)
+    configs = _served_configs(shared.delimiter_id)
+    draw, draws, sizes = shared._band_draw, [], []
+
+    def counted(*keys):
+        draws.append(keys)
+        return draw(*keys)
+
+    shared._band_draw = counted
+    predict = shared.predict
+
+    def watched(state, positions):
+        out = predict(state, positions)
+        sizes[-1].append(len(shared._band))
+        return out
+
+    shared.predict = watched
+    served = configs + configs[::-1]
+    first_pass = 0
+    for i, cfg in enumerate(served):
+        sizes.append([])
+        want = _trace_bytes(tmp_path / "fresh.trace.jsonl", build_synthetic(params), cfg)
+        assert _trace_bytes(tmp_path / "shared.trace.jsonl", shared, cfg) == want, (i, cfg)
+        if i == len(configs) - 1:
+            first_pass = len(draws)
+    assert first_pass > 0
+    if cap is None:
+        # the second pass finds every band value in the memo
+        assert len(draws) == first_pass == len(set(draws))
+    else:
+        assert max(map(max, sizes)) <= cap
+        assert any(after < before for per_decode in sizes
+                   for before, after in zip(per_decode, per_decode[1:]))
+
+
+def test_pickled_synthetic_starts_with_empty_memos(tmp_path):
+    pred = build_synthetic(MEMO_FIELDS[1])
+    cfg = _served_configs(pred.delimiter_id)[0]
+    want = _trace_bytes(tmp_path / "used.trace.jsonl", pred, cfg)
+    memos = ("_plateau", "_floor", "_band", "_band_ends")
+    assert all(getattr(pred, name) for name in memos)
+    copy = pickle.loads(pickle.dumps(pred))
+    assert [getattr(copy, name) for name in memos] == [{}] * len(memos)
+    assert _trace_bytes(tmp_path / "copy.trace.jsonl", copy, cfg) == want
 
 
 # ---------------------------------------------------------------------------

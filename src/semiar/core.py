@@ -407,6 +407,13 @@ class DecodeTrace:
                 confidence[p] = c
             yield rec, predicted, confidence
 
+    def first_minimal_step(self) -> int | None:
+        """The step of the first record read from a minimal-schema file, which
+        lacks the extended fields analysis needs; None when no record does."""
+        return next((rec.step for rec in self.steps
+                     if None in (rec.block_end, rec.sampled, rec.masked_before, rec.cache)),
+                    None)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DecodeTrace):
             return NotImplemented

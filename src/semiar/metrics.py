@@ -1,6 +1,7 @@
-"""Confidence-dynamics analysis and failure-event detection over decode traces.
+"""Confidence-dynamics analysis and failure detection over decode traces.
 
-Two failure modes of fixed-size blocking are detected per step record:
+Two failure modes of fixed-size blocking are flagged per step record; a
+report keeps only the flagged step numbers:
 
 * late decoding overhead: a masked position outside the current block already
   sits at or above the unmask threshold, so its commit is being deferred and
@@ -16,35 +17,22 @@ volatility band, or floor from the confidence snapshots alone.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import inf
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .core import SENTINEL_CONFIDENCE, DecodeTrace, Regime, StepRecord
-from .sampling import top1
-
-
-@dataclass(frozen=True)
-class LateOverheadEvent:
-    step: int
-    positions: tuple[int, ...]
-    confidences: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class PrematureEvent:
-    step: int
-    forced_pos: int
-    forced_conf: float
-    better_positions: tuple[int, ...]
-    better_confidences: tuple[float, ...]
+from .core import SENTINEL_CONFIDENCE, DecodeTrace, Regime
 
 
 @dataclass(frozen=True)
 class FailureReport:
+    """The steps of a trace flagged by each failure mode, in step order."""
+
     total_steps: int
-    late_overhead: tuple[LateOverheadEvent, ...]
-    premature: tuple[PrematureEvent, ...]
+    late_overhead: tuple[int, ...]
+    premature: tuple[int, ...]
 
     @property
     def late_overhead_steps(self) -> int:
@@ -63,62 +51,40 @@ class FailureReport:
         return self.premature_steps / self.total_steps
 
 
-def detect_late_overhead(
-    record: StepRecord, conf: Sequence[float], tau: float
-) -> LateOverheadEvent | None:
-    """Masked positions outside the block already at or above the threshold
-    in ``conf``, the dense confidence row after the record's step."""
-    start, end = record.block_start, record.block_end
-    hits = [j for j in record.masked_before if conf[j] >= tau and not start <= j < end]
-    if not hits:
-        return None
-    return LateOverheadEvent(
-        step=record.step,
-        positions=tuple(hits),
-        confidences=tuple(conf[j] for j in hits),
-    )
-
-
-def detect_premature(
-    record: StepRecord, conf: Sequence[float], tau: float
-) -> PrematureEvent | None:
-    """A sub-threshold forced commit while a strictly better position waits outside.
-
-    The forced position is :func:`~semiar.sampling.top1` over ``conf``, the
-    dense confidence row after the record's step: the sampler's own rule
-    applied to exactly what it saw.
-    """
-    start, end = record.block_start, record.block_end
-    inside = [m for m in record.masked_before if start <= m < end]
-    if not inside:
-        return None
-    top = top1(conf, inside)
-    forced_conf = conf[top]
-    if forced_conf >= tau:
-        return None
-    better = [j for j in record.masked_before if conf[j] > forced_conf and not start <= j < end]
-    if not better:
-        return None
-    return PrematureEvent(
-        step=record.step,
-        forced_pos=top,
-        forced_conf=forced_conf,
-        better_positions=tuple(better),
-        better_confidences=tuple(conf[j] for j in better),
-    )
+def _require_extended(trace: DecodeTrace) -> None:
+    """Reject a trace read from a minimal-schema file, naming its first bare step."""
+    if (step := trace.first_minimal_step()) is not None:
+        raise ValueError(f"step {step} lacks the extended per-step fields needed for analysis")
 
 
 def failure_rates(trace: DecodeTrace, tau: float) -> FailureReport:
-    """Count affected sampling steps per event family; a step may count for both."""
+    """Flag the steps of each failure mode; a step may be flagged by both.
+
+    Per record, from the dense confidence row after its step: late when the
+    most confident masked position outside the block reaches ``tau``;
+    premature when the block holds a masked position, the most confident of
+    them (the sampler's forced commit, see :func:`~semiar.sampling.top1`)
+    stays below ``tau``, and the one outside is more confident still.
+    """
     if len(trace) == 0:
         raise ValueError("cannot compute failure rates over an empty trace")
-    late, early = [], []
+    _require_extended(trace)
+    late, premature = [], []
     for rec, _, conf in trace.rows():
-        if (ev := detect_late_overhead(rec, conf, tau)) is not None:
-            late.append(ev)
-        if (ev := detect_premature(rec, conf, tau)) is not None:
-            early.append(ev)
-    return FailureReport(len(trace), tuple(late), tuple(early))
+        # a file may list the masked positions in any order, even repeated;
+        # on the ascending ones the decoder records, sorted is one linear pass
+        masked = sorted(rec.masked_before)
+        lo = bisect_left(masked, rec.block_start)
+        hi = bisect_left(masked, rec.block_end, lo)
+        outside = max(max(map(conf.__getitem__, masked[:lo]), default=-inf),
+                      max(map(conf.__getitem__, masked[hi:]), default=-inf))
+        if outside >= tau:
+            late.append(rec.step)
+        if lo < hi:
+            forced = max(map(conf.__getitem__, masked[lo:hi]))
+            if forced < tau and outside > forced:
+                premature.append(rec.step)
+    return FailureReport(len(trace), tuple(late), tuple(premature))
 
 
 #: The labelling thresholds :func:`segment_regimes`, ``experiment.analyze`` and
@@ -149,6 +115,7 @@ def segment_regimes(
     history exists.
     """
     check_regime_params(tau_hi, tau_lo, persistence_k)
+    _require_extended(trace)
 
     # Per position, the step at which its current run of snapshots reaching
     # tau_hi began, and the same for staying at or below tau_lo; ``never``
@@ -207,13 +174,13 @@ def write_step_report(
     report: FailureReport,
     widths: list[int],
 ) -> None:
-    """Per-step CSV: step, g, B, both event flags, band width.
+    """Per-step CSV: step, g, B, both failure flags, band width.
 
     ``report`` and ``widths`` come from :func:`failure_rates` and
-    :func:`vb_width_series` of ``trace``; events match records by step number.
+    :func:`vb_width_series` of ``trace``; flagged steps match records by step
+    number.
     """
-    late = {ev.step for ev in report.late_overhead}
-    premature = {ev.step for ev in report.premature}
+    late, premature = set(report.late_overhead), set(report.premature)
     write_csv(path, ["step", "g", "B", "late_overhead", "premature", "vb_width"],
               ([rec.step, rec.block_start, rec.block_end - rec.block_start,
                 int(rec.step in late), int(rec.step in premature), width]

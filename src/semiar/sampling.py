@@ -26,8 +26,9 @@ def top1(confidence: Sequence[float], positions: Iterable[int]) -> int:
     """The most confident of ``positions``, lowest index on ties.
 
     ``max`` keeps the first of equal maxima, so over ascending positions the
-    lowest index wins.  The sampler's forced commit, the adaptive scheduler's
-    delimiter and the premature-commit detector all choose by this rule.
+    lowest index wins.  The sampler's forced commit and the adaptive
+    scheduler's delimiter choose by this rule; the failure metrics need only
+    the confidence it picks, the highest, whichever way ties break.
     """
     return max(positions, key=confidence.__getitem__)
 

@@ -477,9 +477,6 @@ def trace_from_file(data: TraceFileData) -> DecodeTrace:
     Requires the extended per-step fields; files holding only the required
     schema keys carry too little to reconstruct sampling decisions.
     """
-    for rec in data.trace.steps:
-        if None in (rec.block_end, rec.sampled, rec.masked_before, rec.cache):
-            raise TraceFormatError(
-                "trace lacks the extended per-step fields needed for analysis"
-            )
+    if data.trace.first_minimal_step() is not None:
+        raise TraceFormatError("trace lacks the extended per-step fields needed for analysis")
     return data.trace

@@ -1,7 +1,8 @@
-"""Failure-event detectors and regime segmentation on constructed and live traces."""
+"""Failure detection and regime segmentation on constructed and live traces."""
 
 import csv
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,6 @@ from semiar.core import (
 from semiar.decoder import decode
 from semiar.metrics import (
     Regime,
-    detect_late_overhead,
-    detect_premature,
     failure_rates,
     segment_regimes,
     vb_width_series,
@@ -28,6 +27,7 @@ from semiar.metrics import (
     write_regime_labels,
 )
 from semiar.predictors import SyntheticFieldParams, build_ngram, build_synthetic
+from semiar.sampling import top1
 from semiar.tracefile import read_trace_file, write_trace
 
 
@@ -51,60 +51,101 @@ def record(conf, masked, block=(0, 8), sampled=(), step=0, open_=True):
     )
 
 
+def oracle_late(rec, conf, tau):
+    """Late overhead, position by position: a masked position outside the
+    block at or above the threshold in ``conf``."""
+    start, end = rec.block_start, rec.block_end
+    return any(conf[j] >= tau and not start <= j < end for j in rec.masked_before)
+
+
+def oracle_premature(rec, conf, tau):
+    """Premature commit, position by position: the block's forced top-1 is
+    below the threshold and a strictly more confident masked position waits
+    outside."""
+    start, end = rec.block_start, rec.block_end
+    inside = [m for m in rec.masked_before if start <= m < end]
+    if not inside:
+        return False
+    forced_conf = conf[top1(conf, inside)]
+    if forced_conf >= tau:
+        return False
+    return any(conf[j] > forced_conf and not start <= j < end for j in rec.masked_before)
+
+
+def oracle_flags(trace, tau):
+    """The steps each oracle flags, in step order."""
+    late, premature = [], []
+    for rec, _, conf in trace.rows():
+        if oracle_late(rec, conf, tau):
+            late.append(rec.step)
+        if oracle_premature(rec, conf, tau):
+            premature.append(rec.step)
+    return tuple(late), tuple(premature)
+
+
+def flags(rec, tau=0.9):
+    """``failure_rates``' flagged steps of the one-record trace of ``rec``."""
+    trace = DecodeTrace(prompt_len=1, gen_budget=len(rec.confidence), mask_id=MASK,
+                        steps=(rec,))
+    report = failure_rates(trace, tau)
+    assert (report.late_overhead, report.premature) == oracle_flags(trace, tau)
+    return report.late_overhead, report.premature
+
+
 class TestLateOverhead:
     def test_high_confidence_position_outside_block(self):
         conf = [0.5] * 12
         conf[9] = 0.93
         rec = record(conf, masked=range(12), block=(0, 8))
-        ev = detect_late_overhead(rec, rec.confidence, 0.9)
-        assert ev is not None and ev.positions == (9,)
-        assert ev.confidences == (0.93,)
+        assert flags(rec)[0] == (0,)
+        # position 9 alone flags the step
+        conf[9] = 0.89
+        assert flags(record(conf, masked=range(12), block=(0, 8)))[0] == ()
 
     def test_floor_outside_stays_quiet(self):
         conf = [0.5] * 8 + [0.05] * 4
         rec = record(conf, masked=range(12), block=(0, 8))
-        assert detect_late_overhead(rec, rec.confidence, 0.9) is None
+        assert flags(rec)[0] == ()
 
     def test_final_block_has_no_outside(self):
         conf = [0.99] * 8
         rec = record(conf, masked=range(8), block=(0, 8))
-        assert detect_late_overhead(rec, rec.confidence, 0.9) is None
+        assert flags(rec)[0] == ()
 
     def test_unmasked_outside_positions_ignored(self):
         conf = [0.5] * 8 + [0.99] * 4
         rec = record(conf, masked=range(8), block=(0, 8))
-        assert detect_late_overhead(rec, rec.confidence, 0.9) is None
+        assert flags(rec)[0] == ()
 
 
 class TestPremature:
     def test_forced_low_top_with_better_outside(self):
         conf = [0.4, 0.3, 0.2, 0.1] + [0.92] + [0.05] * 3
         rec = record(conf, masked=range(8), block=(0, 4))
-        ev = detect_premature(rec, rec.confidence, 0.9)
-        assert ev is not None
-        assert ev.forced_pos == 0 and ev.forced_conf == 0.4
-        assert ev.better_positions == (4,)
+        assert flags(rec)[1] == (0,)
+        # position 4 alone is more confident than the forced 0.4
+        conf[4] = 0.4
+        assert flags(record(conf, masked=range(8), block=(0, 4)))[1] == ()
 
     def test_no_event_when_top_reaches_threshold(self):
         conf = [0.95, 0.3] + [0.99] * 2
         rec = record(conf, masked=range(4), block=(0, 2))
-        assert detect_premature(rec, rec.confidence, 0.9) is None
+        assert flags(rec)[1] == ()
 
     def test_no_event_without_strictly_better_outside(self):
         conf = [0.4, 0.3] + [0.4, 0.2]
         rec = record(conf, masked=range(4), block=(0, 2))
-        assert detect_premature(rec, rec.confidence, 0.9) is None
+        assert flags(rec)[1] == ()
 
-    def test_tie_break_picks_lowest_forced_position(self):
+    def test_tied_forced_positions_flag_once(self):
         conf = [0.4, 0.4] + [0.6]
         rec = record(conf, masked=range(3), block=(0, 2))
-        ev = detect_premature(rec, rec.confidence, 0.9)
-        assert ev.forced_pos == 0
+        assert flags(rec)[1] == (0,)
 
     def test_empty_block_yields_nothing(self):
         conf = [0.4] * 4
         rec = record(conf, masked=[2, 3], block=(0, 2))
-        assert detect_premature(rec, rec.confidence, 0.9) is None
+        assert flags(rec)[1] == ()
 
 
 class TestFailureRates:
@@ -127,6 +168,24 @@ class TestFailureRates:
         report = failure_rates(trace, 0.9)
         assert report.late_overhead_steps == 1
         assert report.premature_steps == 1
+
+    def test_unsorted_and_repeated_masked_positions(self):
+        # a file may list the masked positions in any order, repeated: 3 is
+        # outside the block (0, 2) wherever it stands in the list
+        rec = replace(record([0.4, 0.2, 0.1, 0.95], masked=range(4), block=(0, 2)),
+                      masked_before=(3, 0, 3, 1))
+        assert flags(rec) == ((0,), (0,))
+
+    def test_minimal_schema_trace_names_its_step(self, tmp_path):
+        path = tmp_path / "bare.trace.jsonl"
+        path.write_text(
+            '{"vocab": ["a", "<EOS>", "[MASK]"], "mask_id": 2, "prompt_len": 1, "gen_budget": 2}\n'
+            '{"step": 0, "g": 0, "positions": [0, 1], "pred": [0, 1], "conf": [0.5, 0.2]}\n'
+        )
+        trace = read_trace_file(path).trace
+        for analysis in (lambda t: failure_rates(t, 0.9), segment_regimes):
+            with pytest.raises(ValueError, match="^step 0 lacks the extended per-step fields"):
+                analysis(trace)
 
     def test_mismatched_period_under_fixed_blocks_forces_events(self):
         pred = build_synthetic(SyntheticFieldParams(
@@ -153,6 +212,38 @@ class TestFailureRates:
             decode(pred, DecodeConfig(scheduler="adaptive", **base), (0, 1)).trace, 0.9
         )
         assert adaptive.premature_steps < fixed.premature_steps
+
+
+# the thresholds themselves, ties and the never-evaluated sentinel
+_FLAG_CONFIDENCES = st.sampled_from([SENTINEL_CONFIDENCE, 0.0, 0.3, 0.5, 0.9, 1.0])
+
+
+class TestFailureRatesMatchOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        L=st.integers(1, 8),
+        steps=st.integers(1, 6),
+        tau=st.sampled_from([0.3, 0.5, 0.9, 1.0]),
+    )
+    def test_flagged_steps_equal_position_by_position_oracle(self, data, L, steps, tau):
+        """Carry-forward traces whose records list masked positions in any
+        order, repeated or not, in the block, only outside it or nowhere."""
+        recs = []
+        for step in range(steps):
+            start = data.draw(st.integers(0, L - 1))
+            end = data.draw(st.integers(start + 1, L))
+            evaluated = tuple(sorted(data.draw(st.sets(st.integers(0, L - 1)))))
+            values = tuple(data.draw(_FLAG_CONFIDENCES) for _ in evaluated)
+            masked = tuple(data.draw(st.lists(st.integers(0, L - 1), max_size=2 * L)))
+            recs.append(StepRecord(
+                step=step, block_start=start, block_end=end, block_size=None,
+                evaluated=evaluated, predicted=(0,) * len(evaluated), confidence=values,
+                sampled=(), masked_before=masked, cache="none", computed=evaluated))
+        trace = DecodeTrace(prompt_len=0, gen_budget=L, mask_id=MASK, steps=tuple(recs))
+        report = failure_rates(trace, tau)
+        assert report.total_steps == steps
+        assert (report.late_overhead, report.premature) == oracle_flags(trace, tau)
 
 
 class TestSegmentation:

@@ -198,18 +198,14 @@ def _write_matrix(path: str | Path, width: int, rows: Iterable[str]) -> None:
         fh.writelines(rows)
 
 
-def _csv_text(value: object) -> str:
-    """The text csv writes for a non-string field: repr for floats, else str."""
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def _heatmap_rows(trace: DecodeTrace) -> Iterator[str]:
-    """Each row formats the cells its step changed; the others keep the text
-    of their value in the dense rows (see DecodeTrace.rows)."""
-    cells = [_csv_text(SENTINEL_CONFIDENCE)] * trace.gen_budget
-    for rec, _, conf in trace.rows():
-        for i in rec.computed:
-            cells[i] = _csv_text(conf[i])
+    """Each row formats the values its record holds; the other cells keep the
+    text of their value in the dense rows (see DecodeTrace.rows).  ``repr``
+    is the text csv writes for every int, bool and float."""
+    cells = [repr(SENTINEL_CONFIDENCE)] * trace.gen_budget
+    for rec in trace.steps:
+        for i, c in zip(rec.computed, rec.confidence):
+            cells[i] = repr(c)
         yield f"{rec.step},{','.join(cells)}\r\n"
 
 

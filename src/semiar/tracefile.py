@@ -27,20 +27,21 @@ raw, ends no line.
 
 The format holds no record of which values changed, and needs none: a line
 repeats every evaluated value.  Both sides recover the changes instead.  The
-writer keeps each position's formatted text and re-formats only a record's
-computed positions, read from :meth:`~semiar.core.DecodeTrace.rows`; the
-reader keeps running rows and makes each line a record of the positions whose
-value differs from them, and their values alone (see
-:class:`~semiar.core.StepRecord`), so a replay, ``analyze`` and a rewrite look
-only at those.
+writer keeps each position's formatted text and formats only a record's own
+values, those at its ``computed`` positions; the reader keeps each
+position's last ``pred`` and ``conf`` text and makes each line a record of
+the positions whose text differs, and their values alone (see
+:class:`~semiar.core.StepRecord`), so a replay, ``analyze`` and a rewrite
+look only at those.
 
-The reader works the writer's way in reverse.  When every step line has the
-writer's exact layout, it keeps each position's last ``pred`` and ``conf``
-text and parses only the texts that differ, accepting a value only in the
-one form the writer prints it.  Any other file, or any line or value that
-does not fit, is parsed in full by ``json.loads``, one line at a time, and
-that loop alone words the errors, so both paths give the same records, or
-the same error, for the same file.
+The reader works the writer's way in reverse, one step line at a time.  A
+line in the writer's exact layout is read from its text, and only the texts
+that differ are parsed, a value accepted only in the one form the writer
+prints it.  Any other line, or one holding a value that does not fit, is
+parsed by ``json.loads``, which alone words the errors, and its values are
+turned into the writer's texts.  Every line then meets the same text
+comparison, so a file gives the same records, or the same error, however
+each of its lines is read.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import compress
-from math import copysign, isfinite
+from math import isfinite
 from operator import lt, ne, or_
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -154,28 +155,6 @@ def _invalid(values: list, lo: float, hi: float, types: frozenset[type]) -> list
     return [v for v in values if type(v) not in types or not lo <= v <= hi]
 
 
-def _merge_line(
-    pred_row: list[int], conf_row: list[float], positions: list[int], pred: list[int],
-    conf: list[float],
-) -> tuple[int, ...]:
-    """Write one step line's values into the running rows and return the
-    positions whose value changed, in line order.
-
-    An equal value is no change, except a zero whose sign flipped: ``0.0 ==
-    -0.0``, yet the two print differently.  A repeated position keeps its
-    last value, as it would in :meth:`~semiar.core.PredictionFrame.merge`.
-    Most values repeat the running row's, so a plain loop that writes only
-    the changes beats C-level comparisons of the whole line.
-    """
-    changed = []
-    for p, token, c in zip(positions, pred, conf):
-        old = conf_row[p]
-        if c != old or token != pred_row[p] or not c and copysign(1.0, c) != copysign(1.0, old):
-            changed.append(p)
-            pred_row[p], conf_row[p] = token, float(c)
-    return tuple(changed)
-
-
 def _split(text: str) -> list[str]:
     """The value texts of an array's text as ``write_trace`` joins them."""
     return text.split(", ") if text else []
@@ -186,165 +165,186 @@ def _lookup(text: str, value_of: dict[str, int]) -> tuple[int, ...]:
     return tuple(map(value_of.__getitem__, _split(text)))
 
 
-def _text_records(lines: list[str], L: int, vocab: Vocabulary) -> list[StepRecord] | None:
-    """The records of step lines laid out exactly as :func:`write_trace` lays
-    them out, or None when any line or value does not fit that layout.
+def _less(
+    text: str, values: tuple[int, ...], commits: tuple[int, ...],
+) -> tuple[str, tuple[int, ...]]:
+    """``values`` less the first occurrence of each commit among them, with
+    that tuple's text.  ``text`` must be the text ``write_trace`` joins for
+    ``values``: no value text holds ", ", so in ``", {text}, "`` the first
+    ``", p, "`` is the first p."""
+    padded, kept = f", {text}, ", list(values)
+    for p in commits:
+        if p in kept:
+            kept.remove(p)
+            padded = padded.replace(f", {p}, ", ", ", 1)
+    return padded[2:-2], tuple(kept)
 
-    Each position keeps the ``pred`` and ``conf`` texts last read there, and
-    only a text that differs is parsed: a token must be the decimal text of a
-    vocabulary id, a confidence the ``repr`` of a float in ``[0, 1]``, which
-    is a JSON number.  So one text is one value, a zero's sign included, and
-    ``computed`` is what :func:`_merge_line` would make of the parsed values.
-    Positions must ascend, as every evaluation scope does, so none repeats.
-    A ``masked`` text equal to the previous line's masked positions less its
-    commits is read as that tuple; only another text is mapped value by value.
+
+def _json_line(
+    line: str, lineno: int, step: int, L: int, vocab_size: int,
+    bad: Callable[[int, str], TraceFormatError],
+) -> tuple[dict, tuple[int, ...], str, list[str]]:
+    """One step line read by ``json.loads``, each malformed value raising
+    ``bad(lineno, why)``; ``step`` is the number it must carry.  Returns the
+    object, its positions once each (a repeated one keeps its last value, as
+    in :meth:`~semiar.core.PredictionFrame.merge`) and their values as the
+    texts :func:`write_trace` prints: the ``pred`` texts joined, the ``conf``
+    texts listed.
+    """
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise bad(lineno, f"invalid JSON ({exc.msg})") from exc
+    if not isinstance(obj, dict):
+        raise bad(lineno, "step record must be a JSON object")
+    for key in _RECORD_REQUIRED:
+        if key not in obj:
+            raise bad(lineno, f"record missing key {key!r}")
+    for key in ("positions", "pred", "conf", "sampled", "masked"):
+        if key in obj and not isinstance(obj[key], list):
+            raise bad(lineno, f"{key!r} must be a JSON array")
+    positions, pred, conf = obj["positions"], obj["pred"], obj["conf"]
+    if not (len(positions) == len(pred) == len(conf)):
+        raise bad(lineno, "positions/pred/conf arrays are not index-aligned")
+    if not (type(obj["step"]) is int and type(obj["g"]) is int):
+        raise bad(lineno, "step and g must be integers")
+    if obj["step"] != step:
+        raise bad(lineno, f"step {obj['step']} should be {step}; steps count from 0")
+    g, end, size, cache = obj["g"], obj.get("block_end"), obj.get("B"), obj.get("cache")
+    if not 0 <= g < L:
+        raise bad(lineno, f"g {g} is not in [0, {L})")
+    if end is not None and not (type(end) is int and g < end <= L):
+        raise bad(lineno, f"block_end {end!r} is not an integer in ({g}, {L}]")
+    if size is not None and not (type(size) is int and 1 <= size <= L - g):
+        raise bad(lineno, f"B {size!r} is not an integer in [1, {L - g}]")
+    if cache not in (None, *CACHES):
+        raise bad(lineno, f"cache {cache!r} is not one of {', '.join(CACHES)}")
+    for key in ("positions", "sampled", "masked"):
+        if wrong := _invalid(obj.get(key, []), 0, L - 1, _INT):
+            raise bad(lineno, f"position {wrong[0]!r} is not an integer in [0, {L})")
+    if wrong := _invalid(pred, 0, vocab_size - 1, _INT):
+        raise bad(lineno, f"token {wrong[0]!r} is not an integer in [0, {vocab_size})")
+    if wrong := _invalid(conf, 0.0, 1.0, _NUMBER):
+        raise bad(lineno, f"confidence {wrong[0]!r} is not a number in [0, 1]")
+    last = {p: (str(token), repr(float(c))) for p, token, c in zip(positions, pred, conf)}
+    return (obj, tuple(last), ", ".join(token for token, _ in last.values()),
+            [c for _, c in last.values()])
+
+
+def _step_records(
+    lines: list[str], L: int, vocab: Vocabulary, bad: Callable[[int, str], TraceFormatError],
+) -> list[StepRecord]:
+    """The records of the step lines ``lines``, which start at line 2.
+
+    A line in the writer's layout is read from its text, a changed value only
+    in the form :func:`write_trace` prints it; its positions must ascend, as
+    every evaluation scope's do, so none repeats.  Any other line is read by
+    :func:`_json_line`.  Each position keeps its last ``pred`` and ``conf``
+    text, and a record holds the positions whose texts differ, a zero whose
+    sign flipped included, and their values.
     """
     fullmatch = re.compile(_WRITTEN_STEP).fullmatch
     position_of = {str(p): p for p in range(L)}
-    position_text = list(position_of)
     token_of = {str(t): t for t in range(vocab.size)}
-    # no array text holds "]", so the first value read at a position differs
+    # no value's text is "]", so the first value read at a position differs
     pred_text, conf_text = ["]"] * L, ["]"] * L
     pred_row = [vocab.mask_id] * L
-    positions_text, positions = None, ()
-    masked_before: tuple[int, ...] = ()
-    sampled: tuple[int, ...] = ()  # the previous line's commits
+    # the last positions read from a line's text, and that text
+    layout_positions, layout_text = (), ""
+    # the previous record's masked positions and commits, and the text of
+    # those positions ("]", which no array text is, after a json.loads line)
+    masked_before: tuple[int, ...] | None = ()
+    sampled: tuple[int, ...] | None = ()
+    masked_before_text = ""
     records: list[StepRecord] = []
-    try:
-        for line in lines:
-            match = fullmatch(line)
-            if match is None:
-                return None
-            step, g, evaluated, preds, confs, size, end, sampled_text, masked, cache = (
-                match.groups())
-            step, g = int(step), int(g)
-            size = None if size == "null" else int(size)
-            end = None if end == "null" else int(end)
-            if not (step == len(records) and g < L and (end is None or g < end <= L)
-                    and (size is None or 1 <= size <= L - g)):
-                return None
-            if evaluated != positions_text:
-                positions = _lookup(evaluated, position_of)
-                if not all(map(lt, positions, positions[1:])):
-                    return None
-                positions_text = evaluated
-            confs = _split(confs)
-            if len(confs) != len(positions):
-                return None
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        # read from its text when it has the writer's layout, else by json.loads
+        for written in (fullmatch(line), None):
+            if written is None:
+                obj, positions, preds, confs = _json_line(
+                    line, lineno, len(records), L, vocab.size, bad)
+                step, g, evaluated = obj["step"], obj["g"], tuple(obj["positions"])
+                end, size, cache = obj.get("block_end"), obj.get("B"), obj.get("cache")
+                sampled_now = tuple(obj["sampled"]) if "sampled" in obj else None
+                masked_now = tuple(obj["masked"]) if "masked" in obj else None
+                masked_text = "]"
+            else:
+                (step, g, evaluated_text, preds, confs, size, end, sampled_text, masked_text,
+                 cache) = written.groups()
+                try:
+                    step, g = int(step), int(g)
+                    size = None if size == "null" else int(size)
+                    end = None if end == "null" else int(end)
+                    if not (step == len(records) and g < L and (end is None or g < end <= L)
+                            and (size is None or 1 <= size <= L - g)):
+                        continue
+                    # the writer's positions and masked positions are mostly
+                    # the previous ones less their commits: one text comparison
+                    # then stands for mapping every text
+                    commits = sampled or ()
+                    if evaluated_text != layout_text:
+                        expected, positions = _less(layout_text, layout_positions, commits)
+                        if evaluated_text != expected:
+                            positions = _lookup(evaluated_text, position_of)
+                            if not all(map(lt, positions, positions[1:])):
+                                continue
+                        layout_positions, layout_text = positions, evaluated_text
+                    positions = evaluated = layout_positions
+                    confs = _split(confs)
+                    if len(confs) != len(positions):
+                        continue
+                    if masked_text == evaluated_text:
+                        masked_now = positions
+                    else:
+                        expected, masked_now = _less(masked_before_text, masked_before or (),
+                                                     commits)
+                        if masked_text != expected:
+                            masked_now = _lookup(masked_text, position_of)
+                    sampled_now = _lookup(sampled_text, position_of)
+                except (KeyError, ValueError):  # a text that does not fit, an int too long
+                    continue
             changed = map(ne, confs, map(conf_text.__getitem__, positions))
             # most lines change no token: one join then stands for every comparison
             tokens_changed = preds != ", ".join(map(pred_text.__getitem__, positions))
             if tokens_changed:
                 preds = _split(preds)
                 if len(preds) != len(positions):
-                    return None
+                    continue
                 changed = map(or_, changed, map(ne, preds, map(pred_text.__getitem__, positions)))
             changed = list(changed)
             computed = tuple(compress(positions, changed))
-            confidence = []
-            for p, text in zip(computed, compress(confs, changed)):
-                value = float(text)
-                if not (0.0 <= value <= 1.0 and repr(value) == text):
-                    return None
-                confidence.append(value)
-                conf_text[p] = text
-            if tokens_changed:
-                for p, token in zip(computed, compress(preds, changed)):
-                    pred_row[p], pred_text[p] = token_of[token], token
-            if masked == evaluated:
-                masked_before = positions
-            else:
-                # the writer's masked positions are the previous line's minus
-                # its commits, so one join stands for mapping every text
-                expected = list(masked_before)
-                for p in sampled:
-                    if p in expected:
-                        expected.remove(p)
-                masked_before = (
-                    tuple(expected)
-                    if masked == ", ".join(map(position_text.__getitem__, expected))
-                    else _lookup(masked, position_of)
-                )
-            sampled = _lookup(sampled_text, position_of)
-            records.append(
-                StepRecord(
-                    step=step,
-                    block_start=g,
-                    block_end=end,
-                    block_size=size,
-                    evaluated=positions,
-                    predicted=tuple(map(pred_row.__getitem__, computed)),
-                    confidence=tuple(confidence),
-                    sampled=sampled,
-                    masked_before=masked_before,
-                    cache=cache,
-                    computed=computed,
-                )
-            )
-    except (KeyError, ValueError):  # a position, token or confidence text that does not fit
-        return None
-    return records
-
-
-def _json_records(
-    lines: list[str], L: int, vocab: Vocabulary, bad: Callable[[int, str], TraceFormatError],
-) -> list[StepRecord]:
-    """The records of step lines parsed as JSON, whatever their layout; every
-    malformed line raises ``bad(lineno, why)``.  ``lines`` start at line 2."""
-    pred_row, conf_row = [vocab.mask_id] * L, [SENTINEL_CONFIDENCE] * L
-    records: list[StepRecord] = []
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise bad(lineno, f"invalid JSON ({exc.msg})") from exc
-        if not isinstance(obj, dict):
-            raise bad(lineno, "step record must be a JSON object")
-        for key in _RECORD_REQUIRED:
-            if key not in obj:
-                raise bad(lineno, f"record missing key {key!r}")
-        for key in ("positions", "pred", "conf", "sampled", "masked"):
-            if key in obj and not isinstance(obj[key], list):
-                raise bad(lineno, f"{key!r} must be a JSON array")
-        positions = obj["positions"]
-        pred = obj["pred"]
-        conf = obj["conf"]
-        if not (len(positions) == len(pred) == len(conf)):
-            raise bad(lineno, "positions/pred/conf arrays are not index-aligned")
-        if not (type(obj["step"]) is int and type(obj["g"]) is int):
-            raise bad(lineno, "step and g must be integers")
-        if obj["step"] != len(records):
-            raise bad(lineno, f"step {obj['step']} should be {len(records)}; steps count from 0")
-        g, end, size, cache = obj["g"], obj.get("block_end"), obj.get("B"), obj.get("cache")
-        if not 0 <= g < L:
-            raise bad(lineno, f"g {g} is not in [0, {L})")
-        if end is not None and not (type(end) is int and g < end <= L):
-            raise bad(lineno, f"block_end {end!r} is not an integer in ({g}, {L}]")
-        if size is not None and not (type(size) is int and 1 <= size <= L - g):
-            raise bad(lineno, f"B {size!r} is not an integer in [1, {L - g}]")
-        if cache not in (None, *CACHES):
-            raise bad(lineno, f"cache {cache!r} is not one of {', '.join(CACHES)}")
-        for key in ("positions", "sampled", "masked"):
-            if wrong := _invalid(obj.get(key, []), 0, L - 1, _INT):
-                raise bad(lineno, f"position {wrong[0]!r} is not an integer in [0, {L})")
-        if wrong := _invalid(pred, 0, vocab.size - 1, _INT):
-            raise bad(lineno, f"token {wrong[0]!r} is not an integer in [0, {vocab.size})")
-        if wrong := _invalid(conf, 0.0, 1.0, _NUMBER):
-            raise bad(lineno, f"confidence {wrong[0]!r} is not a number in [0, 1]")
-        computed = _merge_line(pred_row, conf_row, positions, pred, conf)
+            new_confs = list(compress(confs, changed))
+            new_preds = list(compress(preds, changed)) if tokens_changed else []
+            # every changed value is checked before any running text is written
+            try:
+                tokens = list(map(token_of.__getitem__, new_preds))
+                confidence = []
+                for text in new_confs:
+                    value = float(text)
+                    if not (0.0 <= value <= 1.0 and repr(value) == text):
+                        raise ValueError(text)
+                    confidence.append(value)
+            except (KeyError, ValueError):
+                continue
+            break
+        for p, text in zip(computed, new_confs):
+            conf_text[p] = text
+        for p, token, text in zip(computed, tokens, new_preds):
+            pred_row[p], pred_text[p] = token, text
+        masked_before, sampled, masked_before_text = masked_now, sampled_now, masked_text
         records.append(
             StepRecord(
-                step=obj["step"],
+                step=step,
                 block_start=g,
                 block_end=end,
                 block_size=size,
-                evaluated=tuple(positions),
+                evaluated=evaluated,
                 predicted=tuple(map(pred_row.__getitem__, computed)),
-                confidence=tuple(map(conf_row.__getitem__, computed)),
-                sampled=tuple(obj["sampled"]) if "sampled" in obj else None,
-                masked_before=tuple(obj["masked"]) if "masked" in obj else None,
+                confidence=tuple(confidence),
+                sampled=sampled,
+                masked_before=masked_before,
                 cache=cache,
                 computed=computed,
             )
@@ -398,9 +398,7 @@ def read_trace_file(path: str | Path) -> TraceFileData:
         raise bad(1, f"invalid config ({exc})") from exc
     L = header["gen_budget"]
 
-    records = _text_records(lines[1:], L, vocab)
-    if records is None:
-        records = _json_records(lines[1:], L, vocab, bad)
+    records = _step_records(lines[1:], L, vocab, bad)
     trace = DecodeTrace(prompt_len=header["prompt_len"], gen_budget=L,
                         mask_id=header["mask_id"], steps=tuple(records))
     return TraceFileData(vocab, trace, prompt, config)
@@ -450,10 +448,10 @@ def write_trace(
     # the text of each position's value in the dense rows (DecodeTrace.rows)
     pred_text = [_json_text(trace.mask_id)] * trace.gen_budget
     conf_text = [_json_text(SENTINEL_CONFIDENCE)] * trace.gen_budget
-    for rec, predicted, confidence in trace.rows():
-        for p in rec.computed:
-            pred_text[p] = _json_text(predicted[p])
-            conf_text[p] = _json_text(confidence[p])
+    for rec in trace.steps:
+        for p, token, c in zip(rec.computed, rec.predicted, rec.confidence):
+            pred_text[p] = _json_text(token)
+            conf_text[p] = _json_text(c)
         # json.dumps of the step's object, one value text at a time
         positions = rec.evaluated
         pred = ", ".join(map(pred_text.__getitem__, positions))

@@ -384,7 +384,7 @@ class TestRetention:
         trace = decode(pred, config, (0, 1)).trace
         path = tmp_path / "t.trace.jsonl"
         write_trace(path, trace, pred.vocabulary)
-        with mock.patch("semiar.tracefile._text_records", return_value=None):
+        with mock.patch("semiar.tracefile._WRITTEN_STEP", "(?!)"):  # every line by json.loads
             by_json = read_trace_file(path).trace
         for held in (trace, read_trace_file(path).trace, by_json):
             changed = sum(len(rec.computed) for rec in held.steps)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -99,9 +100,9 @@ class TestRoundTrip:
                                             tau, slack):
         """Replay recomputes only the positions each record changed, yet its
         trace, and every trace written without ``computed``, has the same bytes.
-        A written file is read by text comparison, into the records the JSON
-        loop reads from it, and the dense rows after every step are the same
-        in the decode, in its file and in the replay."""
+        A written file is read from its text, no line by ``json.loads``, into
+        the records ``json.loads`` reads from it, and the dense rows after
+        every step are the same in the decode, in its file and in the replay."""
         pred = self.replay_predictor(L) if kind == "replay" else self.PREDICTORS[kind]()
         vocab = pred.vocabulary
         delims = frozenset({vocab.id_of("." if kind == "ngram" else "\n")})
@@ -114,10 +115,10 @@ class TestRoundTrip:
             paths = [Path(tmp) / f"{name}.jsonl"
                      for name in ("recorded", "replayed", "evaluated", "read-evaluated")]
             write_trace(paths[0], recorded, vocab, prompt=prompt, config=config)
-            with mock.patch.object(tracefile, "_json_records",
-                                   side_effect=AssertionError("read by the JSON loop")):
+            with mock.patch.object(tracefile, "_json_line",
+                                   side_effect=AssertionError("read by json.loads")):
                 data = read_trace_file(paths[0])
-            assert _outcome(data) == _outcome(_read_by_json_loop(paths[0]))
+            assert _outcome(data) == _outcome(_read_by_json_loads(paths[0]))
             replayed = decode(TraceReplayPredictor(data), config, prompt).trace
             write_trace(paths[1], replayed, vocab, prompt=prompt, config=config)
             for path, trace in zip(paths[2:], (recorded, data.trace)):
@@ -231,9 +232,9 @@ class TestRoundTrip:
             assert read_trace_file(path).config == config
 
 
-def _read_by_json_loop(path):
+def _read_by_json_loads(path):
     """``read_trace_file(path)`` with every step line parsed by ``json.loads``."""
-    with mock.patch.object(tracefile, "_text_records", return_value=None):
+    with mock.patch.object(tracefile, "_WRITTEN_STEP", "(?!)"):
         return read_trace_file(path)
 
 
@@ -495,7 +496,11 @@ def _value(key, text):
 
 
 def _repeat_first_position(line):
-    return re.sub(r'("positions": \[)(\d+), \d+', r"\1\2, \2", line, count=1)
+    """The first position named twice, first with other values than its own."""
+    obj = json.loads(line)
+    for key, value in (("positions", obj["positions"][0]), ("pred", 0), ("conf", 0.25)):
+        obj[key].insert(0, value)
+    return json.dumps(obj)
 
 
 def _later_pred_key(line):
@@ -503,10 +508,31 @@ def _later_pred_key(line):
     return f'{line[:-1]}, "pred": [{", ".join(["0"] * count)}]}}'
 
 
+def _layout_line(step, positions, pred, conf, B=None, masked=None, sampled=()):
+    """A step line in the writer's layout, its arrays given as texts."""
+    return (f'{{"step": {step}, "g": 0, "positions": [{positions}], "pred": [{pred}], '
+            f'"conf": [{conf}], "B": {"null" if B is None else B}, "block_end": 4, '
+            f'"sampled": [{", ".join(map(str, sampled))}], '
+            f'"masked": [{positions if masked is None else masked}], "cache": "none"}}')
+
+
+def _json_linenos(path, read):
+    """What ``read(path)`` gave, as :func:`_outcome` or the error text, and
+    the numbers of the lines it read by ``json.loads``."""
+    with mock.patch.object(tracefile, "_json_line", wraps=tracefile._json_line) as parse:
+        try:
+            outcome = _outcome(read(path))
+        except TraceFormatError as exc:
+            outcome = str(exc)
+    return outcome, [call.args[1] for call in parse.call_args_list]
+
+
 class TestTwoReadPaths:
     """A line in the writer's layout whose text the text comparison will not
-    take reads exactly as the JSON loop reads it, error included."""
+    take reads exactly as ``json.loads`` reads it, error included, and the
+    lines around it are still read from their text."""
 
+    @pytest.mark.parametrize("where", ["first", "random", "consecutive", "last"])
     @pytest.mark.parametrize(
         "edit",
         [
@@ -521,44 +547,93 @@ class TestTwoReadPaths:
             pytest.param(lambda line: line + "\r", id="crlf-ending"),
         ],
     )
-    def test_json_loop_reads_what_the_text_path_refuses(self, edit, small_run, tmp_path):
+    def test_json_loads_reads_what_the_text_refuses(self, edit, where, small_run, tmp_path,
+                                                    request):
         pred, cfg, prompt, result = small_run
         path = tmp_path / "run.jsonl"
         write_trace(path, result.trace, pred.vocabulary, prompt=prompt, config=cfg)
         lines = path.read_text().split("\n")
-        edited = edit(lines[1])
-        assert edited != lines[1]
-        lines[1] = edited
+        last = len(lines) - 1  # the last step line's number; the file ends in "\n"
+        rng = random.Random(request.node.name)
+        start = {"first": 2, "random": rng.randint(3, last - 1),
+                 "consecutive": rng.randint(2, last - 1), "last": last}[where]
+        edited = [start, start + 1] if where == "consecutive" else [start]
+        for lineno in edited:
+            line = edit(lines[lineno - 1])
+            assert line != lines[lineno - 1]
+            lines[lineno - 1] = line
         path.write_text("\n".join(lines))
-        outcomes = []
-        for read in (read_trace_file, _read_by_json_loop):
-            with mock.patch.object(tracefile, "_json_records",
-                                   wraps=tracefile._json_records) as loop:
-                try:
-                    outcomes.append(_outcome(read(path)))
-                except TraceFormatError as exc:
-                    outcomes.append(str(exc))
-            assert loop.called
-        assert outcomes[0] == outcomes[1]
+        outcome, by_json = _json_linenos(path, read_trace_file)
+        json_outcome, all_by_json = _json_linenos(path, _read_by_json_loads)
+        assert outcome == json_outcome
+        if isinstance(outcome, str):  # the first line that raises ends both reads
+            assert by_json and by_json == edited[:len(by_json)]
+            assert all_by_json == list(range(2, by_json[-1] + 1))
+        else:
+            assert by_json == edited
+            assert all_by_json == list(range(2, last + 1))
 
-    @pytest.mark.parametrize("masked", ["", "9", "5, 6, 7, 8, 9"])
-    def test_masked_read_where_it_does_not_follow_the_commits(self, masked, small_run,
-                                                              tmp_path):
-        # another writer's masked array need not be the previous one less its
-        # commits; the text path still reads it, as the JSON loop does
+    def test_value_that_does_not_fit_after_one_that_does(self, tmp_path):
+        # the second changed confidence sends the line to json.loads; the
+        # first, which fits, must not be written before it is, or the line
+        # would no longer count it as changed
+        path = tmp_path / "run.jsonl"
+        path.write_text("\n".join([
+            json.dumps(_header()),
+            _layout_line(0, "0, 1", "0, 0", "0.25, 0.25", B=4),
+            _layout_line(1, "0, 1", "0, 0", "0.75, 0.50"),
+            _layout_line(2, "0, 1", "0, 0", "0.75, 0.5"),
+        ]) + "\n")
+        outcome, by_json = _json_linenos(path, read_trace_file)
+        assert by_json == [3]
+        assert outcome == _outcome(_read_by_json_loads(path))
+        assert [rec.computed for rec in read_trace_file(path).trace.steps] == [
+            (0, 1), (0, 1), ()]
+
+    def test_layout_lines_after_a_minimal_schema_line(self, tmp_path):
+        # the masked array of a layout line is first compared with the
+        # previous record's masked positions less its commits, which a
+        # minimal-schema record does not hold
+        path = tmp_path / "run.jsonl"
+        path.write_text("\n".join([
+            json.dumps(_header()),
+            json.dumps({"step": 0, "g": 0, "positions": [0, 1, 2], "pred": [0, 0, 0],
+                        "conf": [0.25, 0.5, 0.75]}),
+            _layout_line(1, "0, 1, 2", "0, 0, 0", "0.25, 0.5, 0.875", masked="1, 2",
+                         sampled=[2]),
+            _layout_line(2, "0, 1", "0, 0", "0.25, 0.5", masked="1"),
+        ]) + "\n")
+        outcome, by_json = _json_linenos(path, read_trace_file)
+        assert by_json == [2]
+        assert outcome == _outcome(_read_by_json_loads(path))
+        steps = read_trace_file(path).trace.steps
+        assert [(rec.masked_before, rec.sampled) for rec in steps] == [
+            (None, None), ((1, 2), (2,)), ((1,), ())]
+        assert [rec.computed for rec in steps] == [(0, 1, 2), (2,), ()]
+
+    @pytest.mark.parametrize("key, text", [
+        ("masked", ""), ("masked", "9"), ("masked", "5, 6, 7, 8, 9"), ("positions", "1, 3, 5"),
+    ])
+    def test_array_read_where_it_does_not_follow_the_commits(self, key, text, small_run,
+                                                             tmp_path):
+        # another writer's positions or masked array need not be the previous
+        # one less its commits; it is still read from its text, as json.loads
+        # reads it
         pred, cfg, prompt, result = small_run
         path = tmp_path / "run.jsonl"
         write_trace(path, result.trace, pred.vocabulary, prompt=prompt, config=cfg)
         lines = path.read_text().split("\n")
-        edited = re.sub(r'"masked": \[[^\]]*\]', f'"masked": [{masked}]', lines[3])
+        edited = re.sub(rf'"{key}": \[[^\]]*\]', f'"{key}": [{text}]', lines[3])
         assert edited != lines[3]
         lines[3] = edited
         path.write_text("\n".join(lines))
-        with mock.patch.object(tracefile, "_json_records",
-                               side_effect=AssertionError("read by the JSON loop")):
+        with mock.patch.object(tracefile, "_json_line",
+                               side_effect=AssertionError("read by json.loads")):
             data = read_trace_file(path)
-        assert data.trace.steps[2].masked_before == tuple(json.loads(f"[{masked}]"))
-        assert _outcome(data) == _outcome(_read_by_json_loop(path))
+        record = data.trace.steps[2]
+        assert getattr(record, "evaluated" if key == "positions" else "masked_before") == (
+            tuple(json.loads(f"[{text}]")))
+        assert _outcome(data) == _outcome(_read_by_json_loads(path))
 
     def test_commit_that_was_not_masked_is_read(self, small_run, tmp_path):
         pred, cfg, prompt, result = small_run
@@ -569,11 +644,11 @@ class TestTwoReadPaths:
         lines[2] = re.sub(r'"sampled": \[[^\]]*\]', f'"sampled": [{committed}]', lines[2])
         path.write_text("\n".join(lines))
         assert json.loads(lines[3])["masked"] != json.loads(lines[3])["positions"]
-        with mock.patch.object(tracefile, "_json_records",
-                               side_effect=AssertionError("read by the JSON loop")):
+        with mock.patch.object(tracefile, "_json_line",
+                               side_effect=AssertionError("read by json.loads")):
             data = read_trace_file(path)
         assert data.trace.steps[1].sampled == (committed,)
-        assert _outcome(data) == _outcome(_read_by_json_loop(path))
+        assert _outcome(data) == _outcome(_read_by_json_loads(path))
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
     def test_lines_end_at_newline_only(self, separator, tmp_path):

@@ -42,8 +42,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # outcomes come ordered by cell, then repetition
     for _, cell_outcomes in itertools.groupby(outcomes, key=lambda oc: oc.cell):
         print(_cell_line(list(cell_outcomes)))
-    for oc in failed:
-        print(f"FAILED {oc.cell.cell_id} rep {oc.repetition}: {oc.error}", file=sys.stderr)
+    # experiment.run has logged each failure, naming its cell and repetition
     return 1 if failed else 0
 
 

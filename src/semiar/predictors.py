@@ -18,11 +18,12 @@ position, a (position, frontier) pair or a context window, per instance.  A
 memo entry is computed from those alone, so two sessions filling one entry at
 once store equal values; the fills are idempotent and the predictor is safe to
 share across concurrent decode sessions, and across the decodes of a sweep.
-Its memory grows with what it has served, up to :data:`WINDOW_MEMO_CAP` band
-draws for the synthetic predictor and as many windows and contexts' counts
-for the n-gram predictor, whose window memo is keyed by each window's tokens
-packed into one bytes object: one slice of the sequence packed once per call
-and padded at both ends, so a lookup builds, hashes and compares its key in C.
+Its memory grows with what it has served.  The synthetic predictor's memos
+are bounded by the field over the longest budget served; the n-gram
+predictor holds up to :data:`WINDOW_MEMO_CAP` windows and as many contexts'
+counts, and its window memo is keyed by each window's tokens packed into one
+bytes object: one slice of the sequence packed once per call and padded at
+both ends, so a lookup builds, hashes and compares its key in C.
 A replay predictor holds a cursor and belongs to exactly one session.
 """
 
@@ -108,8 +109,8 @@ class MaskPredictor:
         return frame.merge(positions, values)
 
 
-#: A :class:`SyntheticPredictor` empties its band memo, and an
-#: :class:`NGramPredictor` its window memo, when a miss finds it this full.
+#: An :class:`NGramPredictor` empties its window memo when a miss finds it
+#: this full, and its model keeps this many contexts' counts.
 #: For windows that is over 2.5x the 3,600-6,300 one cycle of perfbench's
 #: ngram-zone fills, and about 3.4 MB at order 31 (~205 bytes per entry as
 #: tracemalloc counts it: a 61-byte key, its value pair and its dict slot).
@@ -167,13 +168,14 @@ class SyntheticPredictor(MaskPredictor):
     Confidences are blake2b draws from three streams of the noise seed
     (:func:`~semiar.seeding.stream`, equal to :func:`~semiar.seeding.unit_draw`
     bit for bit): ``plateau`` and ``floor`` keyed by position, ``band`` by
-    (position, frontier).  Each is drawn once per instance and memoised, as
-    is each frontier's band end; the band memo, the only one that grows
-    with the decode's steps, is emptied when a miss finds
-    :data:`WINDOW_MEMO_CAP` entries in it.  A commit changes only the
-    committed positions and, when it moves the frontier, the stretch from
-    the old frontier to the later of the two band ends.  A predictor pickles
-    as its ``params``, and its copy starts with empty memos.
+    (position, frontier).  Each is drawn once per instance and memoised by an
+    unbounded :func:`~functools.lru_cache`, which the field itself bounds: a
+    band key ``(g, f)`` has ``f <= g < f + band_width(f)``, so over budgets up
+    to ``L`` the band memo holds at most ``min(band_width(f), L - f)`` entries
+    per frontier ``f``, and the plateau and floor memos ``L`` each.  A commit
+    changes only the committed positions and, when it moves the frontier, the
+    stretch from the old frontier to the later of the two band ends.  A
+    predictor pickles as its ``params``, and its copy starts with empty memos.
     """
 
     def __init__(self, params: SyntheticFieldParams):
@@ -182,19 +184,27 @@ class SyntheticPredictor(MaskPredictor):
         self._vocab = Vocabulary.build(fillers + ["\n"])
         self._delimiter_id = self._vocab.id_of("\n")
         self._filler_ids = tuple(self._vocab.id_of(f) for f in fillers)
-        self._plateau: dict[int, float] = {}
-        self._floor: dict[int, float] = {}
-        self._band: dict[tuple[int, int], float] = {}
-        self._band_ends: dict[int, int] = {}
+        p, seed = params, params.noise_seed
         # the tags stay plain strings: a draw hashes str(tag), and
         # str(Regime.PLATEAU) is 'Regime.PLATEAU', so a member would move every draw
-        seed = params.noise_seed
-        self._plateau_draw = stream(seed, "plateau")
-        self._floor_draw = stream(seed, "floor")
-        self._band_draw = stream(seed, "band", 2)
+        plateau_draw, floor_draw = stream(seed, "plateau"), stream(seed, "floor")
+        band_draw = stream(seed, "band", 2)
+
+        # over locals, not self: no cycle keeps a dropped predictor and its memos alive
+        def plateau(gen: int) -> float:
+            return p.plateau_level + plateau_draw(gen) * (1.0 - p.plateau_level)
+
+        def floor(gen: int) -> float:
+            return p.floor_level * (0.5 + 0.5 * floor_draw(gen))
+
+        def band(gen: int, frontier: int) -> float:
+            return p.vb_low + band_draw(gen, frontier) * (p.vb_high - p.vb_low)
+
+        memo = lru_cache(maxsize=None)
+        self._plateau, self._floor, self._band = memo(plateau), memo(floor), memo(band)
 
     def __reduce__(self):
-        # a stream holds a hash state, which does not pickle; the memos are exact
+        # a stream holds a hash state, and a closure does not pickle; the memos are exact
         return type(self), (self.params,)
 
     @property
@@ -214,30 +224,22 @@ class SyntheticPredictor(MaskPredictor):
         p = self.params
         if p.delimiter_period > 0:
             # band runs to the end of the current delimiter-bounded span
-            span_end = (frontier // p.delimiter_period + 1) * p.delimiter_period - 1
-            return span_end - frontier + 1
+            return p.delimiter_period - frontier % p.delimiter_period
         if p.vb_width_jitter == 0:
             return p.vb_width_mean
         u = unit_draw(p.noise_seed, "width", frontier)
         offset = round((2.0 * u - 1.0) * p.vb_width_jitter)
         return max(1, p.vb_width_mean + offset)
 
-    def _band_end(self, frontier: int) -> int:
-        """The first position past the band at ``frontier``, unclipped."""
-        end = self._band_ends.get(frontier)
-        if end is None:
-            end = self._band_ends[frontier] = frontier + self.band_width(frontier)
-        return end
-
     def _span(self, unmasked: int, gen_budget: int) -> tuple[int, int]:
-        """The frontier and band end after ``unmasked`` of ``gen_budget`` commits."""
+        """The frontier and band end, unclipped, after ``unmasked`` of ``gen_budget`` commits."""
         frontier = self.frontier(unmasked, gen_budget)
-        return frontier, self._band_end(frontier)
+        return frontier, frontier + self.band_width(frontier)
 
     def regime_of(self, gen_pos: int, frontier: int) -> Regime:
         if gen_pos < frontier:
             return Regime.PLATEAU
-        if gen_pos < self._band_end(frontier):
+        if gen_pos < frontier + self.band_width(frontier):
             return Regime.VOLATILITY_BAND
         return Regime.FLOOR
 
@@ -258,37 +260,25 @@ class SyntheticPredictor(MaskPredictor):
     def predict(
         self, state: SequenceState, positions: Sequence[int]
     ) -> list[tuple[int, float]]:
-        p = self.params
         tokens, mask, lp = state.tokens, state.mask_id, state.prompt_len
         frontier, band_end = self._span(state.unmasked, state.gen_budget)
         plateau, floor, band = self._plateau, self._floor, self._band
-        period, fillers, eos = p.delimiter_period, self._filler_ids, self._vocab.eos_id
+        period, fillers, eos = self.params.delimiter_period, self._filler_ids, self._vocab.eos_id
         out: list[tuple[int, float]] = []
         for gen in positions:
             tok = tokens[lp + gen]
-            if tok != mask or gen < frontier:
-                # the plateau, where committed tokens keep reading as themselves
-                conf = plateau.get(gen)
-                if conf is None:
-                    u = self._plateau_draw(gen)
-                    conf = plateau[gen] = p.plateau_level + u * (1.0 - p.plateau_level)
-                if tok != mask:
-                    out.append((tok, conf))
-                    continue
+            if tok != mask:
+                # committed tokens keep reading as themselves, at the plateau
+                out.append((tok, plateau(gen)))
+                continue
+            if gen < frontier:
+                conf = plateau(gen)
             elif gen < band_end:
                 # one draw per (position, frontier): the frontier advances every
                 # sampling step, so the band fluctuates in time and space
-                conf = band.get((gen, frontier))
-                if conf is None:
-                    if len(band) >= WINDOW_MEMO_CAP:
-                        band.clear()
-                    u = self._band_draw(gen, frontier)
-                    conf = band[gen, frontier] = p.vb_low + u * (p.vb_high - p.vb_low)
+                conf = band(gen, frontier)
             else:
-                conf = floor.get(gen)
-                if conf is None:
-                    u = self._floor_draw(gen)
-                    conf = floor[gen] = p.floor_level * (0.5 + 0.5 * u)
+                conf = floor(gen)
             if period > 0 and gen % period == period - 1:
                 out.append((self._delimiter_id, conf))
             else:

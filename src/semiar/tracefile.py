@@ -180,6 +180,16 @@ def _less(
     return padded[2:-2], tuple(kept)
 
 
+def _loads(text: str, lineno: int, bad: Callable[[int, str], TraceFormatError]) -> object:
+    """``json.loads(text)``, raising ``bad(lineno, why)`` when it cannot be read."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise bad(lineno, f"invalid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:  # an int past Python's digit limit, deep nesting
+        raise bad(lineno, f"unreadable JSON ({exc})") from exc
+
+
 def _json_line(
     line: str, lineno: int, step: int, L: int, vocab_size: int,
     bad: Callable[[int, str], TraceFormatError],
@@ -191,10 +201,7 @@ def _json_line(
     texts :func:`write_trace` prints: the ``pred`` texts joined, the ``conf``
     texts listed.
     """
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise bad(lineno, f"invalid JSON ({exc.msg})") from exc
+    obj = _loads(line, lineno, bad)
     if not isinstance(obj, dict):
         raise bad(lineno, "step record must be a JSON object")
     for key in _RECORD_REQUIRED:
@@ -370,10 +377,7 @@ def read_trace_file(path: str | Path) -> TraceFileData:
     def bad(lineno: int, why: str) -> TraceFormatError:
         return TraceFormatError(f"{path}: line {lineno}: {why}")
 
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise bad(1, f"invalid JSON ({exc.msg})") from exc
+    header = _loads(lines[0], 1, bad)
     if not isinstance(header, dict):
         raise bad(1, "header must be a JSON object")
     for key in _HEADER_REQUIRED:

@@ -10,6 +10,8 @@ import os
 import pickle
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -842,6 +844,38 @@ class TestCli:
         assert cli.main(["replay", "--trace", str(trace)]) == 1
         assert "lacks the recorded config/prompt" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.replayed.*"))
+
+    def test_run_reports_each_failed_run_once(self, tmp_path):
+        # a vanilla decode needs more steps than the dynamic one recorded
+        text = f"""
+[experiment]
+repetitions = 2
+prompt = literal:0 1
+
+[predictor]
+kind = trace
+path = {self._recorded_trace(tmp_path, "dynamic")}
+
+[cell starved]
+gen_budget = 12
+max_steps = 12
+b0 = 4
+sampler = vanilla
+"""
+        out = tmp_path / "out"
+        # a process of its own, so the log lines reach stderr as a user sees them
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "semiar.cli", "run", "--spec", str(write_spec(tmp_path, text)),
+             "--out", str(out), "--jobs", "1"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout.splitlines()[0] == f"0/2 runs ok -> {out / 'aggregate.csv'}"
+        reported = [line for line in proc.stderr.splitlines() if "starved" in line]
+        assert len(reported) == 2
+        for rep, line in enumerate(reported):
+            assert line.startswith(f"ERROR cell starved rep {rep} failed: "), line
 
     def test_run_seed_override_sets_seed_column(self, tmp_path):
         out = tmp_path / "out"

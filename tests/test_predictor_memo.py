@@ -279,62 +279,48 @@ def _served_configs(delimiter_id):
 
 
 def _trace_bytes(path, pred, cfg, prompt=(0, 1)):
+    """The trace file of one decode; ``path`` should be new, as on some file
+    systems rewriting an existing file costs far more than writing a fresh one."""
     result = decode(pred, cfg, prompt)
     write_trace(path, result.trace, pred.vocabulary, prompt=prompt, config=cfg)
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("cap", [None, 8], ids=["uncapped", "cap-8"])
+def _band_bound(pred, L_max):
+    """The most band memo keys ``(g, f)``, with ``f <= g < f + band_width(f)``,
+    that budgets of at most ``L_max`` can reach."""
+    return sum(min(pred.band_width(f), L_max - f) for f in range(L_max + 1))
+
+
 @pytest.mark.parametrize("params", MEMO_FIELDS, ids=["delimited", "jittered"])
-def test_long_lived_synthetic_decodes_like_fresh_ones(params, cap, monkeypatch, tmp_path):
+def test_long_lived_synthetic_decodes_like_fresh_ones(params, tmp_path):
     """One predictor serves every config twice over; each of its traces is
-    byte-identical to a fresh predictor's, also when the band memo empties
-    mid-decode."""
-    if cap is not None:
-        monkeypatch.setattr(predictors, "WINDOW_MEMO_CAP", cap)
+    byte-identical to a fresh predictor's, and its band memo stays within
+    the field's bound."""
     shared = build_synthetic(params)
     configs = _served_configs(shared.delimiter_id)
-    draw, draws, sizes = shared._band_draw, [], []
-
-    def counted(*keys):
-        draws.append(keys)
-        return draw(*keys)
-
-    shared._band_draw = counted
-    predict = shared.predict
-
-    def watched(state, positions):
-        out = predict(state, positions)
-        sizes[-1].append(len(shared._band))
-        return out
-
-    shared.predict = watched
     served = configs + configs[::-1]
     first_pass = 0
     for i, cfg in enumerate(served):
-        sizes.append([])
-        want = _trace_bytes(tmp_path / "fresh.trace.jsonl", build_synthetic(params), cfg)
-        assert _trace_bytes(tmp_path / "shared.trace.jsonl", shared, cfg) == want, (i, cfg)
+        want = _trace_bytes(tmp_path / f"{i}.fresh.trace.jsonl", build_synthetic(params), cfg)
+        assert _trace_bytes(tmp_path / f"{i}.shared.trace.jsonl", shared, cfg) == want, (i, cfg)
         if i == len(configs) - 1:
-            first_pass = len(draws)
+            first_pass = shared._band.cache_info().misses
+    band = shared._band.cache_info()
     assert first_pass > 0
-    if cap is None:
-        # the second pass finds every band value in the memo
-        assert len(draws) == first_pass == len(set(draws))
-    else:
-        assert max(map(max, sizes)) <= cap
-        assert any(after < before for per_decode in sizes
-                   for before, after in zip(per_decode, per_decode[1:]))
+    # the second pass finds every band value in the memo
+    assert band.misses == first_pass == band.currsize
+    assert band.currsize <= _band_bound(shared, 61)  # the longest budget served
 
 
 def test_pickled_synthetic_starts_with_empty_memos(tmp_path):
     pred = build_synthetic(MEMO_FIELDS[1])
     cfg = _served_configs(pred.delimiter_id)[0]
     want = _trace_bytes(tmp_path / "used.trace.jsonl", pred, cfg)
-    memos = ("_plateau", "_floor", "_band", "_band_ends")
-    assert all(getattr(pred, name) for name in memos)
+    memos = ("_plateau", "_floor", "_band")
+    assert all(getattr(pred, name).cache_info().currsize for name in memos)
     copy = pickle.loads(pickle.dumps(pred))
-    assert [getattr(copy, name) for name in memos] == [{}] * len(memos)
+    assert [getattr(copy, name).cache_info().currsize for name in memos] == [0] * len(memos)
     assert _trace_bytes(tmp_path / "copy.trace.jsonl", copy, cfg) == want
 
 

@@ -285,6 +285,15 @@ def _on_line(lineno, edit):
     return edit
 
 
+def _raw(key, text):
+    """An edit that writes ``key`` as the JSON text ``text`` and returns the
+    line, for a value ``json.dumps`` cannot print or ``json.loads`` cannot read."""
+    def edit(obj):
+        obj[key] = 0
+        return json.dumps(obj).replace(f'"{key}": 0', f'"{key}": {text}', 1)
+    return edit
+
+
 def _header(**changes):
     """A sound header with ``changes`` applied."""
     header = {"vocab": ["a", "[MASK]", "<EOS>"], "mask_id": 1, "eos_id": 2,
@@ -362,18 +371,21 @@ class TestValidation:
             pytest.param(_header(config={"gen_budget": 4, "max_steps": 4, "delimiters": [1]}),
                          r"invalid config \(the mask token cannot be a delimiter\)",
                          id="config-delimiter-is-mask"),
+            pytest.param(_raw("prompt_len", "1" * 5000)(_header()), "integer string conversion",
+                         id="prompt-len-too-many-digits"),
         ],
     )
     def test_malformed_header_names_line_1(self, header, match, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(header) + "\n")
+        path.write_text((header if isinstance(header, str) else json.dumps(header)) + "\n")
         with pytest.raises(TraceFormatError, match=f"line 1: .*{match}"):
             read_trace_file(path)
 
     @pytest.mark.parametrize(
         "edit, match",
         [
-            pytest.param(lambda obj: obj["conf"].pop(), "index-aligned", id="misaligned"),
+            pytest.param(lambda obj: obj.update(conf=obj["conf"][:-1]), "index-aligned",
+                         id="misaligned"),
             pytest.param(_set("positions", 0, 99), "position 99", id="position-beyond-budget"),
             pytest.param(_set("positions", 0, -1), "position -1", id="position-negative"),
             pytest.param(_set("positions", 0, "3"), "position '3'", id="position-string"),
@@ -409,6 +421,10 @@ class TestValidation:
             pytest.param(_put("B", 11), "B 11", id="block-size-beyond-budget"),
             pytest.param(_put("cache", "bogus"), "cache 'bogus' is not one of none, prefix, dual",
                          id="cache-unknown"),
+            pytest.param(_raw("step", "1" * 5000), "integer string conversion",
+                         id="step-too-many-digits"),
+            pytest.param(_raw("sampled", "[" * 10**5 + "]" * 10**5), "recursion depth",
+                         id="sampled-nested-too-deep"),
         ],
     )
     def test_malformed_step_line_names_line(self, edit, match, small_run, tmp_path):
@@ -418,8 +434,7 @@ class TestValidation:
         lines = path.read_text().splitlines()
         lineno = getattr(edit, "lineno", 2)
         obj = json.loads(lines[lineno - 1])
-        edit(obj)
-        lines[lineno - 1] = json.dumps(obj)
+        lines[lineno - 1] = edit(obj) or json.dumps(obj)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceFormatError, match=f"line {lineno}: .*{match}"):
             read_trace_file(path)

@@ -3,6 +3,7 @@
 from .core import (
     DecodeConfig,
     DecodeTrace,
+    Positions,
     PredictionFrame,
     Regime,
     SequenceState,
@@ -36,6 +37,7 @@ __all__ = [
     "FailureReport",
     "MaskPredictor",
     "NGramPredictor",
+    "Positions",
     "PredictionFrame",
     "Regime",
     "SequenceState",

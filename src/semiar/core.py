@@ -7,8 +7,11 @@ absolutely, where ``g`` sits at ``tokens[prompt_len + g]``.
 
 from __future__ import annotations
 
+import operator
+from collections import abc
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import (
     Any, Callable, Collection, Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints,
@@ -337,6 +340,76 @@ def config_from_dict(data: dict[str, Any]) -> DecodeConfig:
     })
 
 
+class Positions(abc.Sequence):
+    """The positions ``head`` followed by ``range(start, stop)``, held as
+    those three values: the decoder's compact form of a step's masked
+    positions, the open block's masked ones then the all-masked tail.
+
+    It compares equal to, hashes as, iterates, indexes and slices (to a
+    tuple) like the tuple of its positions, and compares equal to another
+    value of the same positions however they are split.  Iteration runs at
+    C speed; ``head``, ``start`` and ``stop`` give its first and last
+    position and its length in O(1) without a method call.
+    """
+
+    __slots__ = ("head", "start", "stop")
+
+    head: tuple[int, ...]
+    start: int
+    stop: int
+
+    def __init__(self, head: tuple[int, ...], start: int, stop: int) -> None:
+        if stop < start:
+            raise ValueError(f"stop {stop} is below start {start}")
+        _set_head(self, head)
+        _set_start(self, start)
+        _set_stop(self, stop)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __len__(self) -> int:
+        return len(self.head) + self.stop - self.start
+
+    def __iter__(self) -> Iterator[int]:
+        return chain(self.head, range(self.start, self.stop))
+
+    def __contains__(self, value: object) -> bool:
+        return value in self.head or value in range(self.start, self.stop)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        i, n, head = operator.index(index), len(self), self.head
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("Positions index out of range")
+        return head[i] if i < len(head) else self.start + i - len(head)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is Positions:
+            if (self.head, self.start, self.stop) == (other.head, other.start, other.stop):
+                return True
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self) -> tuple:
+        return Positions, (self.head, self.start, self.stop)
+
+
+# the slots' own setters, which bypass the refusing __setattr__ at C speed
+_set_head, _set_start, _set_stop = (
+    Positions.head.__set__, Positions.start.__set__, Positions.stop.__set__)  # type: ignore[attr-defined]
+
+
 @dataclass(frozen=True)
 class StepRecord:
     """One denoise-sample cycle, as the decoder records it or a trace file holds it.
@@ -358,20 +431,24 @@ class StepRecord:
     compare without ``computed`` and their values, and traces compare their
     dense rows.
 
-    Records may share tuple objects: under the ``none`` cache a decoder
-    record's ``evaluated`` between block opens is its ``masked_before``.
-    Treat every field as a value: compare with ``==``, not ``is``.
+    A decoder record's ``masked_before``, and its ``evaluated`` under
+    ``prefix`` or between ``none`` block opens, is a :class:`Positions`, which
+    compares as the tuple of its positions, so no record holds an L-long
+    tuple of them; a record read from a file holds tuples.  Records may share
+    these values: under the ``none`` cache a decoder record's ``evaluated``
+    between block opens is its ``masked_before``.  Treat every field as a
+    value: compare with ``==``, not ``is``.
     """
 
     step: int
     block_start: int
     block_end: int | None
     block_size: int | None
-    evaluated: tuple[int, ...]
+    evaluated: tuple[int, ...] | Positions
     predicted: tuple[int, ...] = field(compare=False)
     confidence: tuple[float, ...] = field(compare=False)
     sampled: tuple[int, ...] | None
-    masked_before: tuple[int, ...] | None
+    masked_before: tuple[int, ...] | Positions | None
     cache: str | None
     computed: tuple[int, ...] = field(compare=False)
 

@@ -34,16 +34,21 @@ Each record keeps the positions its step computed
 the frame, so the trace writer re-formats only those values and a replay of
 the trace recomputes only them.
 
-No step sorts or scans the generation region, nor copies the frame or the
-tokens.  The loop keeps one frame and one sequence state, which denoise and
-:func:`~semiar.core.apply_sample` update in place, and one ascending list of
-the masked positions, the only set of them, from which it deletes each
-commit by bisection.  The step's ``masked_before`` is one tuple of that
-list; every scope, and the block's masked positions the sampler chooses
-from, is a slice of it or of the region; and ``computed`` is drawn from the
-positions invalidated since they were last computed.  What is left of O(L)
-is C-level copying: that tuple, and the n-gram predictor's encoding of the
-tokens into one bytes object per denoise call, which its memo keys slice.
+No step sorts, scans or copies the generation region, nor copies the frame
+or the tokens.  The loop keeps one frame and one sequence state, which
+denoise and :func:`~semiar.core.apply_sample` update in place.  Blocks
+advance left to right, so every position before the open block is
+committed and every one after it masked: the loop keeps only the open
+block's masked positions, one short ascending list from which it deletes
+each commit by bisection, and the sampler chooses from it.  The step's
+``masked_before`` is a :class:`~semiar.core.Positions` of that list's tuple
+and the all-masked tail (of the tail alone at a block open), so no record
+holds an L-long tuple for the cyclic garbage collector to walk.  Every
+scope is that value, a :class:`~semiar.core.Positions` from the block start
+on, the list's tuple or the cached region; and ``computed`` is drawn from
+the positions invalidated since they were last computed.  What is left of
+O(L) is the n-gram predictor's C-level encoding of the tokens into one
+bytes object per denoise call, which its memo keys slice.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from typing import Sequence
 from .core import (
     DecodeConfig,
     DecodeTrace,
+    Positions,
     PredictionFrame,
     SequenceState,
     StepRecord,
@@ -78,7 +84,8 @@ class DecodeError(RuntimeError):
 
 @lru_cache(maxsize=8)
 def _region(gen_budget: int) -> tuple[int, ...]:
-    """Every generation position, ascending: the tuple region scopes slice."""
+    """Every generation position, ascending: the block-opening scope of
+    ``none`` and ``dual``, one tuple shared by every decode of that length."""
     return tuple(range(gen_budget))
 
 
@@ -86,45 +93,55 @@ def evaluation_scope(
     policy: str,
     g: int,
     block_size: int | None,
-    masked: tuple[int, ...],
+    masked: tuple[int, ...] | Positions,
     gen_budget: int,
-) -> tuple[int, ...]:
+) -> tuple[int, ...] | Positions:
     """Generation positions one denoise call must evaluate under ``policy``,
     ascending.
 
-    ``masked`` is the ascending tuple of masked positions; under ``none`` the
-    scope between block opens is that very tuple.  ``block_size`` is None for
-    the block-opening call, whose block is not yet sized.  Every scope is a
-    run of the region or the masked positions of one, which
-    :func:`_stale_in_scope` relies on.
+    ``masked`` holds the masked positions, ascending: a tuple, or the
+    decoder's :class:`~semiar.core.Positions`, whose tail from the block end
+    on is all masked.  Under ``none`` the scope between block opens is that
+    very value.  ``block_size`` is None for the block-opening call, whose
+    block is not yet sized.  Every scope is a run of the region or the masked
+    positions of one, which :func:`_stale_in_scope` relies on.
     """
     if policy == "none":
         return _region(gen_budget) if block_size is None else masked
     if policy == "prefix":
-        return _region(gen_budget)[g:]
+        return Positions((), g, gen_budget)
     if policy == "dual":
         if block_size is None:
             return _region(gen_budget)
-        return _masked_in(masked, g, g + block_size)
+        end = g + block_size
+        if type(masked) is Positions and masked.start >= end:
+            masked = masked.head  # the tail lies past the block
+        return masked[bisect_left(masked, g) : bisect_left(masked, end)]
     raise ValueError(f"unknown cache policy {policy!r}")
 
 
-def _masked_in(masked: tuple[int, ...], start: int, end: int) -> tuple[int, ...]:
-    """The positions of the ascending ``masked`` in ``[start, end)``, as a slice."""
-    return masked[bisect_left(masked, start) : bisect_left(masked, end)]
-
-
 def _stale_in_scope(
-    stale: set[int], scope: tuple[int, ...], state: SequenceState
+    stale: set[int], scope: tuple[int, ...] | Positions, state: SequenceState
 ) -> tuple[int, ...]:
     """The ``stale`` positions in ``scope``, ascending, found without walking
     the scope: a scope with gaps holds exactly the masked positions of its
-    span, and one without holds every position of it."""
-    if not scope:
-        return ()
+    span, and one without holds every position of it.  A
+    :class:`~semiar.core.Positions` scope's span and size are read from its
+    fields."""
+    if type(scope) is Positions:
+        head, start, stop = scope.head, scope.start, scope.stop
+        size = len(head) + stop - start
+        if not size:
+            return ()
+        first = head[0] if head else start
+        last = stop - 1 if stop > start else head[-1]
+    else:
+        if not scope:
+            return ()
+        first, last, size = scope[0], scope[-1], len(scope)
     ordered = sorted(stale)
-    found = ordered[bisect_left(ordered, scope[0]) : bisect_right(ordered, scope[-1])]
-    if scope[-1] - scope[0] + 1 != len(scope):
+    found = ordered[bisect_left(ordered, first) : bisect_right(ordered, last)]
+    if last - first + 1 != size:
         tokens, lp, mask = state.tokens, state.prompt_len, state.mask_id
         return tuple([p for p in found if tokens[lp + p] == mask])
     return tuple(found)
@@ -185,14 +202,16 @@ def decode(
     frame = PredictionFrame.sentinel(L, vocab.mask_id)
     records: list[StepRecord] = []
     blocks: list[BlockDecision] = []
-    g = 0
+    g = end = 0
     B: int | None = None  # size of the open block; None until a step opens one
-    region = _region(L)
-    masked = list(region)  # the masked generation positions, ascending
-    stale = set(region)  # invalidated since last computed
+    # the open block's masked positions, ascending; every position from the
+    # block end on is masked, and every one before g committed
+    head: list[int] = []
+    stale = set(range(L))  # invalidated since last computed
 
     while g < L and len(records) < config.max_steps:
-        masked_before = tuple(masked)
+        opens = B is None
+        masked_before = Positions((), g, L) if opens else Positions(tuple(head), end, L)
         evaluated = evaluation_scope(config.cache, g, B, masked_before, L)
         computed = _stale_in_scope(stale, evaluated, state)
         try:
@@ -202,15 +221,13 @@ def decode(
                 f"predictor failed at denoise call {len(records)}: {exc}"
             ) from exc
 
-        opens = B is None
         if opens:
             decision = decide_block(frame, config, g)
             blocks.append(decision)
             B = decision.block_size
-        end = g + B
-
-        block = _masked_in(masked_before, g, end)
-        sampled = sample_step(frame, config, block)
+            end = g + B
+            head = list(range(g, end))
+        sampled = sample_step(frame, config, head)
         records.append(
             StepRecord(
                 step=len(records),
@@ -230,8 +247,8 @@ def decode(
         stale.difference_update(computed)
         stale.update(*predictor.invalidated(state, sampled))
         for p in sampled:
-            del masked[bisect_left(masked, p)]
-        if len(sampled) == len(block):  # the block holds no masks
+            del head[bisect_left(head, p)]
+        if not head:  # the block holds no masks
             g, B = end, None
             if config.cache == "prefix":  # no later scope reaches below g
                 stale = {p for p in stale if p >= g}

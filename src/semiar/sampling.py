@@ -1,7 +1,7 @@
 """Sampling strategies: vanilla top-1, linear schedule, threshold-based dynamic.
 
 Every sampler takes the open block's masked generation-relative positions,
-ascending, as the decoder slices them from its one masked list, and returns
+ascending, as the decoder keeps them in one list per block, and returns
 the positions it commits as an ascending tuple of them.  Ties in any
 confidence comparison break toward the lowest position index so the whole
 pipeline stays deterministic.

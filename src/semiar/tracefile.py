@@ -160,6 +160,24 @@ def _split(text: str) -> list[str]:
     return text.split(", ") if text else []
 
 
+class _PositionOf(dict):
+    """The position each canonical text of an int in ``[0, L)`` names, each
+    entered on its first lookup, so a read costs what the file holds and not
+    what ``L`` says; any other text raises ``KeyError``."""
+
+    def __init__(self, L: int) -> None:
+        super().__init__()
+        self.longest = len(str(L - 1))
+        self.L = L
+
+    def __missing__(self, text: str) -> int:
+        if (text.isascii() and text.isdigit() and len(text) <= self.longest
+                and (text == "0" or text[0] != "0") and int(text) < self.L):
+            self[text] = position = int(text)
+            return position
+        raise KeyError(text)
+
+
 def _lookup(text: str, value_of: dict[str, int]) -> tuple[int, ...]:
     """The values of an array's text; a text ``value_of`` lacks raises KeyError."""
     return tuple(map(value_of.__getitem__, _split(text)))
@@ -251,7 +269,7 @@ def _step_records(
     sign flipped included, and their values.
     """
     fullmatch = re.compile(_WRITTEN_STEP).fullmatch
-    position_of = {str(p): p for p in range(L)}
+    position_of = _PositionOf(L)
     token_of = {str(t): t for t in range(vocab.size)}
     # no value's text is "]", so the first value read at a position differs
     pred_text, conf_text = ["]"] * L, ["]"] * L

@@ -1,6 +1,7 @@
 """State construction, the sample update rule, and config plumbing."""
 
 import json
+import pickle
 import re
 import tempfile
 import time
@@ -15,6 +16,7 @@ from semiar.core import (
     SAMPLERS,
     SCHEDULERS,
     DecodeConfig,
+    Positions,
     PredictionFrame,
     SENTINEL_CONFIDENCE,
     Vocabulary,
@@ -313,3 +315,57 @@ class TestReadUtf8:
             as_stored = raw.count(b"\n") + 1
             with pytest.raises(ValueError, match=rf": line {as_stored}: "):
                 read_utf8(path, ValueError, newlines=False)
+
+
+@st.composite
+def positions_values(draw):
+    """A :class:`Positions` over random ``head``, ``start`` and ``stop``."""
+    head = tuple(draw(st.lists(st.integers(-5, 40), max_size=6)))
+    start = draw(st.integers(-5, 40))
+    return Positions(head, start, start + draw(st.integers(0, 12)))
+
+
+class TestPositions:
+    @given(positions_values(), st.integers(-25, 25), st.integers(-25, 25),
+           st.integers(-25, 25) | st.none(), st.integers(-45, 45))
+    def test_reads_as_its_tuple(self, value, i, j, step, x):
+        as_tuple = tuple(value)
+        assert as_tuple == value.head + tuple(range(value.start, value.stop))
+        assert len(value) == len(as_tuple)
+        assert list(value) == list(as_tuple)
+        assert (x in value) == (x in as_tuple)
+        if -len(as_tuple) <= i < len(as_tuple):
+            assert value[i] == as_tuple[i]
+        else:
+            with pytest.raises(IndexError):
+                value[i]
+        if step != 0:
+            assert value[i:j:step] == as_tuple[i:j:step]
+            assert type(value[i:j:step]) is tuple
+        assert repr(value) == repr(as_tuple)
+        assert hash(value) == hash(as_tuple)
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert type(pickle.loads(pickle.dumps(value))) is Positions
+
+    @given(positions_values(), st.integers(0, 12), st.lists(st.integers(-5, 40), max_size=8))
+    def test_compares_as_its_tuple(self, value, cut, other):
+        as_tuple, other = tuple(value), tuple(other)
+        # the same positions split at another place
+        cut = min(cut, value.stop - value.start)
+        resplit = Positions(value.head + tuple(range(value.start, value.start + cut)),
+                            value.start + cut, value.stop)
+        for same in (as_tuple, resplit):
+            assert value == same and same == value
+            assert not (value != same or same != value)
+        assert (value == other) == (as_tuple == other) == (other == value)
+        assert (value != other) == (as_tuple != other) == (other != value)
+        assert (value == Positions(other, 0, 0)) == (as_tuple == other)
+        assert value != list(as_tuple) and list(as_tuple) != value
+
+    def test_is_immutable_and_stops_at_or_after_start(self):
+        value = Positions((1, 3), 5, 7)
+        with pytest.raises(AttributeError):
+            value.start = 0
+        with pytest.raises(ValueError):
+            Positions((), 5, 4)
+        assert value == (1, 3, 5, 6) and len(Positions((), 4, 4)) == 0

@@ -18,6 +18,7 @@ from semiar.core import (
     SCHEDULERS,
     DecodeConfig,
     DecodeTrace,
+    Positions,
     PredictionFrame,
     StepRecord,
     apply_sample,
@@ -84,7 +85,8 @@ def check_invariants(result, config):
 
 
 class TestEvaluationScope:
-    """Scopes are ascending tuples, taken from the masked tuple or the region."""
+    """Scopes hold ascending positions, taken from the masked positions or the
+    region; the masked positions may be a tuple or the decoder's Positions."""
 
     def test_none_open_is_full_region(self):
         assert evaluation_scope("none", 4, None, (5, 9), 16) == tuple(range(16))
@@ -103,6 +105,16 @@ class TestEvaluationScope:
 
     def test_dual_open_is_full_region(self):
         assert evaluation_scope("dual", 4, None, (5,), 16) == tuple(range(16))
+
+    def test_decoder_positions(self):
+        masked = Positions((5, 6), 8, 16)
+        assert evaluation_scope("none", 4, 4, masked, 16) is masked
+        assert evaluation_scope("none", 4, None, masked, 16) == tuple(range(16))
+        prefix = evaluation_scope("prefix", 4, 4, masked, 16)
+        assert type(prefix) is Positions and prefix == tuple(range(4, 16))
+        dual = evaluation_scope("dual", 4, 4, masked, 16)
+        assert type(dual) is tuple and dual == masked.head
+        assert evaluation_scope("dual", 4, None, masked, 16) == tuple(range(16))
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown cache policy"):
@@ -360,6 +372,62 @@ class TestCarriedMaskedSet:
         # the result holds its own copy, which no later commit can change
         assert isinstance(result.final_tokens, tuple)
         assert list(result.final_tokens) == states[-1].tokens
+
+
+def _tuple_scope(policy, g, block_size, masked, gen_budget):
+    """The scope as the loop that kept every masked position in one tuple
+    built it: the region, ``region[g:]`` or the masked positions in the block."""
+    region = tuple(range(gen_budget))
+    if policy == "prefix":
+        return region[g:]
+    if block_size is None:
+        return region
+    if policy == "none":
+        return masked
+    return tuple(p for p in masked if g <= p < g + block_size)
+
+
+class TestMaskedPositions:
+    """Each record's masked positions are the open block's plus the tail: no
+    record holds more positions than its block as a tuple."""
+
+    @pytest.mark.parametrize("cache", CACHES)
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    @pytest.mark.parametrize("kind", ["synthetic", "ngram", "replay"])
+    def test_records_hold_the_block_and_the_tail(self, kind, sampler, scheduler, cache,
+                                                 tmp_path):
+        L = 19
+        source = (build_ngram(CORPUS, order=3, smoothing_k=0.01) if kind == "ngram"
+                  else synthetic(delimiter_period=4))
+        vocab = source.vocabulary
+        delims = frozenset({vocab.id_of("." if kind == "ngram" else "\n")})
+        config = DecodeConfig(gen_budget=L, max_steps=3 * L, b0=5, tau=0.8, sampler=sampler,
+                              scheduler=scheduler, cache=cache, delimiters=delims,
+                              linear_steps=L // 2)
+        prompt = (0, 1)
+        if kind == "replay":
+            path = tmp_path / "recorded.jsonl"
+            write_trace(path, decode(source, config, prompt).trace, vocab)
+            source = TraceReplayPredictor(read_trace_file(path))
+        result = decode(source, config, prompt)
+        committed = set()
+        for rec in result.trace.steps:
+            block = rec.block_end - rec.block_start
+            masked = tuple(p for p in range(L) if p not in committed)
+            assert type(rec.masked_before) is Positions
+            assert rec.masked_before == masked and tuple(rec.masked_before) == masked
+            assert len(rec.masked_before.head) <= block
+            size = None if rec.is_block_open else block
+            assert rec.evaluated == _tuple_scope(cache, rec.block_start, size, masked, L)
+            if type(rec.evaluated) is Positions:
+                assert len(rec.evaluated.head) <= block
+            elif len(rec.evaluated) > block:
+                assert rec.evaluated is decoder_module._region(L)
+            if cache == "none" and not rec.is_block_open:
+                assert rec.evaluated is rec.masked_before
+            committed.update(rec.sampled)
+        assert len(committed) == L - result.remaining_masks
 
 
 class _StripedSynthetic(SyntheticPredictor):

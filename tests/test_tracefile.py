@@ -5,6 +5,7 @@ import json
 import random
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -664,6 +665,37 @@ class TestTwoReadPaths:
             data = read_trace_file(path)
         assert data.trace.steps[1].sampled == (committed,)
         assert _outcome(data) == _outcome(_read_by_json_loads(path))
+
+    @pytest.mark.parametrize("text", ["01", "00", "+1", " 1", "1_0", "20", "99999",
+                                      "\u0661", "1" * 5000])
+    @pytest.mark.parametrize("key", ["positions", "masked", "sampled"])
+    def test_position_text_not_canonical_reads_as_json_loads(self, key, text, tmp_path):
+        # only the text str() gives an int in [0, L) is taken from the text;
+        # json.loads words what any other text is, or reads its value
+        first = _layout_line(0, "0, 1", "0, 0", "0.25, 0.25", B=4)
+        second = {"positions": _layout_line(1, f"0, {text}", "0, 0", "0.25, 0.5"),
+                  "masked": _layout_line(1, "0, 1", "0, 0", "0.25, 0.5", masked=f"0, {text}"),
+                  "sampled": _layout_line(1, "0, 1", "0, 0", "0.25, 0.5").replace(
+                      '"sampled": []', f'"sampled": [{text}]')}[key]
+        path = tmp_path / "run.jsonl"
+        path.write_text("\n".join([json.dumps(_header(gen_budget=20)), first, second]) + "\n")
+        outcome, by_json = _json_linenos(path, read_trace_file)
+        assert outcome == _json_linenos(path, _read_by_json_loads)[0]
+        assert by_json == [3]
+
+    def test_read_costs_what_the_file_holds_not_the_header_budget(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text(json.dumps(_header(gen_budget=10**6)) + "\n"
+                        + json.dumps({"step": 0, "g": 0, "positions": [0], "pred": [0],
+                                      "conf": [0.5]}) + "\n")
+        tracemalloc.start()
+        try:
+            data = read_trace_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.trace.steps[0].computed == (0,)
+        assert peak < 40 * 2**20
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
     def test_lines_end_at_newline_only(self, separator, tmp_path):

@@ -47,6 +47,8 @@ class Vocabulary:
     mask_id: int
     eos_id: int
     _ids: dict[str, int] = field(init=False, repr=False, compare=False)
+    #: every id but the mask's: what a predictor may predict at a masked position
+    predictable_ids: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = {token: i for i, token in enumerate(self.tokens)}
@@ -58,6 +60,7 @@ class Vocabulary:
         if self.mask_id == self.eos_id:
             raise ValueError("mask_id and eos_id must be distinct")
         object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "predictable_ids", frozenset(range(len(ids))) - {self.mask_id})
 
     @property
     def size(self) -> int:
@@ -431,13 +434,13 @@ class StepRecord:
     compare without ``computed`` and their values, and traces compare their
     dense rows.
 
-    A decoder record's ``masked_before``, and its ``evaluated`` under
-    ``prefix`` or between ``none`` block opens, is a :class:`Positions`, which
-    compares as the tuple of its positions, so no record holds an L-long
-    tuple of them; a record read from a file holds tuples.  Records may share
-    these values: under the ``none`` cache a decoder record's ``evaluated``
-    between block opens is its ``masked_before``.  Treat every field as a
-    value: compare with ``==``, not ``is``.
+    Every decoder record's ``evaluated`` and ``masked_before`` is a
+    :class:`Positions`, which compares as the tuple of its positions, so no
+    record holds an L-long tuple of them; a record read from a file holds
+    tuples.  Records may share these values: under the ``none`` cache a
+    decoder record's ``evaluated`` between block opens is its
+    ``masked_before``.  Treat every field as a value: compare with ``==``,
+    not ``is``.
     """
 
     step: int

@@ -44,11 +44,11 @@ each commit by bisection, and the sampler chooses from it.  The step's
 ``masked_before`` is a :class:`~semiar.core.Positions` of that list's tuple
 and the all-masked tail (of the tail alone at a block open), so no record
 holds an L-long tuple for the cyclic garbage collector to walk.  Every
-scope is that value, a :class:`~semiar.core.Positions` from the block start
-on, the list's tuple or the cached region; and ``computed`` is drawn from
-the positions invalidated since they were last computed.  What is left of
-O(L) is the n-gram predictor's C-level encoding of the tokens into one
-bytes object per denoise call, which its memo keys slice.
+scope is a :class:`~semiar.core.Positions` too: that value, the region or
+its part from the block start on, or the list's tuple; and ``computed`` is
+drawn from the positions invalidated since they were last computed.  What
+is left of O(L) is the n-gram predictor's C-level encoding of the tokens
+into one bytes object per denoise call, which its memo keys slice.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -82,13 +81,6 @@ class DecodeError(RuntimeError):
     """Raised when a decode session cannot continue."""
 
 
-@lru_cache(maxsize=8)
-def _region(gen_budget: int) -> tuple[int, ...]:
-    """Every generation position, ascending: the block-opening scope of
-    ``none`` and ``dual``, one tuple shared by every decode of that length."""
-    return tuple(range(gen_budget))
-
-
 def evaluation_scope(
     policy: str,
     g: int,
@@ -100,45 +92,36 @@ def evaluation_scope(
     ascending.
 
     ``masked`` holds the masked positions, ascending: a tuple, or the
-    decoder's :class:`~semiar.core.Positions`, whose tail from the block end
-    on is all masked.  Under ``none`` the scope between block opens is that
-    very value.  ``block_size`` is None for the block-opening call, whose
-    block is not yet sized.  Every scope is a run of the region or the masked
-    positions of one, which :func:`_stale_in_scope` relies on.
+    decoder's :class:`~semiar.core.Positions` of the open block's masked
+    positions and the all-masked tail from the block end on.  ``block_size``
+    is None for the block-opening call, whose block is not yet sized.  Every
+    scope is a :class:`~semiar.core.Positions`, except one drawn from a tuple
+    ``masked`` between block opens: that very value under ``none``.
     """
     if policy == "none":
-        return _region(gen_budget) if block_size is None else masked
+        return Positions((), 0, gen_budget) if block_size is None else masked
     if policy == "prefix":
         return Positions((), g, gen_budget)
     if policy == "dual":
         if block_size is None:
-            return _region(gen_budget)
+            return Positions((), 0, gen_budget)
         end = g + block_size
-        if type(masked) is Positions and masked.start >= end:
-            masked = masked.head  # the tail lies past the block
+        if type(masked) is Positions and masked.start >= end:  # the tail lies past the block
+            return Positions(masked.head, end, end)
         return masked[bisect_left(masked, g) : bisect_left(masked, end)]
     raise ValueError(f"unknown cache policy {policy!r}")
 
 
-def _stale_in_scope(
-    stale: set[int], scope: tuple[int, ...] | Positions, state: SequenceState
-) -> tuple[int, ...]:
+def _stale_in_scope(stale: set[int], scope: Positions, state: SequenceState) -> tuple[int, ...]:
     """The ``stale`` positions in ``scope``, ascending, found without walking
-    the scope: a scope with gaps holds exactly the masked positions of its
-    span, and one without holds every position of it.  A
-    :class:`~semiar.core.Positions` scope's span and size are read from its
-    fields."""
-    if type(scope) is Positions:
-        head, start, stop = scope.head, scope.start, scope.stop
-        size = len(head) + stop - start
-        if not size:
-            return ()
-        first = head[0] if head else start
-        last = stop - 1 if stop > start else head[-1]
-    else:
-        if not scope:
-            return ()
-        first, last, size = scope[0], scope[-1], len(scope)
+    the scope: its first and last position and its size are read from its
+    fields, and a scope with gaps holds exactly the masked positions of its
+    span, one without every position of it.  No decoder scope is empty: each
+    holds the open block's first masked position."""
+    head, start, stop = scope.head, scope.start, scope.stop
+    size = len(head) + stop - start
+    first = head[0] if head else start
+    last = stop - 1 if stop > start else head[-1]
     ordered = sorted(stale)
     found = ordered[bisect_left(ordered, first) : bisect_right(ordered, last)]
     if last - first + 1 != size:

@@ -86,7 +86,8 @@ class MaskPredictor:
 
         Subclasses implement :meth:`predict`; this validation and merge is
         shared and not overridden.  ``eval_positions`` must strictly ascend,
-        as every decoder scope does.
+        as every decoder scope does.  At a masked position the prediction must
+        be one of the vocabulary's ``predictable_ids``, at a confidence in ``(0, 1]``.
         """
         positions = tuple(eval_positions)
         if not all(map(lt, positions, islice(positions, 1, None))):
@@ -97,12 +98,15 @@ class MaskPredictor:
             bad = next(pos for pos in positions if not 0 <= pos < L)
             raise PredictorError(f"evaluation position {bad} out of range")
         values = self.predict(state, positions)
-        mask_id = self.vocabulary.mask_id
+        mask_id, predictable = self.vocabulary.mask_id, self.vocabulary.predictable_ids
         tokens, lp = state.tokens, state.prompt_len
         for pos, (tok, conf) in zip(positions, values):
             if tokens[lp + pos] == mask_id:
-                if tok == mask_id:
-                    raise PredictorError(f"predicted the mask token at {pos}")
+                if tok not in predictable:
+                    if tok == mask_id:
+                        raise PredictorError(f"predicted the mask token at {pos}")
+                    raise PredictorError(f"predicted token {tok!r} at {pos}, outside the "
+                                         f"vocabulary [0, {self.vocabulary.size})")
                 if not 0.0 < conf <= 1.0:
                     raise PredictorError(f"confidence {conf} at {pos} outside (0, 1]")
         frame = prior or PredictionFrame.sentinel(L, mask_id)

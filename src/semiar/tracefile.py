@@ -271,9 +271,9 @@ def _step_records(
     fullmatch = re.compile(_WRITTEN_STEP).fullmatch
     position_of = _PositionOf(L)
     token_of = {str(t): t for t in range(vocab.size)}
+    # each position's last pred and conf text, up to the highest position read;
     # no value's text is "]", so the first value read at a position differs
-    pred_text, conf_text = ["]"] * L, ["]"] * L
-    pred_row = [vocab.mask_id] * L
+    pred_text, conf_text = [], []
     # the last positions read from a line's text, and that text
     layout_positions, layout_text = (), ""
     # the previous record's masked positions and commits, and the text of
@@ -295,6 +295,7 @@ def _step_records(
                 sampled_now = tuple(obj["sampled"]) if "sampled" in obj else None
                 masked_now = tuple(obj["masked"]) if "masked" in obj else None
                 masked_text = "]"
+                top = max(positions, default=-1)
             else:
                 (step, g, evaluated_text, preds, confs, size, end, sampled_text, masked_text,
                  cache) = written.groups()
@@ -317,6 +318,7 @@ def _step_records(
                                 continue
                         layout_positions, layout_text = positions, evaluated_text
                     positions = evaluated = layout_positions
+                    top = positions[-1] if positions else -1
                     confs = _split(confs)
                     if len(confs) != len(positions):
                         continue
@@ -330,6 +332,9 @@ def _step_records(
                     sampled_now = _lookup(sampled_text, position_of)
                 except (KeyError, ValueError):  # a text that does not fit, an int too long
                     continue
+            if top >= len(pred_text):
+                pred_text += ["]"] * (top + 1 - len(pred_text))
+                conf_text += ["]"] * (top + 1 - len(conf_text))
             changed = map(ne, confs, map(conf_text.__getitem__, positions))
             # most lines change no token: one join then stands for every comparison
             tokens_changed = preds != ", ".join(map(pred_text.__getitem__, positions))
@@ -343,8 +348,9 @@ def _step_records(
             new_confs = list(compress(confs, changed))
             new_preds = list(compress(preds, changed)) if tokens_changed else []
             # every changed value is checked before any running text is written
+            if not all(map(token_of.__contains__, new_preds)):
+                continue
             try:
-                tokens = list(map(token_of.__getitem__, new_preds))
                 confidence = []
                 for text in new_confs:
                     value = float(text)
@@ -356,8 +362,8 @@ def _step_records(
             break
         for p, text in zip(computed, new_confs):
             conf_text[p] = text
-        for p, token, text in zip(computed, tokens, new_preds):
-            pred_row[p], pred_text[p] = token, text
+        for p, text in zip(computed, new_preds):
+            pred_text[p] = text
         masked_before, sampled, masked_before_text = masked_now, sampled_now, masked_text
         records.append(
             StepRecord(
@@ -366,7 +372,7 @@ def _step_records(
                 block_end=end,
                 block_size=size,
                 evaluated=evaluated,
-                predicted=tuple(map(pred_row.__getitem__, computed)),
+                predicted=tuple(map(token_of.__getitem__, map(pred_text.__getitem__, computed))),
                 confidence=tuple(confidence),
                 sampled=sampled,
                 masked_before=masked_before,

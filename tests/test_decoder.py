@@ -113,8 +113,10 @@ class TestEvaluationScope:
         prefix = evaluation_scope("prefix", 4, 4, masked, 16)
         assert type(prefix) is Positions and prefix == tuple(range(4, 16))
         dual = evaluation_scope("dual", 4, 4, masked, 16)
-        assert type(dual) is tuple and dual == masked.head
-        assert evaluation_scope("dual", 4, None, masked, 16) == tuple(range(16))
+        assert type(dual) is Positions and dual == masked.head
+        for policy in ("none", "dual"):
+            opening = evaluation_scope(policy, 4, None, masked, 16)
+            assert type(opening) is Positions and opening == tuple(range(16))
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown cache policy"):
@@ -420,10 +422,8 @@ class TestMaskedPositions:
             assert len(rec.masked_before.head) <= block
             size = None if rec.is_block_open else block
             assert rec.evaluated == _tuple_scope(cache, rec.block_start, size, masked, L)
-            if type(rec.evaluated) is Positions:
-                assert len(rec.evaluated.head) <= block
-            elif len(rec.evaluated) > block:
-                assert rec.evaluated is decoder_module._region(L)
+            assert type(rec.evaluated) is Positions
+            assert len(rec.evaluated.head) <= block
             if cache == "none" and not rec.is_block_open:
                 assert rec.evaluated is rec.masked_before
             committed.update(rec.sampled)

@@ -533,6 +533,17 @@ cache = none
         assert cli.main(["run", "--spec", str(write_spec(tmp_path)), "--out", str(out)]) == 0
         assert cli.main(["analyze", "--traces", str(out)]) == 0
 
+    def test_cli_import_loads_no_pool(self):
+        # _map imports the pool only when it starts one, so a fresh interpreter
+        # that imports the CLI pays for neither module
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        probe = ("import sys, semiar.cli; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 def reuse_spec(kind, tmp_path, corpus=ZONE_CORPUS):
     """A 2-cell, 3-repetition spec over a ``kind`` predictor.  A ``trace`` one

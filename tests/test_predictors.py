@@ -698,6 +698,10 @@ class TestDenoiseValidation:
         "prediction, message",
         [
             pytest.param((1, 0.9), "predicted the mask token at 2", id="mask-token"),
+            pytest.param((6, 0.9), "predicted token 6 at 2, outside the vocabulary [0, 3)",
+                         id="past-vocabulary"),
+            pytest.param((-1, 0.9), "predicted token -1 at 2, outside the vocabulary [0, 3)",
+                         id="negative-token"),
             pytest.param((0, 0.0), "confidence 0.0 at 2 outside (0, 1]", id="zero"),
             pytest.param((0, 1.5), "confidence 1.5 at 2 outside (0, 1]", id="above-one"),
             pytest.param((0, float("nan")), "confidence nan at 2 outside (0, 1]", id="nan"),

@@ -685,17 +685,18 @@ class TestTwoReadPaths:
 
     def test_read_costs_what_the_file_holds_not_the_header_budget(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        path.write_text(json.dumps(_header(gen_budget=10**6)) + "\n"
-                        + json.dumps({"step": 0, "g": 0, "positions": [0], "pred": [0],
-                                      "conf": [0.5]}) + "\n")
-        tracemalloc.start()
-        try:
-            data = read_trace_file(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert data.trace.steps[0].computed == (0,)
-        assert peak < 40 * 2**20
+        for gen_budget in (10**6, 10**9):
+            path.write_text(json.dumps(_header(gen_budget=gen_budget)) + "\n"
+                            + json.dumps({"step": 0, "g": 0, "positions": [0], "pred": [0],
+                                          "conf": [0.5]}) + "\n")
+            tracemalloc.start()
+            try:
+                data = read_trace_file(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert data.trace.steps[0].computed == (0,)
+            assert peak < 2**20, gen_budget
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
     def test_lines_end_at_newline_only(self, separator, tmp_path):
